@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -55,6 +56,7 @@ def _verdict_dict(v) -> dict:
         "status": v.status,
         "best_value": v.best_value,
         "restarts_used": v.restarts_used,
+        "restarts_capped": v.restarts_capped,
         "witness": _witness_dict(v.witness) if v.witness else None,
     }
 
@@ -392,6 +394,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for flag in ("tol", "eps", "epsilon"):
+            value = getattr(args, flag, 0.0)
+            if not (math.isfinite(value) and value >= 0):
+                parser.error(f"--{flag} must be a finite number >= 0, got {value!r}")
+        if getattr(args, "samples", 1) < 1:
+            parser.error(f"--samples must be at least 1, got {args.samples}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

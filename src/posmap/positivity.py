@@ -14,8 +14,6 @@ which serves as the exact oracle for the falsifier's test suite.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -35,18 +33,6 @@ DEFAULT_RESTARTS = 32
 DEFAULT_TOL = 1e-8
 _MAX_ITERS = 500
 _FTOL = 1e-12
-
-
-def thread_cap() -> int:
-    """Parallelism cap from POSMAP_THREADS; defaults to the available cores."""
-    raw = os.environ.get("POSMAP_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        n = os.cpu_count() or 1
-    return n
 
 
 def is_cp(phi: PMap, tol: float = DEFAULT_TOL) -> bool:
@@ -115,6 +101,7 @@ class KposVerdict:
     witness: Optional[Witness]
     restarts_used: int
     best_value: float
+    restarts_capped: int  # restarts stopped by the iteration cap, not by tolerance
 
 
 def _quadratic_value(c: np.ndarray, x: np.ndarray) -> float:
@@ -158,48 +145,78 @@ def _schmidt_factors(wmat: np.ndarray, k: int):
     return left, right
 
 
-def _seesaw_restart(
-    c_herm: np.ndarray, n: int, d: int, k: int, rng: np.random.Generator
-) -> tuple[float, np.ndarray]:
-    """One seeded run of the alternating descent; returns (value, coefficient matrix)."""
-    t = c_herm.reshape(n, d, n, d)
-    g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-    b_frame, _ = np.linalg.qr(g)
-    wmat = None
-    prev = np.inf
+def _start_frames(seed: int, restarts: int, d: int, k: int) -> np.ndarray:
+    """Orthonormal (d, k) start frames; restart r draws from default_rng([seed, r])."""
+    g = np.empty((restarts, d, k), dtype=np.complex128)
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        g[r] = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+    return np.linalg.qr(g)[0]
+
+
+def _compress(t_laid: np.ndarray, frames: np.ndarray, p: int) -> np.ndarray:
+    """<x|C|x> as a form in the free factors, one (k p, k p) matrix per frame.
+
+    t_laid[s, (i, j, t)]: s, t index the framed factor, i, j (size p) the
+    free one; frames is (R, q, k). Entry [(r, i), (r', j)] pairs column r of
+    the frame with free index i.
+    """
+    r_, q, k = frames.shape
+    x = np.swapaxes(frames, 1, 2).conj().reshape(r_ * k, q) @ t_laid
+    y = x.reshape(r_, k * p * p, q) @ frames  # [r, i, j, r']
+    return y.reshape(r_, k, p, p, k).swapaxes(3, 4).reshape(r_, k * p, k * p)
+
+
+def _still_moving(prev: np.ndarray, active: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Stopping rule after a half-step: a restart stops once it gains less than _FTOL."""
+    moving = ~(prev[active] - value < _FTOL)
+    prev[active] = value
+    return active[moving]
+
+
+def _seesaw(
+    c_herm: np.ndarray, n: int, d: int, k: int, frames: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Alternating descent from every start frame, all restarts advanced together.
+
+    Returns each restart's value, its (n, d) coefficient matrix, and how many
+    restarts were stopped by _MAX_ITERS. A restart that stops leaves the
+    active set, so its result never depends on the others.
+    """
+    t = c_herm.reshape(n, d, n, d)  # t[i, s, j, t]
+    t_left = t.transpose(1, 0, 2, 3).reshape(d, n * n * d)  # [s, (i, j, t)]
+    t_right = t.transpose(0, 1, 3, 2).reshape(n, d * d * n)  # [i, (s, t, j)]
+    b_frames = frames.copy()
+    wmat = np.empty((len(frames), n, d), dtype=np.complex128)
+    prev = np.full(len(frames), np.inf)
+    active = np.arange(len(frames))
     for _ in range(_MAX_ITERS):
         # left step: quadratic form in the stacked left factors
-        m = np.einsum("sr,isjt,tq->riqj", b_frame.conj(), t, b_frame, optimize=True)
-        m = m.reshape(k * n, k * n)
-        vals, vecs = np.linalg.eigh(hermitian_part(m))
-        value = float(vals[0])
-        stacked = vecs[:, 0].reshape(k, n)
-        wmat = stacked.T @ b_frame.T  # x[(i,s)] = sum_r A[i,r] B[s,r]
-        if prev - value < _FTOL:
+        b = b_frames[active]
+        vals, vecs = np.linalg.eigh(_compress(t_left, b, n))
+        stacked = vecs[:, :, 0].reshape(-1, k, n)
+        # x[(i,s)] = sum_r A[i,r] B[s,r]
+        wmat[active] = np.swapaxes(stacked, 1, 2) @ np.swapaxes(b, 1, 2)
+        active = _still_moving(prev, active, vals[:, 0])
+        if not active.size:
             break
-        prev = value
         # right step: orthonormal left frame from the Schmidt decomposition
-        u, _, _ = np.linalg.svd(wmat)
-        a_frame = u[:, :k]
-        m = np.einsum("ir,isjt,jq->rsqt", a_frame.conj(), t, a_frame, optimize=True)
-        m = m.reshape(k * d, k * d)
-        vals, vecs = np.linalg.eigh(hermitian_part(m))
-        value = float(vals[0])
-        stacked = vecs[:, 0].reshape(k, d)
-        wmat = a_frame @ stacked
-        if prev - value < _FTOL:
+        a = np.linalg.svd(wmat[active], full_matrices=False)[0][:, :, :k]
+        vals, vecs = np.linalg.eigh(_compress(t_right, a, d))
+        wmat[active] = a @ vecs[:, :, 0].reshape(-1, k, d)
+        active = _still_moving(prev, active, vals[:, 0])
+        if not active.size:
             break
-        prev = value
-        _, _, vh = np.linalg.svd(wmat)
-        b_frame = vh[:k, :].T  # columns are the current right Schmidt factors
-    x = wmat.reshape(-1)
-    return _quadratic_value(c_herm, x), wmat
+        vh = np.linalg.svd(wmat[active], full_matrices=False)[2]
+        b_frames[active] = np.swapaxes(vh[:, :k, :], 1, 2)  # current right Schmidt factors
+    values = np.array([_quadratic_value(c_herm, w.reshape(-1)) for w in wmat])
+    return values, wmat, int(active.size)
 
 
 def _falsify_block(
     c: np.ndarray, n: int, d: int, k: int, restarts: int, seed: int
-) -> tuple[float, Optional[tuple]]:
-    """Best value and Schmidt factors found on one source block."""
+) -> tuple[float, Optional[tuple], int]:
+    """Best value, its Schmidt factors and the capped-restart count on one source block."""
     c_herm = hermitian_part(c)
     k_eff = min(k, n, d)
     if k_eff >= min(n, d):
@@ -207,25 +224,16 @@ def _falsify_block(
         vals, vecs = np.linalg.eigh(c_herm)
         x = vecs[:, 0]
         factors = _schmidt_factors(x.reshape(n, d), k_eff)
-        return float(vals[0]), factors
+        return float(vals[0]), factors, 0
 
-    def run(r: int) -> tuple[float, np.ndarray]:
-        rng = np.random.default_rng(seed ^ r)
-        return _seesaw_restart(c_herm, n, d, k_eff, rng)
-
-    cap = thread_cap()
-    if cap > 1 and restarts >= 8:
-        with ThreadPoolExecutor(max_workers=min(cap, restarts)) as pool:
-            results = list(pool.map(run, range(restarts)))
-    else:
-        results = [run(r) for r in range(restarts)]
-
+    frames = _start_frames(seed, restarts, d, k_eff)
+    values, wmats, capped = _seesaw(c_herm, n, d, k_eff, frames)
     best_value, best_w = np.inf, None
-    for value, wmat in results:  # index order resolves ties deterministically
+    for value, wmat in zip(values, wmats):  # index order resolves ties deterministically
         if value < best_value:
             best_value, best_w = value, wmat
     factors = _schmidt_factors(best_w, k_eff) if best_w is not None else None
-    return float(best_value), factors
+    return float(best_value), factors, capped
 
 
 def k_positivity_falsify(
@@ -239,8 +247,10 @@ def k_positivity_falsify(
 
     Runs blockwise over the source; VIOLATED comes with a re-verified
     Witness, and the CP fast path upgrades a fruitless search to
-    CERTIFIED_POSITIVE. Deterministic in (seed, restarts): restart r uses
-    the generator seeded with seed XOR r.
+    CERTIFIED_POSITIVE. Deterministic in (seed, restarts): restart r draws
+    its start frame from np.random.default_rng([seed, r]), so distinct seeds
+    run distinct searches. restarts_capped counts the restarts that stopped
+    at the iteration cap rather than on tolerance.
     """
     if k < 1:
         raise BadRangeError(f"need k >= 1, got {k}")
@@ -249,12 +259,13 @@ def k_positivity_falsify(
     d = phi.target.embed_dim
     best_value = np.inf
     best = None  # (block, factors)
-    used = 0
+    used = capped = 0
     for bi, (c, n) in enumerate(zip(phi.choi_blocks, phi.source.block_sizes)):
         k_eff = min(k, n, d)
         if k_eff < min(n, d):
             used += restarts
-        value, factors = _falsify_block(c, n, d, k, restarts, seed)
+        value, factors, block_capped = _falsify_block(c, n, d, k, restarts, seed)
+        capped += block_capped
         if value < best_value:
             best_value = value
             best = (bi, factors)
@@ -273,7 +284,7 @@ def k_positivity_falsify(
             block=bi,
         )
         if witness_verify(phi, w, tol):
-            return KposVerdict(VIOLATED, w, used, best_value)
+            return KposVerdict(VIOLATED, w, used, best_value, capped)
     if is_cp(phi, tol):
-        return KposVerdict(CERTIFIED_POSITIVE, None, used, float(best_value))
-    return KposVerdict(UNFALSIFIED, None, used, float(best_value))
+        return KposVerdict(CERTIFIED_POSITIVE, None, used, float(best_value), capped)
+    return KposVerdict(UNFALSIFIED, None, used, float(best_value), capped)

@@ -89,6 +89,10 @@ class TestCheckKpos:
         assert code == 0
         assert payload["verdict"]["status"] in ("UNFALSIFIED", "CERTIFIED_POSITIVE")
 
+    def test_reports_capped_restarts(self, capsys, psi14_file):
+        _, payload = run_json(capsys, ["check-kpos", psi14_file, "--k", "2"])
+        assert payload["verdict"]["restarts_capped"] == 0
+
     def test_json_deterministic(self, capsys, psi14_file):
         argv = ["check-kpos", psi14_file, "--k", "2", "--seed", "5"]
         _, first = run_json(capsys, argv)
@@ -176,3 +180,24 @@ class TestErrorPaths:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "abc"])
+    def test_bad_tol_exit_2(self, capsys, psi14_file, tol):
+        assert main(["check-cp", psi14_file, "--tol", tol]) == 2
+        assert main(["check-kpos", psi14_file, "--k", "2", "--tol", tol]) == 2
+
+    @pytest.mark.parametrize("eps", ["nan", "-0.05"])
+    def test_bad_eps_exit_2(self, capsys, eps):
+        argv = ["example4", "--n", "3", "--m", "1", "--k", "1", "--lambda", "1.4"]
+        assert main(argv + ["--eps", eps]) == 2
+
+    @pytest.mark.parametrize("epsilon", ["inf", "-1e-6"])
+    def test_bad_epsilon_exit_2(self, capsys, tmp_path, epsilon):
+        argv = ["gen-cert", "--algebra", "2", "--weights", "1.0", "-o", str(tmp_path / "c.json")]
+        assert main(argv + ["--epsilon", epsilon]) == 2
+        assert not (tmp_path / "c.json").exists()
+
+    def test_zero_samples_exit_2(self, capsys, psi14_file):
+        argv = ["example4", "--n", "3", "--m", "1", "--k", "1", "--lambda", "1.4", "--eps", "0.05"]
+        assert main(argv + ["--samples", "0"]) == 2
+        assert main(["defect", psi14_file, "--samples", "0"]) == 2

@@ -19,11 +19,17 @@ from posmap.positivity import (
     tomiyama_threshold,
     witness_verify,
 )
+from posmap.positivity import _seesaw, _start_frames
 
 from test_maps import trace_map, transpose_map
 
 M2 = FiniteCStar((2,))
 M3 = FiniteCStar((3,))
+
+
+def _haar(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def kraus_map(n, seed, n_kraus=3):
@@ -140,18 +146,51 @@ class TestFalsifier:
             np.array(a.witness.factors_left), np.array(b.witness.factors_left)
         )
 
-    def test_thread_cap_does_not_change_verdict(self, monkeypatch):
-        # aggregation is index-ordered, so scheduling cannot change results
-        monkeypatch.setenv("POSMAP_THREADS", "1")
-        serial = k_positivity_falsify(tomiyama_map(3, 1.4), k=2, restarts=16, seed=0)
-        monkeypatch.setenv("POSMAP_THREADS", "4")
-        pooled = k_positivity_falsify(tomiyama_map(3, 1.4), k=2, restarts=16, seed=0)
-        assert serial.best_value == pooled.best_value
-        assert serial.status == pooled.status
-        assert np.array_equal(
-            np.array(serial.witness.factors_left),
-            np.array(pooled.witness.factors_left),
+    def test_batched_restart_matches_solo_run(self):
+        # a stopped restart leaves the active set, so the batch never mixes restarts
+        n, k = 5, 2
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+        c = (g + g.conj().T) / 2
+        frames = _start_frames(0, 16, n, k)
+        values, wmats, _ = _seesaw(c, n, n, k, frames)
+        assert len(set(np.round(values, 6))) > 1  # the restarts reach different minima
+        for r in range(16):
+            solo_values, solo_wmats, _ = _seesaw(c, n, n, k, frames[r : r + 1])
+            assert abs(solo_values[0] - values[r]) <= 1e-12
+            np.testing.assert_allclose(solo_wmats[0], wmats[r], rtol=0, atol=1e-12)
+
+    def test_distinct_seeds_distinct_searches(self):
+        phi = tomiyama_map(4, 1.2)
+        a = k_positivity_falsify(phi, k=2, restarts=32, seed=0)
+        b = k_positivity_falsify(phi, k=2, restarts=32, seed=1)
+        assert a.status == b.status == VIOLATED
+        assert witness_verify(phi, a.witness) and witness_verify(phi, b.witness)
+        assert not np.allclose(
+            np.array(a.witness.factors_left), np.array(b.witness.factors_left)
         )
+
+    def test_converged_restarts_not_capped(self):
+        v = k_positivity_falsify(tomiyama_map(3, 1.4), k=2, restarts=32, seed=0)
+        assert v.restarts_capped == 0
+
+    def test_near_threshold_restarts_capped(self):
+        # trace-mixing map just past threshold(3,1), conjugated by a random product
+        # unitary plus a small Hermitian perturbation: every restart runs to the cap
+        n, k, restarts = 3, 1, 4
+        rng = np.random.default_rng(0)
+        thr = tomiyama_threshold(n, k)
+        delta = 0.05 * (thr - 1)
+        w = np.kron(_haar(rng, n), _haar(rng, n))
+        g = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+        h = (g + g.conj().T) / 2
+        pert = h * (delta * (k - 1 / n) / 2 / np.linalg.norm(h, 2))
+        choi = w @ tomiyama_map(n, thr + delta).choi_blocks[0] @ w.conj().T + pert
+        phi = PMap.from_choi(M3, M3, [choi])
+        v = k_positivity_falsify(phi, k=k, restarts=restarts, seed=0)
+        assert v.status == VIOLATED
+        assert v.restarts_used == restarts
+        assert v.restarts_capped == restarts
 
 
 class TestWitnessVerify:
