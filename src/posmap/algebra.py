@@ -98,8 +98,7 @@ class Element:
             )
         return Element(self.algebra, [complex(other) * b for b in self.blocks])
 
-    def __rmul__(self, scalar) -> "Element":
-        return Element(self.algebra, [complex(scalar) * b for b in self.blocks])
+    __rmul__ = __mul__  # only ever reached with a scalar on the left
 
     def __neg__(self) -> "Element":
         return Element(self.algebra, [-b for b in self.blocks])
@@ -116,10 +115,8 @@ class Element:
         """Block-diagonal embedding into one embed_dim x embed_dim matrix."""
         d = self.algebra.embed_dim
         out = np.zeros((d, d), dtype=np.complex128)
-        off = 0
-        for b, size in zip(self.blocks, self.algebra.block_sizes):
-            out[off : off + size, off : off + size] = b
-            off += size
+        # row-major over the mask runs block by block, row-major within each
+        out[block_mask(self.algebra)] = np.concatenate([b.reshape(-1) for b in self.blocks])
         return out
 
     def __repr__(self):
@@ -132,12 +129,16 @@ def from_embedded(algebra: FiniteCStar, m: np.ndarray) -> Element:
     d = algebra.embed_dim
     if m.shape != (d, d):
         raise AlgebraMismatchError(f"expected shape {(d, d)}, got {m.shape}")
-    blocks = []
-    off = 0
-    for size in algebra.block_sizes:
-        blocks.append(m[off : off + size, off : off + size])
-        off += size
-    return Element(algebra, blocks)
+    ends = np.cumsum(algebra.block_sizes)
+    return Element(algebra, [m[e - n : e, e - n : e] for e, n in zip(ends, algebra.block_sizes)])
+
+
+def embed_stack(algebra: FiniteCStar, elements: Sequence[Element]) -> np.ndarray:
+    """The elements embedded as one (len, D, D) stack; each must belong to algebra."""
+    if any(x.algebra != algebra for x in elements):
+        raise AlgebraMismatchError(f"an element does not belong to {algebra}")
+    d = algebra.embed_dim
+    return np.array([x.embedded() for x in elements], dtype=np.complex128).reshape(-1, d, d)
 
 
 def zero(algebra: FiniteCStar) -> Element:
@@ -155,14 +156,27 @@ def basis_element(algebra: FiniteCStar, block: int, i: int, j: int) -> Element:
     return Element(algebra, blocks)
 
 
+def block_mask(algebra: FiniteCStar) -> np.ndarray:
+    """Boolean D x D mask of the entries inside the embedded diagonal blocks."""
+    owner = np.repeat(np.arange(algebra.n_blocks), algebra.block_sizes)
+    return owner[:, None] == owner[None, :]
+
+
+def unit_stack(algebra: FiniteCStar) -> np.ndarray:
+    """All matrix units embedded, as a (dim, D, D) stack with D = embed_dim.
+
+    Ordered like the entries of block_mask: block by block, row-major.
+    """
+    d = algebra.embed_dim
+    rows, cols = np.nonzero(block_mask(algebra))
+    stack = np.zeros((algebra.dim, d, d), dtype=np.complex128)
+    stack[np.arange(algebra.dim), rows, cols] = 1.0
+    return stack
+
+
 def matrix_units(algebra: FiniteCStar) -> list[Element]:
-    """All matrix units, block by block, row-major within each block."""
-    units = []
-    for b, size in enumerate(algebra.block_sizes):
-        for i in range(size):
-            for j in range(size):
-                units.append(basis_element(algebra, b, i, j))
-    return units
+    """All matrix units, in the order of unit_stack."""
+    return [from_embedded(algebra, e) for e in unit_stack(algebra)]
 
 
 def is_positive(x: Element, tol: float = 1e-9) -> bool:
@@ -202,13 +216,14 @@ def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
+def _contraction(rng: np.random.Generator, n: int) -> np.ndarray:
+    g = _ginibre(rng, n)
+    return g / op_norm(g)
+
+
 def _positive_contraction_blocks(rng: np.random.Generator, sizes: Iterable[int]):
-    blocks = []
-    for n in sizes:
-        g = _ginibre(rng, n)
-        w = g.conj().T @ g
-        blocks.append(w / op_norm(w))
-    return blocks
+    wishart = [g.conj().T @ g for g in (_ginibre(rng, n) for n in sizes)]
+    return [w / op_norm(w) for w in wishart]
 
 
 def random_positive_contraction(algebra: FiniteCStar, seed: int) -> Element:
@@ -224,18 +239,11 @@ def random_positive_contraction(algebra: FiniteCStar, seed: int) -> Element:
 def random_contraction(algebra: FiniteCStar, seed: int) -> Element:
     """Ginibre matrix normalized to operator norm 1, blockwise."""
     rng = np.random.default_rng(seed)
-    blocks = []
-    for n in algebra.block_sizes:
-        g = _ginibre(rng, n)
-        blocks.append(g / op_norm(g))
-    return Element(algebra, blocks)
+    return Element(algebra, [_contraction(rng, n) for n in algebra.block_sizes])
 
 
 def random_hermitian(algebra: FiniteCStar, seed: int) -> Element:
     """Hermitian element with blockwise norm 1."""
     rng = np.random.default_rng(seed)
-    blocks = []
-    for n in algebra.block_sizes:
-        h = hermitian_part(_ginibre(rng, n))
-        blocks.append(h / op_norm(h))
-    return Element(algebra, blocks)
+    hs = [hermitian_part(_ginibre(rng, n)) for n in algebra.block_sizes]
+    return Element(algebra, [h / op_norm(h) for h in hs])

@@ -324,8 +324,12 @@ def _decode_matrix(data, size: int, where: str) -> np.ndarray:
     for idx, pair in enumerate(data):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ParseError(f"{where}[{idx}]: expected a [re, im] pair")
-        re, im = pair
-        out[idx] = complex(float(re), float(im))
+        if not all(type(v) in (int, float) for v in pair):
+            raise ParseError(f"{where}[{idx}]: entries must be JSON numbers")
+        try:
+            out[idx] = complex(*pair)
+        except OverflowError as exc:
+            raise ParseError(f"{where}[{idx}]: {exc}") from exc
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
         raise ParseError(f"{where}: non-finite entry")
     return out.reshape(size, size)
@@ -341,8 +345,10 @@ def _decode_algebra(data, where: str) -> FiniteCStar:
     blocks = data["blocks"]
     if not isinstance(blocks, list) or not blocks:
         raise ParseError(f"{where}.blocks: expected a non-empty list")
+    if not all(type(b) is int for b in blocks):
+        raise ParseError(f"{where}.blocks: block sizes must be integers")
     try:
-        return FiniteCStar(tuple(int(b) for b in blocks))
+        return FiniteCStar(tuple(blocks))
     except Exception as exc:
         raise ParseError(f"{where}.blocks: {exc}") from exc
 
@@ -393,7 +399,7 @@ def _check_schema(doc: dict) -> None:
     if not isinstance(doc, dict):
         raise ParseError("top level: expected an object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaVersionMismatchError(
             f"schema_version: expected {SCHEMA_VERSION}, got {version}"
         )
@@ -419,7 +425,7 @@ def certificate_from_document(doc: dict) -> DrCertificate:
             raise ParseError(f"{key}: missing field")
     algebra = _decode_algebra(doc["algebra"], "algebra")
     d = doc["d"]
-    if not isinstance(d, int) or d < 0:
+    if type(d) is not int or d < 0:
         raise ParseError("d: expected a nonnegative integer")
     if not isinstance(doc["summands"], list):
         raise ParseError("summands: expected a list")
@@ -443,7 +449,7 @@ def certificate_from_document(doc: dict) -> DrCertificate:
         for i, x in enumerate(doc["test_set"])
     )
     epsilon = doc["epsilon"]
-    if not isinstance(epsilon, (int, float)) or not epsilon > 0:
+    if type(epsilon) not in (int, float) or not epsilon > 0:
         raise ParseError("epsilon: expected a positive number")
     return DrCertificate(
         algebra=algebra,

@@ -17,6 +17,7 @@ import sys
 from . import __version__
 from .algebra import FiniteCStar
 from .certificates import (
+    _encode_matrix,
     load_certificate,
     load_map,
     orderzero_certificate,
@@ -40,14 +41,13 @@ from .positivity import (
 
 
 def _witness_dict(w: Witness) -> dict:
-    enc = lambda v: [[float(z.real), float(z.imag)] for z in v]
     return {
         "k": w.k,
         "block": w.block,
         "value": w.value,
         "vector_norm": w.vector_norm,
-        "factors_left": [enc(a) for a in w.factors_left],
-        "factors_right": [enc(b) for b in w.factors_right],
+        "factors_left": [_encode_matrix(a) for a in w.factors_left],
+        "factors_right": [_encode_matrix(b) for b in w.factors_right],
     }
 
 
@@ -400,6 +400,8 @@ def main(argv=None) -> int:
                 parser.error(f"--{flag} must be a finite number >= 0, got {value!r}")
         if getattr(args, "samples", 1) < 1:
             parser.error(f"--samples must be at least 1, got {args.samples}")
+        if args.seed < 0:
+            parser.error(f"--seed must be >= 0, got {args.seed}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

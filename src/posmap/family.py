@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Element, FiniteCStar, matrix_units
+from .algebra import Element, FiniteCStar, _contraction, matrix_units
 from .errors import BadRangeError
 from .linalg import as_complex, op_norm
 from .maps import PMap
@@ -175,11 +175,6 @@ class FamilyReport:
         return self.defect_ok and self.closed_form_ok and confirmed
 
 
-def _sample_contraction(rng: np.random.Generator, size: int) -> np.ndarray:
-    g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-    return g / op_norm(g)
-
-
 def verify_corner_family(
     n: int,
     m: int,
@@ -217,7 +212,7 @@ def verify_corner_family(
     rng = np.random.default_rng(seed)
     defect_max = 0.0
     for _ in range(samples):
-        x = _sample_contraction(rng, size)
+        x = _contraction(rng, size)
         fx = corner_mixture_apply(x, n, m, lam, eps)
         fxx = corner_mixture_apply(x @ x, n, m, lam, eps)
         defect_max = max(defect_max, op_norm(fx @ fx - fxx))

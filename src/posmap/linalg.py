@@ -119,11 +119,6 @@ def psd_min_eig(h: np.ndarray, tol: float = HERM_TOL) -> float:
     return float(vals[0])
 
 
-def is_psd(h: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """PSD test at the package convention: min eig >= -tol * max(1, ||h||)."""
-    return psd_min_eig(h) >= -tol * max(1.0, op_norm(h))
-
-
 def support_projection(b: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
     """Spectral projection of a PSD matrix onto eigenvalues > cutoff * ||b||."""
     dec = eig_hermitian(b)

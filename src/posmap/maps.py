@@ -5,6 +5,12 @@ matrix C = sum_ij e_ij (x) phi(e_ij) of the restriction to that block,
 with the target direct sum embedded block-diagonally into one matrix
 algebra of size D = target.embed_dim. C is an (n*D) x (n*D) matrix whose
 (i,s),(j,t) entry is phi(e_ij)[s,t].
+
+The map acts through one transfer matrix T derived from the Choi blocks.
+With elements embedded block-diagonally and flattened row-major,
+vec(phi(x)) = vec(x) @ T, so T is (Ds*Ds) x (D*D) for a source of
+embedding size Ds. Its rows at source coordinates outside the diagonal
+blocks and its columns at such target coordinates are zero.
 """
 
 from __future__ import annotations
@@ -13,7 +19,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Element, FiniteCStar, from_embedded, matrix_units, unit
+from .algebra import (
+    Element,
+    FiniteCStar,
+    _freeze,
+    block_mask,
+    embed_stack,
+    from_embedded,
+    unit,
+    unit_stack,
+)
 from .errors import (
     AlgebraMismatchError,
     CountMismatchError,
@@ -25,21 +40,10 @@ from .linalg import as_complex
 LEAK_TOL = 1e-10
 
 
-def _offdiag_mask(target: FiniteCStar) -> np.ndarray:
-    """Boolean D x D mask of entries outside the embedded diagonal blocks."""
-    d = target.embed_dim
-    mask = np.ones((d, d), dtype=bool)
-    off = 0
-    for size in target.block_sizes:
-        mask[off : off + size, off : off + size] = False
-        off += size
-    return mask
-
-
 class PMap:
     """A linear map between FiniteCStar algebras, stored as per-block Choi matrices."""
 
-    __slots__ = ("source", "target", "choi_blocks")
+    __slots__ = ("source", "target", "choi_blocks", "_transfer")
 
     def __init__(self, source: FiniteCStar, target: FiniteCStar, choi_blocks, _validate=True):
         blocks = [as_complex(c) for c in choi_blocks]
@@ -56,7 +60,7 @@ class PMap:
             if not np.all(np.isfinite(c.real)) or not np.all(np.isfinite(c.imag)):
                 raise DimensionMismatchError("Choi block contains non-finite entries")
         if _validate:
-            mask = _offdiag_mask(target)
+            mask = ~block_mask(target)
             for bi, (c, n) in enumerate(zip(blocks, source.block_sizes)):
                 # images phi(e_ij) must lie in the embedded direct sum
                 offd = c.reshape(n, d, n, d).transpose(0, 2, 1, 3)[:, :, mask]
@@ -67,14 +71,10 @@ class PMap:
                         f"Choi block {bi} leaks outside the embedded target blocks "
                         f"(max off-diagonal entry {leak:.3e})"
                     )
-        frozen = []
-        for c in blocks:
-            arr = np.array(c, copy=True)
-            arr.setflags(write=False)
-            frozen.append(arr)
         self.source = source
         self.target = target
-        self.choi_blocks = tuple(frozen)
+        self.choi_blocks = tuple(_freeze(c) for c in blocks)
+        self._transfer = None
 
     # -- construction ------------------------------------------------------
 
@@ -91,19 +91,19 @@ class PMap:
             raise CountMismatchError(
                 f"expected {source.dim} matrix-unit images, got {len(images)}"
             )
-        d = target.embed_dim
-        blocks = []
-        off = 0
-        for n in source.block_sizes:
-            t = np.zeros((n, d, n, d), dtype=np.complex128)
-            for i in range(n):
-                for j in range(n):
-                    img = images[off + i * n + j]
-                    if img.algebra != target:
-                        raise AlgebraMismatchError("image does not belong to the target")
-                    t[i, :, j, :] = img.embedded()
-            blocks.append(t.reshape(n * d, n * d))
-            off += n * n
+        return cls._from_unit_images(source, target, embed_stack(target, images))
+
+    @classmethod
+    def _from_unit_images(
+        cls, source: FiniteCStar, target: FiniteCStar, stack: np.ndarray
+    ) -> "PMap":
+        """Build a map from the (dim, D, D) stack of embedded matrix-unit images."""
+        d, sizes = target.embed_dim, source.block_sizes
+        parts = np.split(stack, np.cumsum([n * n for n in sizes])[:-1])
+        blocks = [
+            t.reshape(n, n, d, d).transpose(0, 2, 1, 3).reshape(n * d, n * d)
+            for t, n in zip(parts, sizes)
+        ]
         return cls(source, target, blocks, _validate=False)
 
     @classmethod
@@ -112,19 +112,41 @@ class PMap:
 
     @classmethod
     def identity(cls, algebra: FiniteCStar) -> "PMap":
-        return cls.from_action(algebra, algebra, matrix_units(algebra))
+        return cls._from_unit_images(algebra, algebra, unit_stack(algebra))
 
     # -- action ------------------------------------------------------------
+
+    @property
+    def transfer(self) -> np.ndarray:
+        """T with vec(phi(x)) = vec(x) @ T on row-major embedded coordinates.
+
+        Built once from the Choi blocks. Columns at target coordinates
+        outside the diagonal blocks are zero, so every image lies exactly
+        in the embedded direct sum.
+        """
+        if self._transfer is None:
+            ds, d = self.source.embed_dim, self.target.embed_dim
+            images = [
+                c.reshape(n, d, n, d).transpose(0, 2, 1, 3).reshape(n * n, d * d)
+                for c, n in zip(self.choi_blocks, self.source.block_sizes)
+            ]
+            t = np.zeros((ds * ds, d * d), dtype=np.complex128)
+            t[block_mask(self.source).reshape(-1)] = np.concatenate(images)
+            t[:, ~block_mask(self.target).reshape(-1)] = 0.0
+            t.setflags(write=False)
+            self._transfer = t
+        return self._transfer
+
+    def act(self, xs: np.ndarray) -> np.ndarray:
+        """phi on a (..., Ds, Ds) stack of embedded source elements, as one GEMM."""
+        d = self.target.embed_dim
+        out = xs.reshape(-1, xs.shape[-1] * xs.shape[-1]) @ self.transfer
+        return out.reshape(xs.shape[:-2] + (d, d))
 
     def apply(self, x: Element) -> Element:
         if x.algebra != self.source:
             raise AlgebraMismatchError("element does not belong to the source algebra")
-        d = self.target.embed_dim
-        out = np.zeros((d, d), dtype=np.complex128)
-        for blk, c, n in zip(x.blocks, self.choi_blocks, self.source.block_sizes):
-            t = c.reshape(n, d, n, d)
-            out += np.einsum("ij,isjt->st", blk, t, optimize=True)
-        return from_embedded(self.target, out)
+        return from_embedded(self.target, self.act(x.embedded()))
 
     def __call__(self, x: Element) -> Element:
         return self.apply(x)
@@ -138,37 +160,21 @@ class PMap:
         if self.source != other.source or self.target != other.target:
             raise AlgebraMismatchError("maps act between different algebras")
 
+    def _with_choi(self, blocks) -> "PMap":
+        return PMap(self.source, self.target, blocks, _validate=False)
+
     def __add__(self, other: "PMap") -> "PMap":
         self._check_compatible(other)
-        return PMap(
-            self.source,
-            self.target,
-            [a + b for a, b in zip(self.choi_blocks, other.choi_blocks)],
-            _validate=False,
-        )
+        return self._with_choi([a + b for a, b in zip(self.choi_blocks, other.choi_blocks)])
 
     def __sub__(self, other: "PMap") -> "PMap":
         self._check_compatible(other)
-        return PMap(
-            self.source,
-            self.target,
-            [a - b for a, b in zip(self.choi_blocks, other.choi_blocks)],
-            _validate=False,
-        )
+        return self._with_choi([a - b for a, b in zip(self.choi_blocks, other.choi_blocks)])
 
     def scale(self, c: complex) -> "PMap":
-        return PMap(
-            self.source,
-            self.target,
-            [complex(c) * blk for blk in self.choi_blocks],
-            _validate=False,
-        )
+        return self._with_choi([complex(c) * blk for blk in self.choi_blocks])
 
-    def __mul__(self, c):
-        return self.scale(c)
-
-    def __rmul__(self, c):
-        return self.scale(c)
+    __mul__ = __rmul__ = scale
 
     def compose(self, inner: "PMap") -> "PMap":
         """self after inner: apply(compose(phi, psi), x) = phi(psi(x))."""
@@ -176,8 +182,8 @@ class PMap:
             raise AlgebraMismatchError(
                 "inner map's target does not match outer map's source"
             )
-        images = [self.apply(inner.apply(e)) for e in matrix_units(inner.source)]
-        return PMap.from_action(inner.source, self.target, images)
+        images = self.act(inner.act(unit_stack(inner.source)))
+        return PMap._from_unit_images(inner.source, self.target, images)
 
     def tensor_id(self, k: int) -> "PMap":
         """id_{M_k} (x) self, for single-block source and target only."""
@@ -190,10 +196,8 @@ class PMap:
         n = self.source.block_sizes[0]
         d = self.target.embed_dim
         t = self.choi_blocks[0].reshape(n, d, n, d)
-        big = np.zeros((k, n, k, d, k, n, k, d), dtype=np.complex128)
-        for a in range(k):
-            for b in range(k):
-                big[a, :, a, :, b, :, b, :] = t
+        # big[a, i, a, s, b, j, b, t] = t[i, s, j, t]
+        big = np.einsum("AB,CD,isjt->AiBsCjDt", np.eye(k), np.eye(k), t)
         src = FiniteCStar((k * n,))
         tgt = FiniteCStar((k * d,))
         return PMap(src, tgt, [big.reshape(k * n * k * d, k * n * k * d)], _validate=False)
@@ -211,15 +215,6 @@ class PMap:
                 return False
         return True
 
-    def matrix(self) -> np.ndarray:
-        """Superoperator matrix acting on stacked row-major block coordinates."""
-        units = matrix_units(self.source)
-        cols = []
-        for e in units:
-            img = self.apply(e)
-            cols.append(np.concatenate([b.reshape(-1) for b in img.blocks]))
-        return np.array(cols).T
-
     def __repr__(self):
         return f"PMap({self.source} -> {self.target})"
 
@@ -233,12 +228,8 @@ def lstsq_preimage(phi: PMap, y: Element) -> Element:
     """Minimal-norm least-squares solution x of phi(x) = y."""
     if y.algebra != phi.target:
         raise AlgebraMismatchError("element does not belong to the target algebra")
-    m = phi.matrix()
-    rhs = np.concatenate([b.reshape(-1) for b in y.blocks])
-    x, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-    blocks = []
-    off = 0
-    for n in phi.source.block_sizes:
-        blocks.append(x[off : off + n * n].reshape(n, n))
-        off += n * n
-    return Element(phi.source, blocks)
+    # off-block source coordinates are zero columns of T.T, so the
+    # minimal-norm solution stays block-diagonal
+    x, *_ = np.linalg.lstsq(phi.transfer.T, y.embedded().reshape(-1), rcond=None)
+    ds = phi.source.embed_dim
+    return from_embedded(phi.source, x.reshape(ds, ds))

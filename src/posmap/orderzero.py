@@ -28,7 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Element, FiniteCStar, is_positive, matrix_units, unit
+from .algebra import (
+    Element,
+    FiniteCStar,
+    _ginibre,
+    _positive_contraction_blocks,
+    block_mask,
+    embed_stack,
+    from_embedded,
+    is_positive,
+    unit_stack,
+)
 from .errors import (
     MultiBlockUnsupportedError,
     NotHermitianError,
@@ -62,15 +72,19 @@ def one_var_defect(phi: PMap, a: Element) -> float:
     return (fa * fa - phi(a * a) * phi.unit_image()).norm()
 
 
-def _od_defect_images(
-    phi: PMap, a: Element, units: list[Element], unit_images: list[Element], f1: Element
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """Operator norm of every matrix in a (..., D, D) stack of embedded elements."""
+    return np.linalg.norm(stack, 2, axis=(-2, -1))
+
+
+def _od_sup(
+    phi: PMap, probes: np.ndarray, units: np.ndarray, unit_images: np.ndarray, f1: np.ndarray
 ) -> float:
-    fa = phi(a)
-    worst = 0.0
-    for e, fe in zip(units, unit_images):
-        worst = max(worst, (fa * fe - f1 * phi(a * e)).norm())
-        worst = max(worst, (fe * fa - phi(e * a) * f1).norm())
-    return worst
+    """Worst OD-identity deviation over a (p, Ds, Ds) probe stack and every matrix unit."""
+    fa = phi.act(probes)[:, None]
+    left = fa @ unit_images - f1 @ phi.act(probes[:, None] @ units)
+    right = unit_images @ fa - phi.act(units @ probes[:, None]) @ f1
+    return float(max(_norms(left).max(), _norms(right).max()))
 
 
 def od_defect(phi: PMap, a: Element) -> float:
@@ -80,8 +94,10 @@ def od_defect(phi: PMap, a: Element) -> float:
     ||phi(b)phi(a) - phi(ba)phi(1)||; zero iff both identities hold for
     every b by linearity.
     """
-    units = matrix_units(phi.source)
-    return _od_defect_images(phi, a, units, [phi(e) for e in units], phi.unit_image())
+    units = unit_stack(phi.source)
+    f1 = phi.act(np.eye(phi.source.embed_dim))
+    unit_images = phi.act(units)
+    return _od_sup(phi, embed_stack(phi.source, [a]), units, unit_images, f1)
 
 
 def od_star_symmetry_defect(phi: PMap, a: Element) -> float:
@@ -147,8 +163,7 @@ def _orthogonal_pair(rng: np.random.Generator, algebra: FiniteCStar):
     if flat.all():
         masks[-1][-1] = False
     for n, mask in zip(algebra.block_sizes, masks):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        v = np.linalg.qr(g)[0]
+        v = np.linalg.qr(_ginibre(rng, n))[0]
         coeff_a = np.where(mask, rng.uniform(0.2, 1.0, size=n), 0.0)
         coeff_b = np.where(mask, 0.0, rng.uniform(0.2, 1.0, size=n))
         blocks_a.append((v * coeff_a) @ v.conj().T)
@@ -159,15 +174,6 @@ def _orthogonal_pair(rng: np.random.Generator, algebra: FiniteCStar):
         Element(algebra, blocks_b),
         Element(algebra, blocks_p),
     )
-
-
-def _wishart_contraction(rng: np.random.Generator, algebra: FiniteCStar) -> Element:
-    blocks = []
-    for n in algebra.block_sizes:
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        w = g.conj().T @ g
-        blocks.append(w / op_norm(w))
-    return Element(algebra, blocks)
 
 
 def order_zero_defect(phi: PMap, samples: int, seed: int) -> DefectReport:
@@ -181,18 +187,19 @@ def order_zero_defect(phi: PMap, samples: int, seed: int) -> DefectReport:
         raise PreconditionFailedError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     src = phi.source
-    units = matrix_units(src)
-    unit_images = [phi(e) for e in units]
-    f1 = phi.unit_image()
+    units = unit_stack(src)
+    f1 = phi.act(np.eye(src.embed_dim))
+    unit_images = phi.act(units)
     one_var = orth = od = 0.0
     for _ in range(samples):
-        w = _wishart_contraction(rng, src)
+        w = Element(src, _positive_contraction_blocks(rng, src.block_sizes))
         a, b, p = _orthogonal_pair(rng, src)
-        for probe in (w, p):
-            fp = phi(probe)
-            one_var = max(one_var, (fp * fp - phi(probe * probe) * f1).norm())
-            od = max(od, _od_defect_images(phi, probe, units, unit_images, f1))
-        orth = max(orth, (phi(a) * phi(b)).norm())
+        probes = embed_stack(src, [w, p])
+        fp = phi.act(probes)
+        one_var = max(one_var, float(_norms(fp @ fp - phi.act(probes @ probes) @ f1).max()))
+        od = max(od, _od_sup(phi, probes, units, unit_images, f1))
+        fa, fb = phi.act(embed_stack(src, [a, b]))
+        orth = max(orth, float(_norms(fa @ fb)))
     return DefectReport(
         one_var_sup=one_var, orth_pair_sup=orth, od_sup=od, samples=samples, seed=seed
     )
@@ -219,52 +226,47 @@ def oz_decompose(phi: PMap, cutoff: float = SUPPORT_CUTOFF) -> OzDecomposition:
     well h pi reconstructs phi; nothing is thresholded here.
     """
     h = phi.unit_image()
-    h_norm = h.norm()
-    pinv_blocks = []
-    proj_blocks = []
-    for hb in h.blocks:
-        hs = hermitian_part(hb)
-        if h_norm == 0:
-            pinv_blocks.append(np.zeros_like(hs))
-            proj_blocks.append(np.zeros_like(hs))
-            continue
-        # cutoff is relative to the global ||h||, so whole blocks may die
-        rel = cutoff * h_norm / max(op_norm(hs), 1e-300)
-        pinv_blocks.append(pinv_psd(hs, rel))
-        proj_blocks.append(support_projection(hs, rel))
-    units = matrix_units(phi.source)
-    unit_images = [phi(e) for e in units]
-    pi_images = []
-    for img in unit_images:
-        blocks = [
-            pv @ ib @ pr for pv, ib, pr in zip(pinv_blocks, img.blocks, proj_blocks)
-        ]
-        pi_images.append(Element(phi.target, blocks))
-
-    mult = commute = reconstruct = 0.0
-    off = 0
-    for n in phi.source.block_sizes:
-        pis = pi_images[off : off + n * n]
-        imgs = unit_images[off : off + n * n]
-        for i in range(n):
-            for j in range(n):
-                pij = pis[i * n + j]
-                commute = max(commute, (h * pij - pij * h).norm())
-                reconstruct = max(reconstruct, (h * pij - imgs[i * n + j]).norm())
-                for kk in range(n):
-                    for ll in range(n):
-                        prod = pij * pis[kk * n + ll]
-                        if j == kk:
-                            prod = prod - pis[i * n + ll]
-                        mult = max(mult, prod.norm())
-        off += n * n
+    hm = h.embedded()
+    unit_images = phi.act(unit_stack(phi.source))
+    # on the embedded h the cutoff is relative to the global ||h||: blocks may die
+    hs = hermitian_part(hm)
+    pis = pinv_psd(hs, cutoff) @ unit_images @ support_projection(hs, cutoff)
+    mult, _, same = _relation_defects(phi.source, pis)
     return OzDecomposition(
         h=h,
-        pi_images=tuple(pi_images),
-        mult_defect=mult,
-        commute_defect=commute,
-        reconstruct_defect=reconstruct,
+        pi_images=tuple(from_embedded(phi.target, m) for m in pis),
+        mult_defect=float(mult[same].max()),
+        commute_defect=float(_norms(hm @ pis - pis @ hm).max()),
+        reconstruct_defect=float(_norms(hm @ pis - unit_images).max()),
     )
+
+
+def _unit_label(algebra: FiniteCStar, u: int) -> tuple[int, int, int]:
+    """(block, i, j) of the u-th matrix unit."""
+    sizes = np.array(algebra.block_sizes)
+    bi = int(np.searchsorted(np.cumsum(sizes**2), u, side="right"))
+    return (bi,) + divmod(u - int(np.sum(sizes[:bi] ** 2)), int(sizes[bi]))
+
+
+def _relation_defects(algebra: FiniteCStar, pis: np.ndarray):
+    """How far a (dim, D, D) stack of unit images is from a *-homomorphism.
+
+    Returns the (dim, dim) defects ||pi(e_u) pi(e_v) - pi(e_u e_v)||, the
+    (dim,) defects ||pi(e_u)* - pi(e_u*)|| and the (dim, dim) mask of unit
+    pairs from one block. In embedded coordinates e_u e_v is the unit at
+    (row of u, column of v) when the column of u is the row of v, and zero
+    otherwise.
+    """
+    rows, cols = np.nonzero(block_mask(algebra))
+    block = np.repeat(np.arange(algebra.n_blocks), algebra.block_sizes)[rows]
+    index = np.zeros((algebra.embed_dim,) * 2, dtype=np.intp)
+    index[rows, cols] = np.arange(algebra.dim)
+    mult = np.empty((algebra.dim, algebra.dim))
+    for u in range(algebra.dim):
+        meets = (rows == cols[u])[:, None, None]
+        mult[u] = _norms(pis[u] @ pis - np.where(meets, pis[index[rows[u], cols]], 0.0))
+    star = _norms(np.swapaxes(pis, -2, -1).conj() - pis[index[cols, rows]])
+    return mult, star, block[:, None] == block[None, :]
 
 
 def oz_construct(source: FiniteCStar, pi_images: list[Element], h: Element) -> PMap:
@@ -280,48 +282,30 @@ def oz_construct(source: FiniteCStar, pi_images: list[Element], h: Element) -> P
         )
     if not is_positive(h, 1e-9) or h.norm() > 1 + 1e-9:
         raise NotPositiveContractionError("h must be a positive contraction")
+    tol = 1e-10
     target = h.algebra
-    sizes = source.block_sizes
-    off = 0
-    for bi, n in enumerate(sizes):
-        pis = pi_images[off : off + n * n]
-        for i in range(n):
-            for j in range(n):
-                pij = pis[i * n + j]
-                if (pij.adj() - pis[j * n + i]).norm() > 1e-10:
-                    raise NotHomomorphismError(
-                        f"pi(e_{i}{j})* != pi(e_{j}{i}) in block {bi}"
-                    )
-                if (h * pij - pij * h).norm() > 1e-10:
-                    raise NotCommutingError(
-                        f"[h, pi(e_{i}{j})] exceeds tolerance in block {bi}"
-                    )
-                for kk in range(n):
-                    for ll in range(n):
-                        prod = pij * pis[kk * n + ll]
-                        if j == kk:
-                            prod = prod - pis[i * n + ll]
-                        if prod.norm() > 1e-10:
-                            raise NotHomomorphismError(
-                                f"multiplicativity fails on units ({i},{j}),({kk},{ll})"
-                                f" in block {bi}"
-                            )
-        off += n * n
+    pis = embed_stack(target, pi_images)
+    hm = h.embedded()
+    mult, star, same = _relation_defects(source, pis)
+    commute = _norms(hm @ pis - pis @ hm)
+    # report the first unit that fails, checking star, commutation, then products
+    bad_mult = same & (mult > tol)
+    fails = (star > tol) | (commute > tol) | bad_mult.any(axis=1)
+    if fails.any():
+        u = int(np.argmax(fails))
+        bi, i, j = _unit_label(source, u)
+        if star[u] > tol:
+            raise NotHomomorphismError(f"pi(e_{i}{j})* != pi(e_{j}{i}) in block {bi}")
+        if commute[u] > tol:
+            raise NotCommutingError(f"[h, pi(e_{i}{j})] exceeds tolerance in block {bi}")
+        _, k, l = _unit_label(source, int(np.argmax(bad_mult[u])))
+        raise NotHomomorphismError(
+            f"multiplicativity fails on units ({i},{j}),({k},{l}) in block {bi}"
+        )
     # units of distinct blocks multiply to zero; their images must too
-    if len(sizes) > 1:
-        bounds = np.cumsum([0] + [n * n for n in sizes])
-        for b1 in range(len(sizes)):
-            for b2 in range(len(sizes)):
-                if b1 == b2:
-                    continue
-                for pa in pi_images[bounds[b1] : bounds[b1 + 1]]:
-                    for pb in pi_images[bounds[b2] : bounds[b2 + 1]]:
-                        if (pa * pb).norm() > 1e-10:
-                            raise NotHomomorphismError(
-                                "cross-block images do not annihilate"
-                            )
-    images = [h * p for p in pi_images]
-    return PMap.from_action(source, target, images)
+    if (mult[~same] > tol).any():
+        raise NotHomomorphismError("cross-block images do not annihilate")
+    return PMap._from_unit_images(source, target, hm @ pis)
 
 
 # -- repair and lifting --------------------------------------------------------
@@ -339,20 +323,12 @@ def cp_repair(phi: PMap) -> tuple[PMap, float]:
     if not phi.is_selfadjoint(1e-9):
         raise NotHermitianError("cp_repair needs a self-adjoint map")
     n = phi.source.block_sizes[0]
-    units = matrix_units(phi.source)
-    img = [phi(e) for e in units]
-
-    def at(i, j):
-        return img[i * n + j]
-
-    eps = 0.0
-    for i in range(n):
-        for j in range(n):
-            eps = max(eps, (at(i, 0) * at(0, j) - at(i, j)).norm())
-    one = unit(phi.target)
-    bump = [(n * eps if i == j else 0.0) * one for i in range(n) for j in range(n)]
-    repaired = phi + PMap.from_action(phi.source, phi.target, bump)
-    return repaired, eps
+    d = phi.target.embed_dim
+    img = phi.act(unit_stack(phi.source)).reshape(n, n, d, d)
+    eps = float(_norms(img[:, :1] @ img[:1, :] - img).max())
+    # the bump a -> n eps Tr(a) 1 has Choi matrix n eps 1
+    bump = PMap.from_choi(phi.source, phi.target, [n * eps * np.eye(n * d)])
+    return phi + bump, eps
 
 
 def polar_lift(phi: PMap, x: Element, y: Element) -> tuple[Element, bool]:

@@ -35,8 +35,14 @@ _MAX_ITERS = 500
 _FTOL = 1e-12
 
 
+def _check_tol(tol: float) -> None:
+    if not (np.isfinite(tol) and tol >= 0):
+        raise BadRangeError(f"need a finite tolerance >= 0, got {tol!r}")
+
+
 def is_cp(phi: PMap, tol: float = DEFAULT_TOL) -> bool:
     """Choi criterion: completely positive iff every Choi block is PSD."""
+    _check_tol(tol)
     for c in phi.choi_blocks:
         scale = max(1.0, op_norm(c))
         if op_norm(c - c.conj().T) > 1e-9 * scale:
@@ -110,6 +116,7 @@ def _quadratic_value(c: np.ndarray, x: np.ndarray) -> float:
 
 def witness_verify(phi: PMap, w: Witness, tol: float = DEFAULT_TOL) -> bool:
     """Recompute the witness value from scratch and check every invariant."""
+    _check_tol(tol)
     if w.block < 0 or w.block >= phi.source.n_blocks:
         raise DimensionMismatchError(f"witness block {w.block} out of range")
     n = phi.source.block_sizes[w.block]
@@ -256,6 +263,7 @@ def k_positivity_falsify(
         raise BadRangeError(f"need k >= 1, got {k}")
     if restarts < 1:
         raise BadRangeError(f"need restarts >= 1, got {restarts}")
+    _check_tol(tol)
     d = phi.target.embed_dim
     best_value = np.inf
     best = None  # (block, factors)

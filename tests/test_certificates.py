@@ -15,6 +15,7 @@ from posmap.certificates import (
     load_certificate,
     load_map,
     map_from_document,
+    map_to_document,
     orderzero_certificate,
     save_certificate,
     save_map,
@@ -208,6 +209,51 @@ class TestSerialization:
         doc["test_set"][0]["blocks"][0][0] = [float("nan"), 0.0]
         with pytest.raises(ParseError, match="test_set"):
             certificate_from_document(doc)
+
+
+class TestCanonicalLoaders:
+    def test_bool_d_rejected(self):
+        doc = certificate_to_document(identity_certificate(M2))
+        doc["d"] = False
+        with pytest.raises(ParseError, match="d:"):
+            certificate_from_document(doc)
+
+    @pytest.mark.parametrize("size", [2.7, 2.0, True])
+    def test_non_integer_block_size_rejected(self, size):
+        doc = map_to_document(tomiyama_map(2, 0.8))
+        doc["source"]["blocks"] = [size]
+        with pytest.raises(ParseError, match="source.blocks"):
+            map_from_document(doc)
+
+    def test_string_entries_rejected(self):
+        doc = map_to_document(tomiyama_map(2, 0.8))
+        doc["map"]["choi_blocks"][0][0] = ["1e0", "0"]
+        with pytest.raises(ParseError, match="choi_blocks"):
+            map_from_document(doc)
+
+    def test_bool_entries_rejected(self):
+        doc = certificate_to_document(identity_certificate(M2))
+        doc["test_set"][0]["blocks"][0][0] = [True, False]
+        with pytest.raises(ParseError, match="test_set"):
+            certificate_from_document(doc)
+
+    def test_oversized_integer_entry_rejected(self):
+        doc = map_to_document(tomiyama_map(2, 0.8))
+        doc["map"]["choi_blocks"][0][0] = [10**400, 0]
+        with pytest.raises(ParseError, match="choi_blocks"):
+            map_from_document(doc)
+
+    def test_bool_epsilon_and_schema_version_rejected(self):
+        doc = certificate_to_document(identity_certificate(M2))
+        with pytest.raises(ParseError, match="epsilon"):
+            certificate_from_document(dict(doc, epsilon=True))
+        with pytest.raises(SchemaVersionMismatchError):
+            certificate_from_document(dict(doc, schema_version=True))
+
+    def test_integer_entries_accepted(self):
+        doc = map_to_document(tomiyama_map(2, 0.8))
+        doc["map"]["choi_blocks"][0] = [[int(re), int(im)] for re, im in doc["map"]["choi_blocks"][0]]
+        assert map_from_document(doc).choi_blocks[0].shape == (4, 4)
 
 
 class TestMapFiles:

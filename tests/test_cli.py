@@ -201,3 +201,8 @@ class TestErrorPaths:
         argv = ["example4", "--n", "3", "--m", "1", "--k", "1", "--lambda", "1.4", "--eps", "0.05"]
         assert main(argv + ["--samples", "0"]) == 2
         assert main(["defect", psi14_file, "--samples", "0"]) == 2
+
+    def test_negative_seed_exit_2(self, capsys, psi14_file):
+        assert main(["check-kpos", psi14_file, "--k", "2", "--seed", "-1"]) == 2
+        assert main(["defect", psi14_file, "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err

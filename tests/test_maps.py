@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posmap import algebra
 from posmap.algebra import Element, FiniteCStar, matrix_units, unit
@@ -10,6 +12,8 @@ from posmap.errors import (
     MultiBlockUnsupportedError,
 )
 from posmap.maps import PMap, lstsq_preimage, pmap_norm
+
+from conftest import ginibre, random_map
 
 M2 = FiniteCStar((2,))
 M3 = FiniteCStar((3,))
@@ -199,3 +203,72 @@ class TestLstsqPreimage:
         y = algebra.random_contraction(M3, 17)
         x = lstsq_preimage(phi, y)
         assert (phi(x) - y).norm() < 1e-10
+
+
+# -- properties of the transfer-matrix core -------------------------------------
+
+algebras = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+    lambda sizes: FiniteCStar(tuple(sizes))
+)
+seeds = st.integers(0, 2**32 - 1)
+core = settings(max_examples=30, deadline=None)
+
+
+def random_element(rng, alg):
+    return Element(alg, [ginibre(rng, n) for n in alg.block_sizes])
+
+
+@core
+@given(algebras, algebras, seeds)
+def test_apply_is_linear(source, target, seed):
+    rng = np.random.default_rng(seed)
+    phi = random_map(rng, source, target)
+    x, y = random_element(rng, source), random_element(rng, source)
+    c = complex(*rng.standard_normal(2))
+    lhs = phi(x + c * y)
+    rhs = phi(x) + c * phi(y)
+    assert (lhs - rhs).norm() <= 1e-12 * max(1.0, rhs.norm())
+
+
+@core
+@given(algebras, algebras, seeds)
+def test_stacked_apply_matches_per_element(source, target, seed):
+    rng = np.random.default_rng(seed)
+    phi = random_map(rng, source, target)
+    xs = [random_element(rng, source) for _ in range(5)]
+    stack = algebra.embed_stack(source, xs)[:, None]  # (5, 1, Ds, Ds)
+    for x, out in zip(xs, phi.act(stack)[:, 0]):
+        np.testing.assert_allclose(out, phi(x).embedded(), rtol=0, atol=1e-12)
+
+
+@core
+@given(algebras, algebras, algebras, seeds)
+def test_compose_is_apply_after_apply(a, b, c, seed):
+    rng = np.random.default_rng(seed)
+    inner, outer = random_map(rng, a, b), random_map(rng, b, c)
+    x = random_element(rng, a)
+    expected = outer(inner(x))
+    assert (outer.compose(inner)(x) - expected).norm() <= 1e-12 * max(1.0, expected.norm())
+
+
+@core
+@given(algebras, algebras, seeds)
+def test_choi_round_trip_through_unit_images_is_exact(source, target, seed):
+    phi = random_map(np.random.default_rng(seed), source, target)
+    psi = PMap.from_action(source, target, [phi(e) for e in matrix_units(source)])
+    for a, b in zip(phi.choi_blocks, psi.choi_blocks):
+        assert np.array_equal(a, b)
+
+
+@core
+@given(algebras, seeds)
+def test_lstsq_preimage_inverts_invertible_map(alg, seed):
+    rng = np.random.default_rng(seed)
+    # identity plus a perturbation of operator norm <= 0.3 on coordinates
+    noise = [random_element(rng, alg) for _ in range(alg.dim)]
+    size = np.sqrt(sum(sum(np.sum(np.abs(b) ** 2) for b in g.blocks) for g in noise))
+    images = [e + (0.3 / size) * g for e, g in zip(matrix_units(alg), noise)]
+    phi = PMap.from_action(alg, alg, images)
+    x = random_element(rng, alg)
+    back = lstsq_preimage(phi, phi(x))
+    assert (back - x).norm() <= 1e-12 * max(1.0, x.norm())

@@ -33,7 +33,11 @@ from posmap.orderzero import (
 )
 from posmap.positivity import is_cp, tomiyama_map
 
-from conftest import ginibre, random_hermitian, random_unitary
+from posmap.algebra import _positive_contraction_blocks
+from posmap.linalg import hermitian_part, op_norm, pinv_psd, support_projection
+from posmap.orderzero import _orthogonal_pair
+
+from conftest import ginibre, random_hermitian, random_map, random_unitary
 from test_maps import transpose_map
 from test_positivity import kraus_map
 
@@ -280,6 +284,21 @@ class TestOzConstruct:
             oz_construct(M2, matrix_units(M2), 2.0 * unit(M2))
 
 
+    def test_rejects_cross_block_overlap(self):
+        # both blocks of C (+) C sent onto the same copy of C
+        src, tgt = FiniteCStar((1, 1)), FiniteCStar((1,))
+        one = unit(tgt)
+        with pytest.raises(NotHomomorphismError, match="cross-block"):
+            oz_construct(src, [one, one], 0.5 * one)
+
+    def test_names_failing_unit_pair(self):
+        # pi(e_ij) = e_ij except pi(e_11) = 0: first failure is pi(e_11) pi(e_12) != pi(e_12)
+        pis = list(matrix_units(M2))
+        pis[0] = 0.0 * pis[0]
+        with pytest.raises(NotHomomorphismError, match=r"\(0,0\),\(0,1\) in block 0"):
+            oz_construct(M2, pis, 0.5 * unit(M2))
+
+
 class TestCpRepair:
     def test_homomorphism_untouched(self):
         phi = hom_map(3, 15)
@@ -447,3 +466,107 @@ class TestExactOrderZeroCharacterization:
             assert rep.one_var_sup <= 1e-8
             assert rep.orth_pair_sup <= 1e-8
             assert rep.od_sup <= 1e-8
+
+
+
+# -- Element-level oracle for the stacked order-zero analyses ---------------------
+
+
+def oracle_od(phi, a):
+    f1, fa = phi.unit_image(), phi(a)
+    return max(
+        max((fa * phi(e) - f1 * phi(a * e)).norm(), (phi(e) * fa - phi(e * a) * f1).norm())
+        for e in matrix_units(phi.source)
+    )
+
+
+def oracle_order_zero_defect(phi, samples, seed):
+    rng = np.random.default_rng(seed)
+    src, f1 = phi.source, phi.unit_image()
+    one_var = orth = od = 0.0
+    for _ in range(samples):
+        w = Element(src, _positive_contraction_blocks(rng, src.block_sizes))
+        a, b, p = _orthogonal_pair(rng, src)
+        for probe in (w, p):
+            fp = phi(probe)
+            one_var = max(one_var, (fp * fp - phi(probe * probe) * f1).norm())
+            od = max(od, oracle_od(phi, probe))
+        orth = max(orth, (phi(a) * phi(b)).norm())
+    return one_var, orth, od
+
+
+def oracle_oz_decompose(phi):
+    h = phi.unit_image()
+    rel = [1e-10 * h.norm() / op_norm(hermitian_part(b)) for b in h.blocks]
+    pinv = Element(phi.target, [pinv_psd(hermitian_part(b), r) for b, r in zip(h.blocks, rel)])
+    proj = Element(
+        phi.target, [support_projection(hermitian_part(b), r) for b, r in zip(h.blocks, rel)]
+    )
+    units = matrix_units(phi.source)
+    pis = [pinv * phi(e) * proj for e in units]
+    commute = max((h * p - p * h).norm() for p in pis)
+    reconstruct = max((h * p - phi(e)).norm() for e, p in zip(units, pis))
+    mult = 0.0
+    off = 0
+    for n in phi.source.block_sizes:
+        for i, j, k, l in np.ndindex(n, n, n, n):
+            prod = pis[off + i * n + j] * pis[off + k * n + l]
+            if j == k:
+                prod = prod - pis[off + i * n + l]
+            mult = max(mult, prod.norm())
+        off += n * n
+    return pis, mult, commute, reconstruct
+
+
+def oracle_cp_repair_eps(phi):
+    n = phi.source.block_sizes[0]
+    img = [phi(e) for e in matrix_units(phi.source)]
+    return max(
+        (img[i * n] * img[j] - img[i * n + j]).norm() for i in range(n) for j in range(n)
+    )
+
+
+ORACLE_PAIRS = [
+    (FiniteCStar((1, 2)), FiniteCStar((2, 1))),
+    (FiniteCStar((2, 1, 2)), FiniteCStar((1, 1, 2))),
+    (FiniteCStar((2, 2)), FiniteCStar((1, 2, 1))),
+]
+
+
+class TestStackedAnalysesMatchElementOracle:
+    @pytest.mark.parametrize("source,target", ORACLE_PAIRS)
+    def test_od_defect(self, source, target):
+        phi = random_map(np.random.default_rng(71), source, target)
+        for seed in range(3):
+            a = algebra.random_positive_contraction(source, seed)
+            assert od_defect(phi, a) == pytest.approx(oracle_od(phi, a), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("source,target", ORACLE_PAIRS)
+    def test_order_zero_defect(self, source, target):
+        phi = random_map(np.random.default_rng(72), source, target, cp=True)
+        rep = order_zero_defect(phi, samples=4, seed=5)
+        want = oracle_order_zero_defect(phi, samples=4, seed=5)
+        got = (rep.one_var_sup, rep.orth_pair_sup, rep.od_sup)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("source,target", ORACLE_PAIRS)
+    def test_oz_decompose(self, source, target):
+        phi = random_map(np.random.default_rng(73), source, target, cp=True)
+        dec = oz_decompose(phi)
+        pis, mult, commute, reconstruct = oracle_oz_decompose(phi)
+        got = (dec.mult_defect, dec.commute_defect, dec.reconstruct_defect)
+        np.testing.assert_allclose(got, (mult, commute, reconstruct), rtol=0, atol=1e-12)
+        for x, y in zip(dec.pi_images, pis):
+            assert (x - y).norm() <= 1e-12
+
+    @pytest.mark.parametrize("target", [FiniteCStar((2, 1)), FiniteCStar((1, 1, 2))])
+    def test_cp_repair(self, target):
+        source = FiniteCStar((3,))
+        phi = random_map(np.random.default_rng(74), source, target, cp=True)
+        repaired, eps = cp_repair(phi)
+        want = oracle_cp_repair_eps(phi)
+        assert eps == pytest.approx(want, rel=0, abs=1e-12)
+        bump = 3 * want * np.eye(3 * target.embed_dim)
+        np.testing.assert_allclose(
+            repaired.choi_blocks[0], phi.choi_blocks[0] + bump, rtol=0, atol=1e-12
+        )

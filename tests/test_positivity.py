@@ -65,6 +65,19 @@ class TestIsCp:
         assert vals[-1] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert is_cp(phi)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-8])
+    def test_bad_tolerance_rejected(self, tol):
+        # a NaN tolerance made is_cp pass this non-CP map, and a negative one
+        # let witness_verify accept a positive value
+        phi = tomiyama_map(3, 1.4)
+        with pytest.raises(BadRangeError):
+            is_cp(phi, tol)
+        with pytest.raises(BadRangeError):
+            k_positivity_falsify(phi, 2, tol=tol)
+        witness = k_positivity_falsify(phi, 2, seed=0).witness
+        with pytest.raises(BadRangeError):
+            witness_verify(phi, witness, tol)
+
 
 class TestTomiyamaThreshold:
     def test_values(self):
