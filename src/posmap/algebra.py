@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import AlgebraMismatchError, BadRangeError
-from .linalg import as_complex, hermitian_part, op_norm, psd_min_eig
+from .linalg import as_complex, hermitian_part, is_psd, op_norm
 
 
 @dataclass(frozen=True)
@@ -113,11 +113,7 @@ class Element:
 
     def embedded(self) -> np.ndarray:
         """Block-diagonal embedding into one embed_dim x embed_dim matrix."""
-        d = self.algebra.embed_dim
-        out = np.zeros((d, d), dtype=np.complex128)
-        # row-major over the mask runs block by block, row-major within each
-        out[block_mask(self.algebra)] = np.concatenate([b.reshape(-1) for b in self.blocks])
-        return out
+        return embed_blocks(self.algebra, self.blocks)
 
     def __repr__(self):
         return f"Element({self.algebra}, norm={self.norm():.4g})"
@@ -131,6 +127,15 @@ def from_embedded(algebra: FiniteCStar, m: np.ndarray) -> Element:
         raise AlgebraMismatchError(f"expected shape {(d, d)}, got {m.shape}")
     ends = np.cumsum(algebra.block_sizes)
     return Element(algebra, [m[e - n : e, e - n : e] for e, n in zip(ends, algebra.block_sizes)])
+
+
+def embed_blocks(algebra: FiniteCStar, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """One square block per summand, placed block-diagonally; no validation."""
+    d = algebra.embed_dim
+    out = np.zeros((d, d), dtype=np.complex128)
+    # row-major over the mask runs block by block, row-major within each
+    out[block_mask(algebra)] = np.concatenate([np.reshape(b, -1) for b in blocks])
+    return out
 
 
 def embed_stack(algebra: FiniteCStar, elements: Sequence[Element]) -> np.ndarray:
@@ -180,14 +185,8 @@ def matrix_units(algebra: FiniteCStar) -> list[Element]:
 
 
 def is_positive(x: Element, tol: float = 1e-9) -> bool:
-    """True iff every block is Hermitian within tol and PSD at scale max(1, ||x||)."""
-    scale = max(1.0, x.norm())
-    for b in x.blocks:
-        if op_norm(b - b.conj().T) > tol * scale:
-            return False
-        if psd_min_eig(hermitian_part(b)) < -tol * scale:
-            return False
-    return True
+    """linalg.is_psd on the block-diagonal embedding: scale max(1, ||x||) over all blocks."""
+    return is_psd(x.embedded(), tol)
 
 
 def spanning_positive_contractions(algebra: FiniteCStar) -> list[Element]:

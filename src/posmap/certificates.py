@@ -32,6 +32,7 @@ from .errors import (
     SchemaVersionMismatchError,
     StructurallyInvalidError,
 )
+from .linalg import check_tol
 from .maps import PMap, pmap_norm
 from .orderzero import DefectReport, order_zero_defect, oz_decompose
 from .positivity import (
@@ -84,7 +85,7 @@ def _check_structure(cert: DrCertificate) -> None:
             f"need d+1 = {cert.d + 1} summands and maps, got "
             f"{len(cert.summands)} and {len(cert.phis)}"
         )
-    if cert.epsilon <= 0:
+    if not cert.epsilon > 0:  # also rejects NaN
         raise StructurallyInvalidError("epsilon must be positive")
     total = direct_sum(cert.summands)
     if cert.psi.source != cert.algebra or cert.psi.target != total:
@@ -170,6 +171,7 @@ def verify_certificate(
     Raises StructurallyInvalidError only when the data does not even fit
     together dimensionally.
     """
+    check_tol(tol)
     _check_structure(cert)
 
     psi_norm = pmap_norm(cert.psi)
@@ -449,8 +451,8 @@ def certificate_from_document(doc: dict) -> DrCertificate:
         for i, x in enumerate(doc["test_set"])
     )
     epsilon = doc["epsilon"]
-    if type(epsilon) not in (int, float) or not epsilon > 0:
-        raise ParseError("epsilon: expected a positive number")
+    if type(epsilon) not in (int, float) or not 0 < epsilon < float("inf"):
+        raise ParseError("epsilon: expected a finite positive number")
     return DrCertificate(
         algebra=algebra,
         d=d,
@@ -471,7 +473,7 @@ def load_certificate(path) -> DrCertificate:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or integer; deep nesting
             raise ParseError(f"invalid JSON: {exc}") from exc
     return certificate_from_document(doc)
 
@@ -507,6 +509,6 @@ def load_map(path) -> PMap:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or integer; deep nesting
             raise ParseError(f"invalid JSON: {exc}") from exc
     return map_from_document(doc)

@@ -1,24 +1,28 @@
-"""Dense complex matrix substrate.
+"""Dense complex matrix substrate: Hermitian eigendecompositions, operator
+norms, PSD tests, support pseudo-inverses and polar decompositions.
 
-Hermitian eigendecompositions, operator norms, PSD tests, support
-pseudo-inverses and polar decompositions, with the tolerance conventions
-used by the rest of the package:
-
-* a Hermitian matrix is accepted as PSD iff its smallest eigenvalue is
-  >= -1e-9 * max(1, ||h||);
-* support pseudo-inverses drop eigenvalues <= cutoff * ||b|| with a
-  default cutoff of 1e-10.
-
-All functions are pure and never mutate their arguments.
+One convention decides every Hermitian and PSD question in the package.
+hermitian_kernel(h) makes one eigvalsh call on the Hermitian part
+hs = (h + h*)/2 and returns herm_dev = ||h - h*||_F (an upper bound on the
+operator-norm deviation, so tests on it err on the strict side), min_eig,
+the smallest eigenvalue of hs, and scale = max(1, ||hs||). h is Hermitian
+within tol iff herm_dev <= tol * scale, and PSD within tol (is_psd) iff
+also min_eig >= -tol * scale. The functions that need eigenvectors share
+one eigh path with the same Hermitian test at HERM_TOL. Support
+pseudo-inverses drop eigenvalues <= cutoff * ||b||. A tolerance or cutoff
+that is not finite and >= 0 raises BadRangeError. No function mutates its
+arguments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    BadRangeError,
     DominanceViolatedError,
     NonSquareError,
     NotCommutingError,
@@ -29,6 +33,12 @@ from .errors import (
 HERM_TOL = 1e-10
 PSD_TOL = 1e-9
 SUPPORT_CUTOFF = 1e-10
+
+
+def check_tol(tol: float, what: str = "tolerance") -> None:
+    """Raise BadRangeError unless tol is a finite number >= 0."""
+    if not (np.isfinite(tol) and tol >= 0):
+        raise BadRangeError(f"need a finite {what} >= 0, got {tol!r}")
 
 
 def as_complex(m) -> np.ndarray:
@@ -49,16 +59,44 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def _check_hermitian(h: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
-    """Validate ||h - h*||_F <= tol * ||h||_F and return the symmetrized matrix."""
+class HermKernel(NamedTuple):
+    """The three numbers every Hermitian/PSD decision is made from."""
+
+    herm_dev: float
+    min_eig: float
+    scale: float
+
+    def hermitian(self, tol: float) -> bool:
+        check_tol(tol)
+        return self.herm_dev <= tol * self.scale
+
+    def psd(self, tol: float) -> bool:
+        return self.hermitian(tol) and self.min_eig >= -tol * self.scale
+
+
+def _spectrum(h: np.ndarray, vectors: bool, tol: float | None = None):
+    """(kernel, eigenvalues, eigenvectors or None); with a tol, non-Hermitian h raises."""
     h = require_square(h)
-    dev = np.linalg.norm(h - h.conj().T)
-    scale = max(np.linalg.norm(h), 1e-300)
-    if dev > tol * max(1.0, scale):
-        raise NotHermitianError(
-            f"matrix is not Hermitian within tolerance (dev={dev:.3e}, scale={scale:.3e})"
-        )
-    return hermitian_part(h)
+    hs = hermitian_part(h)
+    try:
+        vals, vecs = np.linalg.eigh(hs) if vectors else (np.linalg.eigvalsh(hs), None)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalFailureError(str(exc)) from exc
+    dev = float(np.linalg.norm(h - h.conj().T))
+    kernel = HermKernel(dev, float(vals[0]), max(1.0, float(-vals[0]), float(vals[-1])))
+    if tol is not None and not kernel.hermitian(tol):
+        raise NotHermitianError(f"matrix is not Hermitian within tolerance ({kernel})")
+    return kernel, vals, vecs
+
+
+def hermitian_kernel(h: np.ndarray) -> HermKernel:
+    """herm_dev, min_eig and scale of a square matrix (see the module docstring)."""
+    return _spectrum(h, vectors=False)[0]
+
+
+def is_psd(h: np.ndarray, tol: float = PSD_TOL) -> bool:
+    """Hermitian within tol and min_eig >= -tol * scale."""
+    return hermitian_kernel(h).psd(tol)
 
 
 @dataclass(frozen=True)
@@ -78,23 +116,15 @@ class EigDecomp:
 
 
 def _canonical_phases(basis: np.ndarray) -> np.ndarray:
-    out = basis.copy()
-    for c in range(out.shape[1]):
-        col = out[:, c]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if abs(pivot) > 0:
-            out[:, c] = col * (pivot.conjugate() / abs(pivot))
-    return out
+    cols = np.arange(basis.shape[1])
+    pivot = basis[np.argmax(np.abs(basis), axis=0), cols]
+    size = np.abs(pivot)
+    return basis * np.where(size > 0, pivot.conj() / np.where(size > 0, size, 1.0), 1.0)
 
 
 def eig_hermitian(h: np.ndarray, tol: float = HERM_TOL) -> EigDecomp:
     """Eigendecomposition of a Hermitian matrix, symmetrized internally."""
-    hs = _check_hermitian(h, tol)
-    try:
-        vals, vecs = np.linalg.eigh(hs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalFailureError(str(exc)) from exc
+    _, vals, vecs = _spectrum(h, vectors=True, tol=tol)
     return EigDecomp(eigenvalues=vals, basis=_canonical_phases(vecs))
 
 
@@ -107,41 +137,27 @@ def op_norm(m) -> float:
 
 
 def psd_min_eig(h: np.ndarray, tol: float = HERM_TOL) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
-
-    The caller decides positivity, typically by min_eig >= -tol * max(1, ||h||).
-    """
-    hs = _check_hermitian(h, tol)
-    try:
-        vals = np.linalg.eigvalsh(hs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalFailureError(str(exc)) from exc
-    return float(vals[0])
-
-
-def support_projection(b: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
-    """Spectral projection of a PSD matrix onto eigenvalues > cutoff * ||b||."""
-    dec = eig_hermitian(b)
-    thresh = cutoff * max(np.max(np.abs(dec.eigenvalues)), 0.0)
-    keep = dec.eigenvalues > thresh
-    v = dec.basis[:, keep]
-    return v @ v.conj().T
+    """Smallest eigenvalue of a matrix that is Hermitian within tol (see is_psd)."""
+    return _spectrum(h, vectors=False, tol=tol)[0].min_eig
 
 
 def _spectral_apply(b: np.ndarray, fn, cutoff: float) -> np.ndarray:
     """Apply fn to eigenvalues above cutoff * ||b||; eigenvalues at or below map to 0."""
-    dec = eig_hermitian(b)
-    thresh = cutoff * max(np.max(np.abs(dec.eigenvalues), initial=0.0), 0.0)
-    vals = np.where(dec.eigenvalues > thresh, dec.eigenvalues, 0.0)
-    mapped = np.array([fn(v) if v > 0 else 0.0 for v in vals])
-    return (dec.basis * mapped) @ dec.basis.conj().T
+    check_tol(cutoff, "cutoff")
+    _, vals, vecs = _spectrum(b, vectors=True, tol=HERM_TOL)
+    keep = vals > cutoff * np.max(np.abs(vals))
+    mapped = np.where(keep, fn(np.where(keep, vals, 1.0)), 0.0)
+    return (vecs * mapped) @ vecs.conj().T
+
+
+def support_projection(b: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+    """Spectral projection of a PSD matrix onto eigenvalues > cutoff * ||b||."""
+    return _spectral_apply(b, np.ones_like, cutoff)
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Square root of a PSD matrix; small negative eigenvalues are clipped to 0."""
-    dec = eig_hermitian(a)
-    vals = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    return (dec.basis * vals) @ dec.basis.conj().T
+    return _spectral_apply(a, np.sqrt, 0.0)
 
 
 def pinv_sqrt(b: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
@@ -154,13 +170,20 @@ def pinv_psd(b: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
     return _spectral_apply(b, lambda v: 1.0 / v, cutoff)
 
 
-def _check_dominated(b: np.ndarray, a: np.ndarray) -> None:
-    scale = max(1.0, op_norm(b))
-    gap = psd_min_eig(hermitian_part(b - a))
-    if gap < -PSD_TOL * scale:
-        raise DominanceViolatedError(
-            f"a <= b violated: min eig of b - a is {gap:.3e} at scale {scale:.3e}"
-        )
+def _require_psd(m: np.ndarray, what: str) -> None:
+    kernel = hermitian_kernel(m)
+    if not kernel.psd(PSD_TOL):
+        raise DominanceViolatedError(f"{what} is not PSD within tolerance ({kernel})")
+
+
+def _checked_pair(b, a, cutoff: float):
+    """Square b and a of one shape with a PSD; the cutoff is range-checked first."""
+    check_tol(cutoff, "cutoff")
+    b, a = require_square(b), require_square(a)
+    if a.shape != b.shape:
+        raise DominanceViolatedError(f"shape mismatch {a.shape} vs {b.shape}")
+    _require_psd(a, "a")
+    return b, a
 
 
 def support_pinv_sqrt(b: np.ndarray, a: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
@@ -168,13 +191,8 @@ def support_pinv_sqrt(b: np.ndarray, a: np.ndarray, cutoff: float = SUPPORT_CUTO
 
     Requires 0 <= a <= b within tolerance.
     """
-    b = require_square(b)
-    a = require_square(a)
-    if a.shape != b.shape:
-        raise DominanceViolatedError(f"shape mismatch {a.shape} vs {b.shape}")
-    if psd_min_eig(a) < -PSD_TOL * max(1.0, op_norm(a)):
-        raise DominanceViolatedError("a is not PSD within tolerance")
-    _check_dominated(b, a)
+    b, a = _checked_pair(b, a, cutoff)
+    _require_psd(b - a, "b - a")
     return pinv_sqrt(b, cutoff) @ psd_sqrt(a)
 
 
@@ -183,18 +201,13 @@ def support_pinv(b: np.ndarray, a: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -
 
     Satisfies b y = a within tolerance and p(b) y = y.
     """
-    b = require_square(b)
-    a = require_square(a)
-    if a.shape != b.shape:
-        raise DominanceViolatedError(f"shape mismatch {a.shape} vs {b.shape}")
+    b, a = _checked_pair(b, a, cutoff)
     na, nb = op_norm(a), op_norm(b)
     comm = op_norm(a @ b - b @ a)
     if comm > 1e-9 * max(na * nb, 1e-300):
         raise NotCommutingError(f"[a, b] has norm {comm:.3e}")
-    if psd_min_eig(a) < -PSD_TOL * max(1.0, na):
-        raise DominanceViolatedError("a is not PSD within tolerance")
     if na > 0:
-        _check_dominated(na * na * b, a @ a)
+        _require_psd(na * na * b - a @ a, "||a||^2 b - a^2")
     return pinv_psd(b, cutoff) @ a
 
 

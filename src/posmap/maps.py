@@ -35,7 +35,7 @@ from .errors import (
     DimensionMismatchError,
     MultiBlockUnsupportedError,
 )
-from .linalg import as_complex
+from .linalg import as_complex, hermitian_kernel
 
 LEAK_TOL = 1e-10
 
@@ -209,11 +209,8 @@ class PMap:
         return self.unit_image().norm()
 
     def is_selfadjoint(self, tol: float = 1e-10) -> bool:
-        for c in self.choi_blocks:
-            scale = max(1.0, float(np.max(np.abs(c))))
-            if float(np.max(np.abs(c - c.conj().T))) > tol * scale:
-                return False
-        return True
+        """phi(x*) = phi(x)* iff every Choi block is Hermitian (here: within tol)."""
+        return all(hermitian_kernel(c).hermitian(tol) for c in self.choi_blocks)
 
     def __repr__(self):
         return f"PMap({self.source} -> {self.target})"

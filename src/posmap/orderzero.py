@@ -34,6 +34,7 @@ from .algebra import (
     _ginibre,
     _positive_contraction_blocks,
     block_mask,
+    embed_blocks,
     embed_stack,
     from_embedded,
     is_positive,
@@ -50,12 +51,12 @@ from .errors import (
 )
 from .linalg import (
     SUPPORT_CUTOFF,
+    hermitian_kernel,
     hermitian_part,
     op_norm,
     pinv_psd,
     pinv_sqrt,
     polar_unitary,
-    psd_min_eig,
     support_projection,
 )
 from .maps import PMap
@@ -113,7 +114,7 @@ def kadison_gap(phi: PMap, a: Element) -> float:
     """
     fa = phi(a)
     gap = phi(a.adj() * a) - fa.adj() * fa
-    return min(psd_min_eig(hermitian_part(b)) for b in gap.blocks)
+    return min(hermitian_kernel(b).min_eig for b in gap.blocks)
 
 
 def schwartz_gap(phi: PMap, a: Element, b: Element, cutoff: float = SUPPORT_CUTOFF) -> float:
@@ -128,7 +129,7 @@ def schwartz_gap(phi: PMap, a: Element, b: Element, cutoff: float = SUPPORT_CUTO
     worst = np.inf
     for hb, gb, fb in zip(h.blocks, g.blocks, faa.blocks):
         x = pinv_sqrt(hermitian_part(hb), cutoff) @ gb
-        worst = min(worst, psd_min_eig(hermitian_part(fb - x.conj().T @ x)))
+        worst = min(worst, hermitian_kernel(fb - x.conj().T @ x).min_eig)
     return float(worst)
 
 
@@ -146,8 +147,8 @@ class DefectReport:
     seed: int
 
 
-def _orthogonal_pair(rng: np.random.Generator, algebra: FiniteCStar):
-    """Positive contractions (a, b, p) with ab = 0, built in a common eigenbasis.
+def _orthogonal_pair_blocks(rng: np.random.Generator, algebra: FiniteCStar):
+    """Blocks of positive contractions (a, b, p) with ab = 0, in a common eigenbasis.
 
     p is the support projection of a. Products of the disjoint diagonal
     supports vanish exactly; the conjugating unitary contributes only
@@ -169,11 +170,12 @@ def _orthogonal_pair(rng: np.random.Generator, algebra: FiniteCStar):
         blocks_a.append((v * coeff_a) @ v.conj().T)
         blocks_b.append((v * coeff_b) @ v.conj().T)
         blocks_p.append((v * mask.astype(float)) @ v.conj().T)
-    return (
-        Element(algebra, blocks_a),
-        Element(algebra, blocks_b),
-        Element(algebra, blocks_p),
-    )
+    return blocks_a, blocks_b, blocks_p
+
+
+def _orthogonal_pair(rng: np.random.Generator, algebra: FiniteCStar):
+    """The orthogonal pair (a, b, p) as Elements."""
+    return tuple(Element(algebra, blocks) for blocks in _orthogonal_pair_blocks(rng, algebra))
 
 
 def order_zero_defect(phi: PMap, samples: int, seed: int) -> DefectReport:
@@ -192,13 +194,13 @@ def order_zero_defect(phi: PMap, samples: int, seed: int) -> DefectReport:
     unit_images = phi.act(units)
     one_var = orth = od = 0.0
     for _ in range(samples):
-        w = Element(src, _positive_contraction_blocks(rng, src.block_sizes))
-        a, b, p = _orthogonal_pair(rng, src)
-        probes = embed_stack(src, [w, p])
+        w = embed_blocks(src, _positive_contraction_blocks(rng, src.block_sizes))
+        a, b, p = (embed_blocks(src, blocks) for blocks in _orthogonal_pair_blocks(rng, src))
+        probes = np.stack([w, p])
         fp = phi.act(probes)
         one_var = max(one_var, float(_norms(fp @ fp - phi.act(probes @ probes) @ f1).max()))
         od = max(od, _od_sup(phi, probes, units, unit_images, f1))
-        fa, fb = phi.act(embed_stack(src, [a, b]))
+        fa, fb = phi.act(np.stack([a, b]))
         orth = max(orth, float(_norms(fa @ fb)))
     return DefectReport(
         one_var_sup=one_var, orth_pair_sup=orth, od_sup=od, samples=samples, seed=seed
@@ -374,11 +376,11 @@ def lemma31_positive_check(a: np.ndarray, d: int, eps: float) -> bool:
     every valid input; False signals an implementation bug.
     """
     a = np.asarray(a, dtype=np.complex128)
-    if psd_min_eig(hermitian_part(a)) < -1e-9 * max(1.0, op_norm(a)) or op_norm(
-        a - a.conj().T
-    ) > 1e-9 * max(1.0, op_norm(a)):
+    kernel = hermitian_kernel(a)
+    if not kernel.psd(1e-9):
         raise NotPositiveContractionError("input is not a positive matrix")
-    if op_norm(a) > 1 + 1e-9:
+    # scale = max(1, ||a||) for a PSD a, so it exceeds 1 + 1e-9 iff ||a|| does
+    if kernel.scale > 1 + 1e-9:
         raise NotPositiveContractionError("input is not a contraction")
     cols = _column_blocks(a, d)
     if op_norm(cols[0]) >= eps:

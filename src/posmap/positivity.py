@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import Element, FiniteCStar
 from .errors import BadRangeError, DimensionMismatchError
-from .linalg import hermitian_part, op_norm, psd_min_eig
+from .linalg import check_tol, hermitian_kernel, hermitian_part, is_psd
 from .maps import PMap
 
 CERTIFIED_POSITIVE = "CERTIFIED_POSITIVE"
@@ -35,21 +35,9 @@ _MAX_ITERS = 500
 _FTOL = 1e-12
 
 
-def _check_tol(tol: float) -> None:
-    if not (np.isfinite(tol) and tol >= 0):
-        raise BadRangeError(f"need a finite tolerance >= 0, got {tol!r}")
-
-
 def is_cp(phi: PMap, tol: float = DEFAULT_TOL) -> bool:
-    """Choi criterion: completely positive iff every Choi block is PSD."""
-    _check_tol(tol)
-    for c in phi.choi_blocks:
-        scale = max(1.0, op_norm(c))
-        if op_norm(c - c.conj().T) > 1e-9 * scale:
-            return False
-        if psd_min_eig(hermitian_part(c)) < -tol * scale:
-            return False
-    return True
+    """Choi criterion: completely positive iff every Choi block is PSD within tol."""
+    return all(is_psd(c, tol) for c in phi.choi_blocks)
 
 
 def tomiyama_threshold(n: int, k: int) -> float:
@@ -116,7 +104,7 @@ def _quadratic_value(c: np.ndarray, x: np.ndarray) -> float:
 
 def witness_verify(phi: PMap, w: Witness, tol: float = DEFAULT_TOL) -> bool:
     """Recompute the witness value from scratch and check every invariant."""
-    _check_tol(tol)
+    check_tol(tol)
     if w.block < 0 or w.block >= phi.source.n_blocks:
         raise DimensionMismatchError(f"witness block {w.block} out of range")
     n = phi.source.block_sizes[w.block]
@@ -132,11 +120,11 @@ def witness_verify(phi: PMap, w: Witness, tol: float = DEFAULT_TOL) -> bool:
     nrm = float(np.linalg.norm(x))
     if not (1 - 1e-9 <= nrm <= 1 + 1e-9):
         return False
-    c = hermitian_part(phi.choi_blocks[w.block])
-    value = _quadratic_value(c, x)
+    c = phi.choi_blocks[w.block]
+    value = _quadratic_value(hermitian_part(c), x)
     if abs(value - w.value) > 1e-9 * max(1.0, abs(value)):
         return False
-    return value < -tol * max(1.0, op_norm(c))
+    return value < -tol * hermitian_kernel(c).scale
 
 
 def _schmidt_factors(wmat: np.ndarray, k: int):
@@ -222,7 +210,7 @@ def _seesaw(
 
 def _falsify_block(
     c: np.ndarray, n: int, d: int, k: int, restarts: int, seed: int
-) -> tuple[float, Optional[tuple], int]:
+) -> tuple[float, tuple, int]:
     """Best value, its Schmidt factors and the capped-restart count on one source block."""
     c_herm = hermitian_part(c)
     k_eff = min(k, n, d)
@@ -235,12 +223,8 @@ def _falsify_block(
 
     frames = _start_frames(seed, restarts, d, k_eff)
     values, wmats, capped = _seesaw(c_herm, n, d, k_eff, frames)
-    best_value, best_w = np.inf, None
-    for value, wmat in zip(values, wmats):  # index order resolves ties deterministically
-        if value < best_value:
-            best_value, best_w = value, wmat
-    factors = _schmidt_factors(best_w, k_eff) if best_w is not None else None
-    return float(best_value), factors, capped
+    best = int(np.argmin(values))  # the lowest index wins ties
+    return float(values[best]), _schmidt_factors(wmats[best], k_eff), capped
 
 
 def k_positivity_falsify(
@@ -263,7 +247,7 @@ def k_positivity_falsify(
         raise BadRangeError(f"need k >= 1, got {k}")
     if restarts < 1:
         raise BadRangeError(f"need restarts >= 1, got {restarts}")
-    _check_tol(tol)
+    check_tol(tol)
     d = phi.target.embed_dim
     best_value = np.inf
     best = None  # (block, factors)
@@ -278,7 +262,7 @@ def k_positivity_falsify(
             best_value = value
             best = (bi, factors)
 
-    scale = max(1.0, max(op_norm(hermitian_part(c)) for c in phi.choi_blocks))
+    scale = max(hermitian_kernel(c).scale for c in phi.choi_blocks)
     if best is not None and best_value < -tol * scale:
         bi, (left, right) = best
         w = Witness(

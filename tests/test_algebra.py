@@ -90,6 +90,19 @@ class TestIsPositive:
             x = algebra.random_contraction(M23, seed)
             assert is_positive(x.adj() * x, 1e-9)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_bad_tolerance_rejected(self, tol):
+        # a NaN tolerance called e_01 and e_01 + e_10 (eigenvalues +-1) positive
+        e01 = algebra.basis_element(M2, 0, 0, 1)
+        for x in (e01, e01 + e01.adj()):
+            with pytest.raises(BadRangeError):
+                is_positive(x, tol)
+
+    def test_non_hermitian_rejected(self):
+        # 1 + 0.2 e_01 has a PSD Hermitian part but is not Hermitian
+        x = unit(M2) + 0.2 * algebra.basis_element(M2, 0, 0, 1)
+        assert not is_positive(x, 1e-9)
+
 
 class TestRandomPositiveContraction:
     def test_deterministic(self):

@@ -1,8 +1,15 @@
+import contextlib
+import copy
 import dataclasses
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posmap import algebra
 from posmap.algebra import Element, FiniteCStar, basis_element, unit
@@ -28,8 +35,11 @@ from posmap.errors import (
     SchemaVersionMismatchError,
     StructurallyInvalidError,
 )
+from posmap.cli import main
 from posmap.maps import PMap
 from posmap.positivity import tomiyama_map
+
+from conftest import random_map
 
 M2 = FiniteCStar((2,))
 M3 = FiniteCStar((3,))
@@ -156,6 +166,12 @@ class TestVerifierFailures:
         with pytest.raises(StructurallyInvalidError):
             verify_certificate(dataclasses.replace(cert, d=1))
 
+    def test_nan_epsilon_is_structural_error(self):
+        # a NaN epsilon turned an exact certificate into five approximation failures
+        cert = dataclasses.replace(orderzero_certificate(M2, [0.5, 0.5]), epsilon=float("nan"))
+        with pytest.raises(StructurallyInvalidError, match="epsilon"):
+            verify_certificate(cert)
+
     def test_monotone_tolerance(self):
         cert = orderzero_certificate(M2, [0.5, 0.5])
         assert verify_certificate(cert, tol=1e-8).overall
@@ -276,3 +292,141 @@ class TestMapFiles:
     def test_missing_field(self):
         with pytest.raises(ParseError, match="target"):
             map_from_document({"schema_version": 1, "source": {"blocks": [2]}, "map": {}})
+
+
+# -- properties of the file formats ------------------------------------------------
+
+formats = settings(max_examples=40, deadline=None)
+small_algebras = st.lists(st.integers(1, 2), min_size=1, max_size=2).map(
+    lambda sizes: FiniteCStar(tuple(sizes))
+)
+seeds = st.integers(0, 2**32 - 1)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def certificates(draw):
+    rng = np.random.default_rng(draw(seeds))
+    alg = draw(small_algebras)
+    summands = tuple(draw(st.lists(small_algebras, min_size=1, max_size=3)))
+    return DrCertificate(
+        algebra=alg,
+        d=len(summands) - 1,
+        summands=summands,
+        psi=random_map(rng, alg, direct_sum(summands)),
+        phis=tuple(random_map(rng, s, alg) for s in summands),
+        test_set=tuple(
+            algebra.random_contraction(alg, int(rng.integers(2**31)))
+            for _ in range(draw(st.integers(0, 3)))
+        ),
+        epsilon=draw(st.floats(1e-300, 1e300)),
+    )
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc with one value replaced or one entry deleted, anywhere in the tree."""
+    doc = copy.deepcopy(doc)
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and draw(st.integers(0, 3)):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    if parent is None:
+        return draw(json_values)
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(json_values)
+    return doc
+
+
+def _check_document(load, command, text: bytes, cli_when_loaded: bool) -> None:
+    """ParseError is the library's only failure, and then the CLI exits 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "wb") as fh:
+            fh.write(text)
+        try:
+            load(path)
+            loaded = True
+        except ParseError:
+            loaded = False
+        if loaded and not cli_when_loaded:
+            return
+        code = _cli_exit([command, path])
+        assert code in (0, 1) if loaded else code == 2
+
+
+def _cli_exit(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@formats
+@given(small_algebras, small_algebras, seeds)
+def test_map_save_load_save_is_byte_identical(source, target, seed):
+    phi = random_map(np.random.default_rng(seed), source, target)
+    with tempfile.TemporaryDirectory() as tmp:
+        p1, p2 = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+        save_map(phi, p1)
+        save_map(load_map(p1), p2)
+        with open(p1, "rb") as f1, open(p2, "rb") as f2:
+            assert f1.read() == f2.read()
+
+
+@formats
+@given(certificates())
+def test_certificate_save_load_save_is_byte_identical(cert):
+    with tempfile.TemporaryDirectory() as tmp:
+        p1, p2 = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+        save_certificate(cert, p1)
+        save_certificate(load_certificate(p1), p2)
+        with open(p1, "rb") as f1, open(p2, "rb") as f2:
+            assert f1.read() == f2.read()
+
+
+MAP_DOC = map_to_document(tomiyama_map(2, 1.4))
+CERT_DOC = certificate_to_document(orderzero_certificate(FiniteCStar((1, 1)), [0.5, 0.5]))
+
+
+@formats
+@given(mutated(MAP_DOC))
+def test_fuzzed_map_document(doc):
+    _check_document(load_map, "check-cp", json.dumps(doc).encode(), cli_when_loaded=True)
+
+
+@formats
+@given(mutated(CERT_DOC))
+def test_fuzzed_certificate_document(doc):
+    # a mutated certificate that still loads is not verified here
+    _check_document(
+        load_certificate, "verify-cert", json.dumps(doc).encode(), cli_when_loaded=False
+    )
+
+
+@formats
+@given(st.data())
+def test_truncated_or_random_bytes(data):
+    for doc, load, command in (
+        (MAP_DOC, load_map, "check-cp"),
+        (CERT_DOC, load_certificate, "verify-cert"),
+    ):
+        text = json.dumps(doc).encode()
+        cut = text[: data.draw(st.integers(0, len(text) - 1))]
+        for junk in (cut, data.draw(st.binary(max_size=64))):
+            _check_document(load, command, junk, cli_when_loaded=False)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"[" * 100_000, b'{"schema_version": ' + b"9" * 5000 + b"}", b"\xff\xfe{}"],
+    ids=["deep-nesting", "5000-digit-integer", "not-utf8"],
+)
+def test_unreadable_document_is_parse_error(text):
+    for load, command in ((load_map, "check-cp"), (load_certificate, "verify-cert")):
+        _check_document(load, command, text, cli_when_loaded=False)

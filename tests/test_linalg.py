@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posmap import linalg
 from posmap.errors import (
+    BadRangeError,
     DominanceViolatedError,
     NonSquareError,
     NotCommutingError,
@@ -200,3 +203,134 @@ class TestPolarUnitary:
             assert np.linalg.norm(u.conj().T @ u - np.eye(n), 2) < 1e-9
             scale = max(np.linalg.norm(y, 2), 1e-300)
             assert np.linalg.norm(u @ linalg.abs_polar(y) - y, 2) <= 1e-8 * scale
+
+
+# -- the Hermitian/PSD kernel ------------------------------------------------------
+
+kernel_cases = settings(max_examples=60, deadline=None)
+spectra = st.lists(
+    st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=12
+)
+
+
+@kernel_cases
+@given(spectra, st.integers(0, 2**32 - 1))
+def test_kernel_matches_known_spectrum(d, seed):
+    d = np.array(d)
+    u = random_unitary(np.random.default_rng(seed), len(d))
+    kernel = linalg.hermitian_kernel((u * d) @ u.conj().T)
+    scale = max(1.0, np.max(np.abs(d)))
+    noise = 1e-13 * len(d) * scale
+    assert abs(kernel.scale - scale) <= noise
+    assert abs(kernel.min_eig - d.min()) <= noise
+    assert kernel.herm_dev <= noise  # U diag(d) U* is Hermitian up to rounding
+    if d.min() >= -1e-9 * scale + noise:
+        assert kernel.psd(1e-9)
+    if d.min() < -1e-9 * scale - noise:
+        assert not kernel.psd(1e-9)
+
+
+@kernel_cases
+@given(
+    st.integers(1, 10),
+    st.integers(0, 2**32 - 1),
+    st.floats(1e-10, 1e-3),
+    st.floats(1.01, 10.0),
+)
+def test_kernel_rejects_hermitian_deviation_above_tol(n, seed, tol, factor):
+    rng = np.random.default_rng(seed)
+    g = ginibre(rng, n)
+    p = linalg.hermitian_part(g @ g.conj().T) + np.eye(n)  # PSD with margin 1
+    a = ginibre(rng, n)
+    k = a - a.conj().T  # anti-Hermitian: p + c k has Hermitian part p, ||h - h*||_F = 2|c| ||k||_F
+    unit_dev = k / (2 * np.linalg.norm(k))
+    scale = linalg.hermitian_kernel(p).scale
+    h_bad = p + (factor * tol * scale) * unit_dev
+    h_ok = p + (tol * scale / factor) * unit_dev
+    assert not linalg.hermitian_kernel(h_bad).hermitian(tol)
+    assert not linalg.is_psd(h_bad, tol)
+    assert linalg.hermitian_kernel(h_ok).hermitian(tol)
+    assert linalg.is_psd(h_ok, tol)
+
+
+def test_kernel_deviation_is_frobenius():
+    # ||h - h*||_F = 2 for e_01; its operator norm is 1
+    kernel = linalg.hermitian_kernel(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert kernel.herm_dev == pytest.approx(np.sqrt(2.0))
+    assert kernel.min_eig == pytest.approx(-0.5)
+    assert kernel.scale == 1.0
+
+
+def test_psd_min_eig_uses_kernel_scale():
+    # ||h - h*||_F = 3e-10 sqrt(2): within 1e-10 at scale 1000, not at scale 1
+    for top, hermitian in ((1000.0, True), (1.0, False)):
+        h = np.diag([top, -1.0]).astype(complex)
+        h[0, 1] = 3e-10
+        if hermitian:
+            assert linalg.psd_min_eig(h) == pytest.approx(-1.0)
+        else:
+            with pytest.raises(NotHermitianError):
+                linalg.psd_min_eig(h)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-10])
+def test_bad_tolerance_or_cutoff_rejected(bad):
+    b = np.diag([1.0, 0.5, 0.0])
+    calls = [
+        lambda: linalg.is_psd(b, bad),
+        lambda: linalg.psd_min_eig(b, bad),
+        lambda: linalg.eig_hermitian(b, bad),
+        lambda: linalg.support_projection(b, bad),
+        lambda: linalg.pinv_sqrt(b, bad),
+        lambda: linalg.pinv_psd(b, bad),
+        lambda: linalg.support_pinv_sqrt(b, b, bad),
+        lambda: linalg.support_pinv(b, b, bad),
+    ]
+    for call in calls:
+        with pytest.raises(BadRangeError):
+            call()
+
+
+def _loop_phases(basis):
+    """Reference: column by column, the largest-modulus entry made real >= 0."""
+    out = basis.copy()
+    for c in range(out.shape[1]):
+        pivot = out[np.argmax(np.abs(out[:, c])), c]
+        if abs(pivot) > 0:
+            out[:, c] = out[:, c] * (pivot.conjugate() / abs(pivot))
+    return out
+
+
+def test_canonical_phases_match_loop_reference():
+    # same arithmetic; numpy's strided and contiguous complex loops may round differently
+    rng = np.random.default_rng(17)
+    for trial in range(50):
+        n = int(rng.integers(1, 10))
+        basis = ginibre(rng, n)
+        if trial % 5 == 0:
+            basis[:, 0] = 0
+        got = linalg._canonical_phases(basis)
+        atol = 4e-16 * np.abs(basis).max()
+        np.testing.assert_allclose(got, _loop_phases(basis), rtol=0, atol=atol)
+        pivots = got[np.argmax(np.abs(got), axis=0), np.arange(n)]
+        assert np.all(np.abs(pivots.imag) <= 1e-15 * np.abs(pivots)) and np.all(pivots.real >= 0)
+
+
+@pytest.mark.parametrize(
+    "fn,apply",
+    [
+        (lambda v: 1.0 / np.sqrt(v), linalg.pinv_sqrt),
+        (lambda v: 1.0 / v, linalg.pinv_psd),
+        (lambda v: 1.0, linalg.support_projection),
+    ],
+)
+def test_spectral_apply_matches_loop_reference(fn, apply):
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        g = ginibre(rng, n)[:, : n - 1]
+        b = linalg.hermitian_part(g @ g.conj().T)  # rank n - 1
+        vals, vecs = np.linalg.eigh(b)
+        thresh = 1e-10 * np.max(np.abs(vals))
+        mapped = np.array([fn(v) if v > thresh else 0.0 for v in vals])
+        assert np.array_equal(apply(b), (vecs * mapped) @ vecs.conj().T)

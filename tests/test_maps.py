@@ -7,6 +7,7 @@ from posmap import algebra
 from posmap.algebra import Element, FiniteCStar, matrix_units, unit
 from posmap.errors import (
     AlgebraMismatchError,
+    BadRangeError,
     CountMismatchError,
     DimensionMismatchError,
     MultiBlockUnsupportedError,
@@ -272,3 +273,24 @@ def test_lstsq_preimage_inverts_invertible_map(alg, seed):
     x = random_element(rng, alg)
     back = lstsq_preimage(phi, phi(x))
     assert (back - x).norm() <= 1e-12 * max(1.0, x.norm())
+
+
+class TestIsSelfadjoint:
+    def test_transpose_and_trace_selfadjoint(self):
+        assert transpose_map(3).is_selfadjoint()
+        assert trace_map(3).is_selfadjoint()
+
+    def test_non_selfadjoint_map(self):
+        # x -> e_01 x: phi(x*) != phi(x)*
+        e01 = algebra.basis_element(M2, 0, 0, 1)
+        phi = PMap.from_action(M2, M2, [e01 * e for e in matrix_units(M2)])
+        assert not phi.is_selfadjoint()
+        assert not phi.is_selfadjoint(1e-3)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
+    def test_bad_tolerance_rejected(self, tol):
+        # a NaN tolerance called x -> e_01 x self-adjoint
+        e01 = algebra.basis_element(M2, 0, 0, 1)
+        phi = PMap.from_action(M2, M2, [e01 * e for e in matrix_units(M2)])
+        with pytest.raises(BadRangeError):
+            phi.is_selfadjoint(tol)

@@ -10,6 +10,7 @@ from posmap.algebra import (
     unit,
 )
 from posmap.errors import (
+    BadRangeError,
     NotHomomorphismError,
     NotCommutingError,
     NotPositiveContractionError,
@@ -35,7 +36,7 @@ from posmap.positivity import is_cp, tomiyama_map
 
 from posmap.algebra import _positive_contraction_blocks
 from posmap.linalg import hermitian_part, op_norm, pinv_psd, support_projection
-from posmap.orderzero import _orthogonal_pair
+from posmap.orderzero import _orthogonal_pair, _orthogonal_pair_blocks
 
 from conftest import ginibre, random_hermitian, random_map, random_unitary
 from test_maps import transpose_map
@@ -445,6 +446,17 @@ class TestLemma31:
             u = near_block_unitary(rng, 3, 2, eps)
             assert lemma31_unitary_check(u, 2, eps)
 
+    def test_non_hermitian_rejected(self):
+        # Hermitian part 0.5 (1 + e_05 + e_50) is PSD; the matrix is not Hermitian
+        a = 0.5 * np.eye(6)
+        a[0, 5] = 0.5
+        with pytest.raises(NotPositiveContractionError):
+            lemma31_positive_check(a, 2, 0.9)
+
+    def test_non_contraction_rejected(self):
+        with pytest.raises(NotPositiveContractionError):
+            lemma31_positive_check(np.diag([0.0, 0.0, 1.0, 1.0, 1.0, 1.0 + 1e-6]), 2, 0.1)
+
     def test_precondition_enforced(self):
         with pytest.raises(PreconditionFailedError):
             lemma31_positive_check(np.eye(6) * 0.9, 2, 0.1)
@@ -570,3 +582,26 @@ class TestStackedAnalysesMatchElementOracle:
         np.testing.assert_allclose(
             repaired.choi_blocks[0], phi.choi_blocks[0] + bump, rtol=0, atol=1e-12
         )
+
+
+class TestToleranceRanges:
+    @pytest.mark.parametrize("cutoff", [float("nan"), float("inf"), -1e-10])
+    def test_bad_cutoff_rejected(self, cutoff):
+        # a NaN cutoff made oz_decompose report mult = commute = 0 on this map
+        phi = tomiyama_map(3, 1.2)
+        with pytest.raises(BadRangeError):
+            oz_decompose(phi, cutoff=cutoff)
+        a = algebra.random_contraction(M3, 1)
+        with pytest.raises(BadRangeError):
+            schwartz_gap(phi, a, unit(M3), cutoff)
+
+
+@pytest.mark.parametrize("algebra_", [M3, FiniteCStar((1, 2, 3))])
+def test_pair_blocks_are_the_pair_elements(algebra_):
+    # order_zero_defect embeds the blocks directly; the draws must match
+    rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(5):
+        elements = _orthogonal_pair(rng_a, algebra_)
+        blocks = _orthogonal_pair_blocks(rng_b, algebra_)
+        for x, bs in zip(elements, blocks):
+            assert np.array_equal(x.embedded(), algebra.embed_blocks(algebra_, bs))

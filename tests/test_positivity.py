@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posmap import algebra
 from posmap.algebra import Element, FiniteCStar, unit
@@ -258,3 +260,74 @@ class TestHierarchyProperties:
                 phi = tomiyama_map(n, lam)
                 v = k_positivity_falsify(phi, k=n, restarts=4, seed=0)
                 assert (v.status == VIOLATED) == (not is_cp(phi)), (n, lam)
+
+
+# -- properties of the falsifier and the witness check ---------------------------
+
+falsifier_cases = settings(max_examples=25, deadline=None)
+
+
+def random_kraus_map(rng, n, d, n_kraus, size):
+    """a -> sum_r v_r a v_r* from M_n to M_d, CP by construction.
+
+    The Choi matrix is sum_r w_r w_r* with w_r[(i, s)] = v_r[s, i], so few
+    Kraus operators give a PSD Choi matrix with a large kernel.
+    """
+    vs = rng.standard_normal((n_kraus, d, n)) + 1j * rng.standard_normal((n_kraus, d, n))
+    w = np.swapaxes(vs, 1, 2).reshape(n_kraus, n * d) * size
+    return PMap.from_choi(FiniteCStar((n,)), FiniteCStar((d,)), [w.T @ w.conj()])
+
+
+@falsifier_cases
+@given(
+    st.integers(2, 4),
+    st.integers(2, 4),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_cp_map_never_violated(n, d, n_kraus, k, size, seed):
+    phi = random_kraus_map(np.random.default_rng(seed), n, d, n_kraus, size)
+    assert is_cp(phi)
+    verdict = k_positivity_falsify(phi, k, restarts=4, seed=seed)
+    assert verdict.status != VIOLATED
+    assert verdict.witness is None
+
+
+def entangled_witness(n, k, lam, seed):
+    """(U (x) conj U) applied to the rank-k maximally entangled vector.
+
+    The trace-mixing Choi matrix lam/n 1 + (1 - lam)|Omega><Omega| is
+    invariant under U (x) conj U, so the value is lam/n + (1 - lam) k.
+    """
+    u = _haar(np.random.default_rng(seed), n)
+    left = tuple(u[:, r] / np.sqrt(k) for r in range(k))
+    right = tuple(u[:, r].conj() for r in range(k))
+    value = lam / n + (1 - lam) * k
+    return Witness(k=k, factors_left=left, factors_right=right, value=value, vector_norm=1.0)
+
+
+witness_params = st.integers(2, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, n), st.integers(0, 2**32 - 1))
+)
+
+
+@falsifier_cases
+@given(witness_params, st.sampled_from([-1.0, 1.0]), st.floats(1e-7, 1e-2))
+def test_forged_witness_rejected(params, sign, size):
+    n, k, seed = params
+    lam = tomiyama_threshold(n, k) + 0.5
+    phi = tomiyama_map(n, lam)
+    w = entangled_witness(n, k, lam, seed)
+    assert witness_verify(phi, w)  # the genuine witness passes
+    assert not witness_verify(phi, dataclasses.replace(w, value=w.value * (1 + sign * size)))
+    stretched = tuple(a * (1 + sign * size) for a in w.factors_left)
+    assert not witness_verify(phi, dataclasses.replace(w, factors_left=stretched))
+    zero = np.zeros(n, dtype=complex)
+    padded = dataclasses.replace(
+        w, factors_left=w.factors_left + (zero,), factors_right=w.factors_right + (zero,)
+    )
+    assert not witness_verify(phi, padded)  # the same vector, but k + 1 factors
+    if k > 1:
+        assert not witness_verify(phi, dataclasses.replace(w, k=k - 1))
