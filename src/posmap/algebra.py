@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import AlgebraMismatchError, BadRangeError
-from .linalg import as_complex, hermitian_part, is_psd, op_norm
+from .linalg import as_complex, is_psd, op_norm
 
 
 @dataclass(frozen=True)
@@ -240,9 +240,3 @@ def random_contraction(algebra: FiniteCStar, seed: int) -> Element:
     rng = np.random.default_rng(seed)
     return Element(algebra, [_contraction(rng, n) for n in algebra.block_sizes])
 
-
-def random_hermitian(algebra: FiniteCStar, seed: int) -> Element:
-    """Hermitian element with blockwise norm 1."""
-    rng = np.random.default_rng(seed)
-    hs = [hermitian_part(_ginibre(rng, n)) for n in algebra.block_sizes]
-    return Element(algebra, [h / op_norm(h) for h in hs])

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Element, FiniteCStar, matrix_units, unit
+from .algebra import Element, FiniteCStar, unit, unit_stack
 from .errors import (
     BadWeightsError,
     ParseError,
@@ -146,8 +146,8 @@ class VerifyReport:
     approx_errors: tuple[float, ...]
     approx_failures: tuple[int, ...]
     epsilon: float
-    overall: bool
     caveat: bool
+    overall: bool
 
 
 def _two_positive_check(
@@ -294,12 +294,9 @@ def orderzero_certificate(
     if abs(sum(weights) - 1.0) > 1e-12:
         raise BadWeightsError(f"weights must sum to 1, got sum {sum(weights)}")
     summands = tuple(algebra for _ in weights)
-    total = direct_sum(summands)
-    units = matrix_units(algebra)
-    psi_images = []
-    for e in units:
-        psi_images.append(Element(total, list(e.blocks) * len(weights)))
-    psi = PMap.from_action(algebra, total, psi_images)
+    # np.kron pads eye to the stack's rank: one diagonal copy of each unit per summand
+    images = np.kron(np.eye(len(weights)), unit_stack(algebra))
+    psi = PMap._from_unit_images(algebra, direct_sum(summands), images)
     phis = tuple(w * PMap.identity(algebra) for w in weights)
     return DrCertificate(
         algebra=algebra,

@@ -10,9 +10,12 @@ seeds the output is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
+
+import numpy as np
 
 from . import __version__
 from .algebra import FiniteCStar
@@ -32,7 +35,6 @@ from .positivity import (
     DEFAULT_RESTARTS,
     DEFAULT_TOL,
     VIOLATED,
-    Witness,
     is_cp,
     k_positivity_falsify,
     tomiyama_map,
@@ -40,32 +42,23 @@ from .positivity import (
 )
 
 
-def _witness_dict(w: Witness) -> dict:
-    return {
-        "k": w.k,
-        "block": w.block,
-        "value": w.value,
-        "vector_norm": w.vector_norm,
-        "factors_left": [_encode_matrix(a) for a in w.factors_left],
-        "factors_right": [_encode_matrix(b) for b in w.factors_right],
-    }
+def _encode(report):
+    """A report as JSON data: dataclasses by field, tuples as lists, arrays as [re, im] pairs."""
+    if dataclasses.is_dataclass(report):
+        return {f.name: _encode(getattr(report, f.name)) for f in dataclasses.fields(report)}
+    if isinstance(report, tuple):
+        return [_encode(v) for v in report]
+    if isinstance(report, np.ndarray):
+        return _encode_matrix(report)
+    return report
 
 
-def _verdict_dict(v) -> dict:
-    return {
-        "status": v.status,
-        "best_value": v.best_value,
-        "restarts_used": v.restarts_used,
-        "restarts_capped": v.restarts_capped,
-        "witness": _witness_dict(v.witness) if v.witness else None,
-    }
-
-
-def _two_pos_dict(check) -> dict:
-    return {
-        "status": check.status,
-        "verdict": _verdict_dict(check.verdict) if check.verdict else None,
-    }
+def _replace_key(fields: dict, key: str, items: dict) -> dict:
+    """fields with key replaced, at the same place, by the entries of items."""
+    out = {}
+    for name, value in fields.items():
+        out.update(items if name == key else {name: value})
+    return out
 
 
 def _print_report(payload: dict, as_json: bool) -> None:
@@ -134,7 +127,7 @@ def _cmd_check_kpos(args) -> tuple[int, dict]:
         "restarts": args.restarts,
         "seed": args.seed,
         "tol": args.tol,
-        "verdict": _verdict_dict(v),
+        "verdict": _encode(v),
     }
     return (1 if v.status == VIOLATED else 0), payload
 
@@ -158,7 +151,7 @@ def _cmd_tomiyama(args) -> tuple[int, dict]:
             {
                 "lambda": args.lam,
                 "k_positive_closed_form": k_positive,
-                "falsifier": _verdict_dict(v),
+                "falsifier": _encode(v),
             }
         )
         code = 0 if k_positive else 1
@@ -171,16 +164,7 @@ def _cmd_tomiyama(args) -> tuple[int, dict]:
 def _cmd_defect(args) -> tuple[int, dict]:
     phi = load_map(args.mapfile)
     rep = order_zero_defect(phi, samples=args.samples, seed=args.seed)
-    payload = {
-        "command": "defect",
-        "mapfile": args.mapfile,
-        "one_var_sup": rep.one_var_sup,
-        "orth_pair_sup": rep.orth_pair_sup,
-        "od_sup": rep.od_sup,
-        "samples": rep.samples,
-        "seed": rep.seed,
-    }
-    return 0, payload
+    return 0, {"command": "defect", "mapfile": args.mapfile, **_encode(rep)}
 
 
 def _cmd_decompose(args) -> tuple[int, dict]:
@@ -227,26 +211,8 @@ def _cmd_example4(args) -> tuple[int, dict]:
         samples=args.samples,
         restarts=args.restarts,
     )
-    payload = {
-        "command": "example4",
-        "n": rep.n,
-        "m": rep.m,
-        "k": rep.k,
-        "lambda": rep.lam,
-        "eps": rep.eps,
-        "seed": rep.seed,
-        "samples": rep.samples,
-        "defect_max": rep.defect_max,
-        "defect_bound": rep.defect_bound,
-        "defect_ok": rep.defect_ok,
-        "closed_form_dev": rep.closed_form_dev,
-        "closed_form_ok": rep.closed_form_ok,
-        "mixing_parameter": rep.mixing_parameter,
-        "next_threshold": rep.next_threshold,
-        "exceeds_next_threshold": rep.exceeds_next_threshold,
-        "falsifier": _verdict_dict(rep.falsifier) if rep.falsifier else None,
-        "all_ok": rep.all_ok,
-    }
+    fields = _replace_key(_encode(rep), "lam", {"lambda": rep.lam})
+    payload = {"command": "example4", **fields, "all_ok": rep.all_ok}
     return (0 if rep.all_ok else 1), payload
 
 
@@ -255,37 +221,19 @@ def _cmd_verify_cert(args) -> tuple[int, dict]:
     rep = verify_certificate(
         cert, tol=args.tol, seed=args.seed, restarts=args.restarts
     )
+    report = _encode(rep)
+    sampled = ("one_var_sup", "orth_pair_sup", "od_sup")
+    report["legs"] = [
+        _replace_key(leg, "sampled", {k: leg["sampled"][k] for k in sampled})
+        for leg in report["legs"]
+    ]
     payload = {
         "command": "verify-cert",
         "certfile": args.certfile,
         "tol": args.tol,
         "seed": args.seed,
         "restarts": args.restarts,
-        "psi_norm": rep.psi_norm,
-        "psi_contraction_ok": rep.psi_contraction_ok,
-        "psi_two_positive": _two_pos_dict(rep.psi_two_positive),
-        "legs": [
-            {
-                "contraction_norm": leg.contraction_norm,
-                "contraction_ok": leg.contraction_ok,
-                "two_positive": _two_pos_dict(leg.two_positive),
-                "mult_defect": leg.mult_defect,
-                "commute_defect": leg.commute_defect,
-                "reconstruct_defect": leg.reconstruct_defect,
-                "one_var_sup": leg.sampled.one_var_sup,
-                "orth_pair_sup": leg.sampled.orth_pair_sup,
-                "od_sup": leg.sampled.od_sup,
-                "order_zero_ok": leg.order_zero_ok,
-            }
-            for leg in rep.legs
-        ],
-        "sum_norm": rep.sum_norm,
-        "sum_contractive_ok": rep.sum_contractive_ok,
-        "approx_errors": list(rep.approx_errors),
-        "approx_failures": list(rep.approx_failures),
-        "epsilon": rep.epsilon,
-        "caveat": rep.caveat,
-        "overall": rep.overall,
+        **report,
     }
     return (0 if rep.overall else 1), payload
 

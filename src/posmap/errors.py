@@ -17,10 +17,6 @@ class NumericalFailureError(PosmapError, RuntimeError):
     """An underlying numerical routine failed to converge."""
 
 
-class DominanceViolatedError(PosmapError, ValueError):
-    """Operator-order precondition a <= b does not hold within tolerance."""
-
-
 class NotCommutingError(PosmapError, ValueError):
     pass
 

@@ -17,8 +17,9 @@ which crosses the (k+1)-threshold for large m, so the big map cannot be
 (k+1)-positive even though its defect is small.
 
 Maps are available both as PMap objects (small m) and as direct formula
-appliers on dense (mn) x (mn) arrays, which is what verification uses so
-that large m never materializes a Choi matrix.
+appliers on dense (mn) x (mn) arrays or stacks of them. Verification
+applies the formulas one matrix at a time, so large m never materializes
+a Choi matrix; the PMap builders apply them to the stack of matrix units.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Element, FiniteCStar, _contraction, matrix_units
+from .algebra import FiniteCStar, _contraction, unit_stack
 from .errors import BadRangeError
 from .linalg import as_complex, op_norm
 from .maps import PMap
@@ -47,36 +48,38 @@ def _check_params(n: int, m: int, eps: float) -> None:
         raise BadRangeError(f"need eps in (0, 1), got {eps}")
 
 
-# -- formula-level actions on dense (mn) x (mn) arrays ------------------------
+# -- formula-level actions on (..., N, N) stacks of dense matrices ---------------
 
 
 def trace_mixing_apply(a: np.ndarray, lam: float) -> np.ndarray:
     """psi_lambda(a) = lambda tr_n(a) 1 + (1 - lambda) a on one block."""
     a = as_complex(a)
-    n = a.shape[0]
-    return lam * (np.trace(a) / n) * np.eye(n) + (1.0 - lam) * a
+    n = a.shape[-1]
+    tr = np.trace(a, axis1=-2, axis2=-1)[..., None, None]
+    return lam * (tr / n) * np.eye(n) + (1.0 - lam) * a
 
 
 def corner_mixture_apply(x: np.ndarray, n: int, m: int, lam: float, eps: float) -> np.ndarray:
-    """Apply the corner-mixture map to one (mn) x (mn) matrix."""
+    """Apply the corner-mixture map to (mn) x (mn) matrices."""
     _check_params(n, m, eps)
     x = as_complex(x)
-    corner = x[:n, :n]  # rows and columns with first tensor index 0
+    corner = x[..., :n, :n]  # rows and columns with first tensor index 0
+    # np.kron pads eye(m) to the stack's rank, so each matrix gets its own block diagonal
     return (1.0 - eps) * x + eps * np.kron(np.eye(m), trace_mixing_apply(corner, lam))
 
 
 def partial_trace_first_apply(x: np.ndarray, m: int, n: int) -> np.ndarray:
     """Normalized partial trace over the first factor of M_m (x) M_n."""
     x = as_complex(x)
-    return np.einsum("aiaj->ij", x.reshape(m, n, m, n)) / m
+    return np.einsum("...aiaj->...ij", x.reshape(x.shape[:-2] + (m, n, m, n))) / m
 
 
 def corner_embed_apply(a: np.ndarray, m: int) -> np.ndarray:
     """a -> e_00 (x) a into M_m (x) M_n."""
     a = as_complex(a)
-    n = a.shape[0]
-    out = np.zeros((m * n, m * n), dtype=np.complex128)
-    out[:n, :n] = a
+    n = a.shape[-1]
+    out = np.zeros(a.shape[:-2] + (m * n, m * n), dtype=np.complex128)
+    out[..., :n, :n] = a
     return out
 
 
@@ -87,12 +90,8 @@ def corner_mixture_map(n: int, m: int, lam: float, eps: float) -> PMap:
     """The corner-mixture map as a PMap on the single block M_{mn}."""
     _check_params(n, m, eps)
     alg = FiniteCStar((m * n,))
-    images = []
-    for e in matrix_units(alg):
-        images.append(
-            Element(alg, [corner_mixture_apply(e.blocks[0], n, m, lam, eps)])
-        )
-    return PMap.from_action(alg, alg, images)
+    stack = corner_mixture_apply(unit_stack(alg), n, m, lam, eps)
+    return PMap._from_unit_images(alg, alg, stack)
 
 
 def partial_trace_first(m: int, n: int) -> PMap:
@@ -100,12 +99,8 @@ def partial_trace_first(m: int, n: int) -> PMap:
     if m < 1 or n < 1:
         raise BadRangeError(f"need m, n >= 1, got m={m}, n={n}")
     src = FiniteCStar((m * n,))
-    tgt = FiniteCStar((n,))
-    images = [
-        Element(tgt, [partial_trace_first_apply(e.blocks[0], m, n)])
-        for e in matrix_units(src)
-    ]
-    return PMap.from_action(src, tgt, images)
+    stack = partial_trace_first_apply(unit_stack(src), m, n)
+    return PMap._from_unit_images(src, FiniteCStar((n,)), stack)
 
 
 def corner_embedding(m: int, n: int) -> PMap:
@@ -113,11 +108,8 @@ def corner_embedding(m: int, n: int) -> PMap:
     if m < 1 or n < 1:
         raise BadRangeError(f"need m, n >= 1, got m={m}, n={n}")
     src = FiniteCStar((n,))
-    tgt = FiniteCStar((m * n,))
-    images = [
-        Element(tgt, [corner_embed_apply(e.blocks[0], m)]) for e in matrix_units(src)
-    ]
-    return PMap.from_action(src, tgt, images)
+    stack = corner_embed_apply(unit_stack(src), m)
+    return PMap._from_unit_images(src, FiniteCStar((m * n,)), stack)
 
 
 # -- effective mixing parameter -------------------------------------------------
@@ -136,8 +128,8 @@ def composed_mixing_parameter(m: int, eps: float, lam: float) -> float:
         raise BadRangeError(f"need m >= 1, got {m}")
     if not (0.0 < eps < 1.0):
         raise BadRangeError(f"need eps in (0, 1), got {eps}")
-    if lam <= 0:
-        raise BadRangeError(f"need lambda > 0, got {lam}")
+    if not 0 < lam < np.inf:
+        raise BadRangeError(f"need a finite lambda > 0, got {lam}")
     return float(
         _mixing_parameter_fraction(m, Fraction(eps), Fraction(lam))
     )
@@ -200,6 +192,8 @@ def verify_corner_family(
     _check_params(n, m, eps)
     if not (1 <= k < n):
         raise BadRangeError(f"need 1 <= k < n, got k={k}, n={n}")
+    if not np.isfinite(lam):
+        raise BadRangeError(f"need a finite lambda, got {lam}")
     lam_f = Fraction(lam)
     lo = Fraction(1, n * (k + 1) - 1)
     hi = Fraction(1, n * k - 1)
@@ -227,12 +221,11 @@ def verify_corner_family(
     alg_n = FiniteCStar((n,))
     closed_form_dev = 0.0
     composed_images = []
-    for e in matrix_units(alg_n):
-        blk = e.blocks[0]
+    for blk in unit_stack(alg_n):
         composed = partial_trace_first_apply(
             corner_mixture_apply(corner_embed_apply(blk, m), n, m, lam, eps), m, n
         )
-        composed_images.append(Element(alg_n, [composed]))
+        composed_images.append(composed)
         expected = prefactor * trace_mixing_apply(blk, lam_tilde)
         closed_form_dev = max(closed_form_dev, op_norm(composed - expected))
 
@@ -241,7 +234,7 @@ def verify_corner_family(
 
     falsifier = None
     if exceeds:
-        compressed = PMap.from_action(alg_n, alg_n, composed_images)
+        compressed = PMap._from_unit_images(alg_n, alg_n, np.array(composed_images))
         falsifier = k_positivity_falsify(
             compressed, k + 1, restarts=restarts, seed=seed
         )

@@ -1,5 +1,5 @@
-"""Dense complex matrix substrate: Hermitian eigendecompositions, operator
-norms, PSD tests, support pseudo-inverses and polar decompositions.
+"""Dense complex matrix substrate: the Hermitian/PSD kernel, operator norms,
+support projections and pseudo-inverses, and the polar unitary.
 
 One convention decides every Hermitian and PSD question in the package.
 hermitian_kernel(h) makes one eigvalsh call on the Hermitian part
@@ -7,25 +7,22 @@ hs = (h + h*)/2 and returns herm_dev = ||h - h*||_F (an upper bound on the
 operator-norm deviation, so tests on it err on the strict side), min_eig,
 the smallest eigenvalue of hs, and scale = max(1, ||hs||). h is Hermitian
 within tol iff herm_dev <= tol * scale, and PSD within tol (is_psd) iff
-also min_eig >= -tol * scale. The functions that need eigenvectors share
-one eigh path with the same Hermitian test at HERM_TOL. Support
-pseudo-inverses drop eigenvalues <= cutoff * ||b||. A tolerance or cutoff
+also min_eig >= -tol * scale. The support projection and the support
+pseudo-inverses share one eigh path with the same Hermitian test at
+HERM_TOL and drop eigenvalues <= cutoff * ||b||. A tolerance or cutoff
 that is not finite and >= 0 raises BadRangeError. No function mutates its
 arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     BadRangeError,
-    DominanceViolatedError,
     NonSquareError,
-    NotCommutingError,
     NotHermitianError,
     NumericalFailureError,
 )
@@ -99,35 +96,6 @@ def is_psd(h: np.ndarray, tol: float = PSD_TOL) -> bool:
     return hermitian_kernel(h).psd(tol)
 
 
-@dataclass(frozen=True)
-class EigDecomp:
-    """Eigendecomposition of a Hermitian matrix.
-
-    eigenvalues are real and ascending; basis columns are the matching
-    orthonormal eigenvectors, phase-fixed so the largest-modulus entry of
-    each column is real nonnegative.
-    """
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.basis * self.eigenvalues) @ self.basis.conj().T
-
-
-def _canonical_phases(basis: np.ndarray) -> np.ndarray:
-    cols = np.arange(basis.shape[1])
-    pivot = basis[np.argmax(np.abs(basis), axis=0), cols]
-    size = np.abs(pivot)
-    return basis * np.where(size > 0, pivot.conj() / np.where(size > 0, size, 1.0), 1.0)
-
-
-def eig_hermitian(h: np.ndarray, tol: float = HERM_TOL) -> EigDecomp:
-    """Eigendecomposition of a Hermitian matrix, symmetrized internally."""
-    _, vals, vecs = _spectrum(h, vectors=True, tol=tol)
-    return EigDecomp(eigenvalues=vals, basis=_canonical_phases(vecs))
-
-
 def op_norm(m) -> float:
     """Largest singular value; zero for the zero matrix."""
     m = as_complex(m)
@@ -155,11 +123,6 @@ def support_projection(b: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndar
     return _spectral_apply(b, np.ones_like, cutoff)
 
 
-def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Square root of a PSD matrix; small negative eigenvalues are clipped to 0."""
-    return _spectral_apply(a, np.sqrt, 0.0)
-
-
 def pinv_sqrt(b: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
     """b^{-1/2} on the support of b (eigenvalues <= cutoff * ||b|| are dropped)."""
     return _spectral_apply(b, lambda v: 1.0 / np.sqrt(v), cutoff)
@@ -168,47 +131,6 @@ def pinv_sqrt(b: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
 def pinv_psd(b: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
     """b^{-1} on the support of b."""
     return _spectral_apply(b, lambda v: 1.0 / v, cutoff)
-
-
-def _require_psd(m: np.ndarray, what: str) -> None:
-    kernel = hermitian_kernel(m)
-    if not kernel.psd(PSD_TOL):
-        raise DominanceViolatedError(f"{what} is not PSD within tolerance ({kernel})")
-
-
-def _checked_pair(b, a, cutoff: float):
-    """Square b and a of one shape with a PSD; the cutoff is range-checked first."""
-    check_tol(cutoff, "cutoff")
-    b, a = require_square(b), require_square(a)
-    if a.shape != b.shape:
-        raise DominanceViolatedError(f"shape mismatch {a.shape} vs {b.shape}")
-    _require_psd(a, "a")
-    return b, a
-
-
-def support_pinv_sqrt(b: np.ndarray, a: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
-    """The contraction x = b^{-1/2} a^{1/2} with b^{1/2} x = a^{1/2} and p(b) x = x.
-
-    Requires 0 <= a <= b within tolerance.
-    """
-    b, a = _checked_pair(b, a, cutoff)
-    _require_psd(b - a, "b - a")
-    return pinv_sqrt(b, cutoff) @ psd_sqrt(a)
-
-
-def support_pinv(b: np.ndarray, a: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
-    """The element y = b^{-1} a for commuting PSD a, b with a^2 <= ||a||^2 b.
-
-    Satisfies b y = a within tolerance and p(b) y = y.
-    """
-    b, a = _checked_pair(b, a, cutoff)
-    na, nb = op_norm(a), op_norm(b)
-    comm = op_norm(a @ b - b @ a)
-    if comm > 1e-9 * max(na * nb, 1e-300):
-        raise NotCommutingError(f"[a, b] has norm {comm:.3e}")
-    if na > 0:
-        _require_psd(na * na * b - a @ a, "||a||^2 b - a^2")
-    return pinv_psd(b, cutoff) @ a
 
 
 def polar_unitary(y: np.ndarray) -> np.ndarray:
@@ -227,8 +149,3 @@ def polar_unitary(y: np.ndarray) -> np.ndarray:
         raise NumericalFailureError(str(exc)) from exc
     return w @ vh
 
-
-def abs_polar(y: np.ndarray) -> np.ndarray:
-    """|y| = (y* y)^{1/2}."""
-    y = require_square(y)
-    return psd_sqrt(y.conj().T @ y)

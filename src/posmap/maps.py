@@ -33,7 +33,6 @@ from .errors import (
     AlgebraMismatchError,
     CountMismatchError,
     DimensionMismatchError,
-    MultiBlockUnsupportedError,
 )
 from .linalg import as_complex, hermitian_kernel
 
@@ -185,28 +184,7 @@ class PMap:
         images = self.act(inner.act(unit_stack(inner.source)))
         return PMap._from_unit_images(inner.source, self.target, images)
 
-    def tensor_id(self, k: int) -> "PMap":
-        """id_{M_k} (x) self, for single-block source and target only."""
-        if self.source.n_blocks != 1 or self.target.n_blocks != 1:
-            raise MultiBlockUnsupportedError(
-                "tensor_id is implemented for single-block algebras only"
-            )
-        if k < 1:
-            raise DimensionMismatchError("k must be >= 1")
-        n = self.source.block_sizes[0]
-        d = self.target.embed_dim
-        t = self.choi_blocks[0].reshape(n, d, n, d)
-        # big[a, i, a, s, b, j, b, t] = t[i, s, j, t]
-        big = np.einsum("AB,CD,isjt->AiBsCjDt", np.eye(k), np.eye(k), t)
-        src = FiniteCStar((k * n,))
-        tgt = FiniteCStar((k * d,))
-        return PMap(src, tgt, [big.reshape(k * n * k * d, k * n * k * d)], _validate=False)
-
     # -- properties --------------------------------------------------------
-
-    def norm_as_positive(self) -> float:
-        """||phi(1)||; equals the map norm when phi is positive."""
-        return self.unit_image().norm()
 
     def is_selfadjoint(self, tol: float = 1e-10) -> bool:
         """phi(x*) = phi(x)* iff every Choi block is Hermitian (here: within tol)."""
@@ -218,7 +196,7 @@ class PMap:
 
 def pmap_norm(phi: PMap) -> float:
     """||phi(1)||, the norm of a positive map on a unital algebra."""
-    return phi.norm_as_positive()
+    return phi.unit_image().norm()
 
 
 def lstsq_preimage(phi: PMap, y: Element) -> Element:

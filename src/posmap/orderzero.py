@@ -41,6 +41,7 @@ from .algebra import (
     unit_stack,
 )
 from .errors import (
+    BadRangeError,
     MultiBlockUnsupportedError,
     NotHermitianError,
     NotHomomorphismError,
@@ -99,11 +100,6 @@ def od_defect(phi: PMap, a: Element) -> float:
     f1 = phi.act(np.eye(phi.source.embed_dim))
     unit_images = phi.act(units)
     return _od_sup(phi, embed_stack(phi.source, [a]), units, unit_images, f1)
-
-
-def od_star_symmetry_defect(phi: PMap, a: Element) -> float:
-    """|od_defect(a) - od_defect(a*)|."""
-    return abs(od_defect(phi, a) - od_defect(phi, a.adj()))
 
 
 def kadison_gap(phi: PMap, a: Element) -> float:
@@ -358,7 +354,12 @@ def polar_lift(phi: PMap, x: Element, y: Element) -> tuple[Element, bool]:
 # -- block-column bounds ---------------------------------------------------------
 
 
-def _column_blocks(m: np.ndarray, d: int):
+def _column_blocks(m: np.ndarray, d: int, eps: float):
+    """The d x d blocks of m's first block column, once d and the bound eps are valid."""
+    if d < 1:
+        raise BadRangeError(f"need a block size d >= 1, got {d}")
+    if np.isnan(eps):
+        raise BadRangeError("eps must be a number, got nan")
     big = m.shape[0]
     if big % d != 0:
         raise PreconditionFailedError(
@@ -382,7 +383,7 @@ def lemma31_positive_check(a: np.ndarray, d: int, eps: float) -> bool:
     # scale = max(1, ||a||) for a PSD a, so it exceeds 1 + 1e-9 iff ||a|| does
     if kernel.scale > 1 + 1e-9:
         raise NotPositiveContractionError("input is not a contraction")
-    cols = _column_blocks(a, d)
+    cols = _column_blocks(a, d, eps)
     if op_norm(cols[0]) >= eps:
         raise PreconditionFailedError("||a_{1,1}|| < eps does not hold")
     total = sum(c.conj().T @ c for c in cols)
@@ -399,7 +400,7 @@ def lemma31_unitary_check(u: np.ndarray, d: int, eps: float) -> bool:
     n = u.shape[0]
     if op_norm(u.conj().T @ u - np.eye(n)) > 1e-9:
         raise NotUnitaryError("input is not unitary")
-    cols = _column_blocks(u, d)
+    cols = _column_blocks(u, d, eps)
     if op_norm(cols[0].conj().T @ cols[0] - np.eye(d)) >= eps:
         raise PreconditionFailedError("||u_{1,1}* u_{1,1} - 1|| < eps does not hold")
     tail = sum(c.conj().T @ c for c in cols[1:]) if len(cols) > 1 else np.zeros((d, d))

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Element, FiniteCStar
+from .algebra import FiniteCStar, unit_stack
 from .errors import BadRangeError, DimensionMismatchError
 from .linalg import check_tol, hermitian_kernel, hermitian_part, is_psd
 from .maps import PMap
@@ -51,18 +51,13 @@ def tomiyama_map(n: int, lam: float) -> PMap:
     """The unital self-adjoint map a -> lambda tr_n(a) 1 + (1 - lambda) a on M_n."""
     if n < 2:
         raise BadRangeError(f"need n >= 2, got {n}")
-    if lam < 0:
-        raise BadRangeError(f"need lambda >= 0, got {lam}")
+    if not 0 <= lam < np.inf:
+        raise BadRangeError(f"need a finite lambda >= 0, got {lam}")
     alg = FiniteCStar((n,))
-    images = []
-    for i in range(n):
-        for j in range(n):
-            m = np.zeros((n, n), dtype=np.complex128)
-            m[i, j] = 1.0 - lam
-            if i == j:
-                m += (lam / n) * np.eye(n)
-            images.append(Element(alg, [m]))
-    return PMap.from_action(alg, alg, images)
+    stack = unit_stack(alg)
+    stack[stack != 0] = 1.0 - lam  # assigned, not scaled: 1 - lam < 0 would sign the zeros
+    stack[:: n + 1] += (lam / n) * np.eye(n)  # the diagonal units e_ii
+    return PMap._from_unit_images(alg, alg, stack)
 
 
 @dataclass(frozen=True)
@@ -92,10 +87,10 @@ class Witness:
 @dataclass(frozen=True)
 class KposVerdict:
     status: str
-    witness: Optional[Witness]
-    restarts_used: int
     best_value: float
+    restarts_used: int
     restarts_capped: int  # restarts stopped by the iteration cap, not by tolerance
+    witness: Optional[Witness]  # last, so a printed report shows the summary first
 
 
 def _quadratic_value(c: np.ndarray, x: np.ndarray) -> float:
@@ -276,7 +271,7 @@ def k_positivity_falsify(
             block=bi,
         )
         if witness_verify(phi, w, tol):
-            return KposVerdict(VIOLATED, w, used, best_value, capped)
+            return KposVerdict(VIOLATED, best_value, used, capped, w)
     if is_cp(phi, tol):
-        return KposVerdict(CERTIFIED_POSITIVE, None, used, float(best_value), capped)
-    return KposVerdict(UNFALSIFIED, None, used, float(best_value), capped)
+        return KposVerdict(CERTIFIED_POSITIVE, float(best_value), used, capped, None)
+    return KposVerdict(UNFALSIFIED, float(best_value), used, capped, None)

@@ -4,7 +4,7 @@ import pytest
 
 from posmap.algebra import FiniteCStar
 from posmap.certificates import save_map
-from posmap.cli import main
+from posmap.cli import build_parser, main
 from posmap.positivity import tomiyama_map
 
 from test_maps import transpose_map
@@ -191,6 +191,12 @@ class TestErrorPaths:
         argv = ["example4", "--n", "3", "--m", "1", "--k", "1", "--lambda", "1.4"]
         assert main(argv + ["--eps", eps]) == 2
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_exit_2(self, capsys, lam):
+        argv = ["example4", "--n", "3", "--m", "2", "--k", "1", "--eps", "0.05"]
+        assert main(argv + ["--lambda", lam]) == 2
+        assert "lambda" in capsys.readouterr().err
+
     @pytest.mark.parametrize("epsilon", ["inf", "-1e-6"])
     def test_bad_epsilon_exit_2(self, capsys, tmp_path, epsilon):
         argv = ["gen-cert", "--algebra", "2", "--weights", "1.0", "-o", str(tmp_path / "c.json")]
@@ -206,3 +212,76 @@ class TestErrorPaths:
         assert main(["check-kpos", psi14_file, "--k", "2", "--seed", "-1"]) == 2
         assert main(["defect", psi14_file, "--seed", "-1"]) == 2
         assert "--seed" in capsys.readouterr().err
+
+
+def _key_paths(obj, prefix=""):
+    """Dotted paths of every object key; "[]" marks a step into a list."""
+    if isinstance(obj, dict):
+        out = set()
+        for key, val in obj.items():
+            path = f"{prefix}.{key}" if prefix else key
+            out |= {path} | _key_paths(val, path)
+        return out
+    if isinstance(obj, list):
+        return set().union(*(_key_paths(v, prefix + "[]") for v in obj))
+    return set()
+
+
+VERDICT_KEYS = ["best_value", "restarts_capped", "restarts_used", "status", "witness"]
+WITNESS_KEYS = ["block", "factors_left", "factors_right", "k", "value", "vector_norm"]
+
+
+def _nest(prefix, keys):
+    return [f"{prefix}.{k}" for k in keys]
+
+
+JSON_SCHEMAS = {
+    "tomiyama": ["command", "k", "n", "threshold"],
+    "tomiyama-lambda": ["command", "falsifier", "k", "k_positive_closed_form", "lambda", "n",
+                        "threshold", "written"]
+    + _nest("falsifier", VERDICT_KEYS) + _nest("falsifier.witness", WITNESS_KEYS),
+    "check-cp": ["command", "completely_positive", "mapfile", "tol"],
+    "check-kpos": ["command", "k", "mapfile", "restarts", "seed", "tol", "verdict"]
+    + _nest("verdict", VERDICT_KEYS) + _nest("verdict.witness", WITNESS_KEYS),
+    "defect": ["command", "mapfile", "od_sup", "one_var_sup", "orth_pair_sup", "samples", "seed"],
+    "decompose": ["command", "commute_defect", "h_norm", "mapfile", "mult_defect",
+                  "reconstruct_defect", "tol", "within_tol"],
+    "repair": ["command", "eps_meas", "mapfile", "repaired_is_cp", "written"],
+    "example4": ["all_ok", "closed_form_dev", "closed_form_ok", "command", "defect_bound",
+                 "defect_max", "defect_ok", "eps", "exceeds_next_threshold", "falsifier", "k",
+                 "lambda", "m", "mixing_parameter", "n", "next_threshold", "samples", "seed"]
+    + _nest("falsifier", VERDICT_KEYS) + _nest("falsifier.witness", WITNESS_KEYS),
+    "gen-cert": ["algebra", "command", "epsilon", "seed", "weights", "written"],
+    "verify-cert": ["approx_errors", "approx_failures", "caveat", "certfile", "command",
+                    "epsilon", "legs", "overall", "psi_contraction_ok", "psi_norm",
+                    "psi_two_positive", "psi_two_positive.status", "psi_two_positive.verdict",
+                    "restarts", "seed", "sum_contractive_ok", "sum_norm", "tol"]
+    + _nest("legs[]", ["commute_defect", "contraction_norm", "contraction_ok", "mult_defect",
+                       "od_sup", "one_var_sup", "order_zero_ok", "orth_pair_sup",
+                       "reconstruct_defect", "two_positive", "two_positive.status",
+                       "two_positive.verdict"]),
+}
+
+
+def test_json_key_paths_are_pinned(capsys, tmp_path):
+    """Every subcommand's --json payload has exactly the pinned nested keys."""
+    psi, rep, cert = (str(tmp_path / f) for f in ("psi.json", "rep.json", "cert.json"))
+    runs = {
+        "tomiyama": ["tomiyama", "--n", "3", "--k", "2"],
+        "tomiyama-lambda": ["tomiyama", "--n", "3", "--k", "2", "--lambda", "1.4", "-o", psi],
+        "check-cp": ["check-cp", psi],
+        "check-kpos": ["check-kpos", psi, "--k", "2"],
+        "defect": ["defect", psi, "--samples", "5"],
+        "decompose": ["decompose", psi],
+        "repair": ["repair", psi, "-o", rep],
+        "example4": ["example4", "--n", "3", "--m", "115", "--k", "1", "--lambda", "1.4",
+                     "--eps", "0.05", "--samples", "1", "--restarts", "4"],
+        "gen-cert": ["gen-cert", "--algebra", "2,3", "--weights", "0.5,0.5", "-o", cert],
+        "verify-cert": ["verify-cert", cert, "--restarts", "4"],
+    }
+    assert {argv[0] for argv in runs.values()} == set(
+        build_parser()._subparsers._group_actions[0].choices
+    )
+    for name, argv in runs.items():
+        _, payload = run_json(capsys, argv)
+        assert sorted(_key_paths(payload)) == sorted(JSON_SCHEMAS[name]), name

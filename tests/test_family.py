@@ -145,6 +145,12 @@ class TestMixingParameter:
         with pytest.raises(BadRangeError):
             composed_mixing_parameter(2, 0.1, -1.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        # Fraction(lam) raised ValueError (nan) or OverflowError (inf)
+        with pytest.raises(BadRangeError):
+            composed_mixing_parameter(2, 0.1, lam)
+
 
 class TestVerifyCornerFamily:
     def test_window_enforced(self):
@@ -152,6 +158,11 @@ class TestVerifyCornerFamily:
         # lambda = 1.1 fails the lower end
         with pytest.raises(BadRangeError):
             verify_corner_family(3, 2, 1, 1.1, 0.05, samples=1)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(BadRangeError):
+            verify_corner_family(3, 2, 1, lam, 0.05, samples=1)
 
     def test_small_m_flag_false(self):
         # oracle arithmetic: lambda~ = 0.05*1.4/1.0 = 0.07 <= 1.2

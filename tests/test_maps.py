@@ -10,7 +10,6 @@ from posmap.errors import (
     BadRangeError,
     CountMismatchError,
     DimensionMismatchError,
-    MultiBlockUnsupportedError,
 )
 from posmap.maps import PMap, lstsq_preimage, pmap_norm
 
@@ -148,28 +147,6 @@ class TestComposeAndArithmetic:
         phi = trace_map(3) + 0.3 * transpose_map(3)
         x = algebra.random_contraction(M3, 11)
         assert (phi(x.adj()) - phi(x).adj()).norm() < 1e-10
-
-
-class TestTensorId:
-    def test_identity_amplification(self):
-        big = PMap.identity(M2).tensor_id(3)
-        m6 = FiniteCStar((6,))
-        x = algebra.random_contraction(m6, 12)
-        assert (big(x) - x).norm() < 1e-12
-
-    def test_partial_transpose_oracle(self):
-        # oracle: entrywise partial transpose on the second factor
-        amp = transpose_map(2).tensor_id(2)
-        m4 = FiniteCStar((4,))
-        x = algebra.random_contraction(m4, 13)
-        blk = x.blocks[0].reshape(2, 2, 2, 2)
-        expected = blk.transpose(0, 3, 2, 1).reshape(4, 4)
-        assert np.allclose(amp(x).blocks[0], expected, atol=1e-12)
-
-    def test_multi_block_rejected(self):
-        alg = FiniteCStar((1, 1))
-        with pytest.raises(MultiBlockUnsupportedError):
-            PMap.identity(alg).tensor_id(2)
 
 
 class TestPMapNorm:

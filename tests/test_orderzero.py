@@ -24,7 +24,6 @@ from posmap.orderzero import (
     lemma31_positive_check,
     lemma31_unitary_check,
     od_defect,
-    od_star_symmetry_defect,
     one_var_defect,
     order_zero_defect,
     oz_construct,
@@ -158,18 +157,19 @@ class TestOdDefect:
     def test_star_symmetry(self):
         phi = transpose_map(2)
         e12 = algebra.basis_element(M2, 0, 0, 1)
-        assert od_star_symmetry_defect(phi, e12) < 1e-12
+        assert abs(od_defect(phi, e12) - od_defect(phi, e12.adj())) < 1e-12
 
     def test_star_symmetry_selfadjoint(self):
         phi = tomiyama_map(3, 1.2)
-        a = algebra.random_hermitian(M3, 7)
-        assert od_star_symmetry_defect(phi, a) == 0.0
+        h = random_hermitian(np.random.default_rng(7), 3)
+        a = Element(M3, [h / op_norm(h)])
+        assert od_defect(phi, a) == od_defect(phi, a.adj())
 
     def test_star_symmetry_random_two_positive(self):
         phi = tomiyama_map(3, 1.2)
         for seed in range(10):
             a = algebra.random_contraction(M3, seed)
-            assert od_star_symmetry_defect(phi, a) <= 1e-9
+            assert abs(od_defect(phi, a) - od_defect(phi, a.adj())) <= 1e-9
 
 
 class TestKadisonGap:
@@ -462,6 +462,21 @@ class TestLemma31:
             lemma31_positive_check(np.eye(6) * 0.9, 2, 0.1)
         with pytest.raises(NotUnitaryError):
             lemma31_unitary_check(np.eye(6) * 0.5, 2, 0.1)
+
+    def test_nan_eps_rejected(self):
+        # a NaN bound made both checks answer False, their implementation-bug answer
+        with pytest.raises(BadRangeError):
+            lemma31_positive_check(np.zeros((6, 6)), 2, float("nan"))
+        with pytest.raises(BadRangeError):
+            lemma31_unitary_check(np.eye(6), 2, float("nan"))
+
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_bad_block_size_rejected(self, d):
+        # d = 0 was a ZeroDivisionError
+        with pytest.raises(BadRangeError):
+            lemma31_positive_check(np.zeros((6, 6)), d, 0.1)
+        with pytest.raises(BadRangeError):
+            lemma31_unitary_check(np.eye(6), d, 0.1)
 
 
 class TestExactOrderZeroCharacterization:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from posmap import algebra
 from posmap.algebra import Element, FiniteCStar, unit
 from posmap.errors import BadRangeError
-from posmap.maps import PMap
+from posmap.maps import PMap, pmap_norm
 from posmap.positivity import (
     CERTIFIED_POSITIVE,
     UNFALSIFIED,
@@ -128,7 +128,13 @@ class TestTomiyamaMap:
 
     def test_norm_unital(self):
         for lam in (0.3, 1.0, 1.45):
-            assert tomiyama_map(3, lam).norm_as_positive() == pytest.approx(1.0)
+            assert pmap_norm(tomiyama_map(3, lam)) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("lam", [-0.5, float("nan"), float("inf")])
+    def test_bad_lambda_rejected(self, lam):
+        # NaN and inf reached the Choi blocks and failed there as a dimension error
+        with pytest.raises(BadRangeError):
+            tomiyama_map(3, lam)
 
 
 class TestFalsifier:
