@@ -20,13 +20,15 @@ decimal. save/load round-trips are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .algebra import Element, FiniteCStar, unit, unit_stack
+from .algebra import Element, FiniteCStar, embed_stack, from_embedded, unit, unit_stack
 from .errors import (
+    BadRangeError,
     BadWeightsError,
     ParseError,
     SchemaVersionMismatchError,
@@ -34,7 +36,7 @@ from .errors import (
 )
 from .linalg import check_tol
 from .maps import PMap, pmap_norm
-from .orderzero import DefectReport, order_zero_defect, oz_decompose
+from .orderzero import order_zero_defect, oz_decompose
 from .positivity import (
     CERTIFIED_POSITIVE,
     UNFALSIFIED,
@@ -69,14 +71,9 @@ def direct_sum(summands) -> FiniteCStar:
     return FiniteCStar(tuple(blocks))
 
 
-def split_direct_sum(x: Element, summands) -> list[Element]:
-    """Split an element of (+)F_i into its per-summand components."""
-    parts = []
-    off = 0
-    for s in summands:
-        parts.append(Element(s, x.blocks[off : off + s.n_blocks]))
-        off += s.n_blocks
-    return parts
+def _epsilon_ok(epsilon) -> bool:
+    """The one rule for a certificate's epsilon: a finite float > 0 (NaN and huge ints fail)."""
+    return 0 < epsilon <= sys.float_info.max
 
 
 def _check_structure(cert: DrCertificate) -> None:
@@ -85,8 +82,8 @@ def _check_structure(cert: DrCertificate) -> None:
             f"need d+1 = {cert.d + 1} summands and maps, got "
             f"{len(cert.summands)} and {len(cert.phis)}"
         )
-    if not cert.epsilon > 0:  # also rejects NaN
-        raise StructurallyInvalidError("epsilon must be positive")
+    if not _epsilon_ok(cert.epsilon):
+        raise StructurallyInvalidError(f"epsilon must be finite and > 0, got {cert.epsilon!r}")
     total = direct_sum(cert.summands)
     if cert.psi.source != cert.algebra or cert.psi.target != total:
         raise StructurallyInvalidError("psi does not map A into the direct sum")
@@ -127,7 +124,9 @@ class LegReport:
     mult_defect: float
     commute_defect: float
     reconstruct_defect: float
-    sampled: DefectReport
+    one_var_sup: float  # the sampled order_zero_defect suprema
+    orth_pair_sup: float
+    od_sup: float
     order_zero_ok: bool
 
     @property
@@ -199,29 +198,28 @@ def verify_certificate(
                 mult_defect=dec.mult_defect,
                 commute_defect=dec.commute_defect,
                 reconstruct_defect=dec.reconstruct_defect,
-                sampled=rep,
+                one_var_sup=rep.one_var_sup,
+                orth_pair_sup=rep.orth_pair_sup,
+                od_sup=rep.od_sup,
                 order_zero_ok=oz_ok,
             )
         )
 
-    total = sum(
-        (phi(unit(s)) for phi, s in zip(cert.phis, cert.summands)),
-        start=0.0 * unit(cert.algebra),
-    )
-    sum_norm = total.norm()
+    total = sum(phi.act(unit(s).embedded()) for phi, s in zip(cert.phis, cert.summands))
+    sum_norm = from_embedded(cert.algebra, total).norm()
     sum_ok = sum_norm <= 1 + tol
 
-    errors = []
-    failures = []
-    for idx, x in enumerate(cert.test_set):
-        parts = split_direct_sum(cert.psi(x), cert.summands)
-        out = 0.0 * unit(cert.algebra)
-        for phi, part in zip(cert.phis, parts):
-            out = out + phi(part)
-        err = (out - x).norm()
-        errors.append(err)
-        if not err < cert.epsilon:
-            failures.append(idx)
+    # psi on the embedded test set; leg i acts on its diagonal square of (+)F_i
+    xs = embed_stack(cert.algebra, cert.test_set)
+    ys = cert.psi.act(xs)
+    out = np.zeros_like(xs)
+    off = 0
+    for phi, s in zip(cert.phis, cert.summands):
+        end = off + s.embed_dim
+        out += phi.act(ys[:, off:end, off:end])
+        off = end
+    errors = tuple(from_embedded(cert.algebra, e).norm() for e in out - xs)
+    failures = tuple(i for i, err in enumerate(errors) if not err < cert.epsilon)
 
     overall = (
         psi_ok
@@ -238,8 +236,8 @@ def verify_certificate(
         legs=tuple(legs),
         sum_norm=sum_norm,
         sum_contractive_ok=sum_ok,
-        approx_errors=tuple(errors),
-        approx_failures=tuple(failures),
+        approx_errors=errors,
+        approx_failures=failures,
         epsilon=cert.epsilon,
         overall=overall,
         caveat=caveat,
@@ -265,18 +263,8 @@ def identity_certificate(
     algebra: FiniteCStar, test_set=None, epsilon: float = 1e-6
 ) -> DrCertificate:
     """d = 0, F_0 = A, psi = phi_0 = id: every algebra certifies rank 0."""
-    ident = PMap.identity(algebra)
-    if test_set is None:
-        test_set = _default_test_set(algebra, 0)
-    return DrCertificate(
-        algebra=algebra,
-        d=0,
-        summands=(algebra,),
-        psi=ident,
-        phis=(ident,),
-        test_set=tuple(test_set),
-        epsilon=epsilon,
-    )
+    cert = orderzero_certificate(algebra, [1.0], epsilon=epsilon)
+    return cert if test_set is None else replace(cert, test_set=tuple(test_set))
 
 
 def orderzero_certificate(
@@ -288,6 +276,8 @@ def orderzero_certificate(
     (sum phi_i)(psi(x)) = (sum w_i) x = x exactly and each leg is a CP
     order-zero contraction.
     """
+    if not _epsilon_ok(epsilon):
+        raise BadRangeError(f"epsilon must be finite and > 0, got {epsilon!r}")
     weights = [float(w) for w in weights]
     if not weights or any(w <= 0 for w in weights):
         raise BadWeightsError(f"weights must be positive, got {weights}")
@@ -390,10 +380,6 @@ def _decode_element(data, algebra: FiniteCStar, where: str) -> Element:
     return Element(algebra, blocks)
 
 
-def _canonical_dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
 def _check_schema(doc: dict) -> None:
     if not isinstance(doc, dict):
         raise ParseError("top level: expected an object")
@@ -448,7 +434,7 @@ def certificate_from_document(doc: dict) -> DrCertificate:
         for i, x in enumerate(doc["test_set"])
     )
     epsilon = doc["epsilon"]
-    if type(epsilon) not in (int, float) or not 0 < epsilon < float("inf"):
+    if type(epsilon) not in (int, float) or not _epsilon_ok(epsilon):
         raise ParseError("epsilon: expected a finite positive number")
     return DrCertificate(
         algebra=algebra,
@@ -461,18 +447,27 @@ def certificate_from_document(doc: dict) -> DrCertificate:
     )
 
 
-def save_certificate(cert: DrCertificate, path) -> None:
+def _write(doc: dict, path) -> None:
+    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     with open(path, "w") as fh:
-        fh.write(_canonical_dump(certificate_to_document(cert)))
+        fh.write(text)
+
+
+def _read(path) -> dict:
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or integer; deep nesting
+            raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+def save_certificate(cert: DrCertificate, path) -> None:
+    _write(certificate_to_document(cert), path)
 
 
 def load_certificate(path) -> DrCertificate:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or integer; deep nesting
-            raise ParseError(f"invalid JSON: {exc}") from exc
-    return certificate_from_document(doc)
+    return certificate_from_document(_read(path))
 
 
 # -- map files (same choi_blocks shape plus algebra headers) -------------------------
@@ -498,14 +493,8 @@ def map_from_document(doc: dict) -> PMap:
 
 
 def save_map(phi: PMap, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(_canonical_dump(map_to_document(phi)))
+    _write(map_to_document(phi), path)
 
 
 def load_map(path) -> PMap:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or integer; deep nesting
-            raise ParseError(f"invalid JSON: {exc}") from exc
-    return map_from_document(doc)
+    return map_from_document(_read(path))

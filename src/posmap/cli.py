@@ -53,12 +53,9 @@ def _encode(report):
     return report
 
 
-def _replace_key(fields: dict, key: str, items: dict) -> dict:
-    """fields with key replaced, at the same place, by the entries of items."""
-    out = {}
-    for name, value in fields.items():
-        out.update(items if name == key else {name: value})
-    return out
+def _renamed(fields: dict, old: str, new: str) -> dict:
+    """fields with the key old renamed to new, at the same place."""
+    return {new if name == old else name: value for name, value in fields.items()}
 
 
 def _print_report(payload: dict, as_json: bool) -> None:
@@ -133,6 +130,8 @@ def _cmd_check_kpos(args) -> tuple[int, dict]:
 
 
 def _cmd_tomiyama(args) -> tuple[int, dict]:
+    if args.out and args.lam is None:
+        raise PosmapError("-o/--out needs --lambda")
     threshold = tomiyama_threshold(args.n, args.k)
     payload = {
         "command": "tomiyama",
@@ -211,7 +210,7 @@ def _cmd_example4(args) -> tuple[int, dict]:
         samples=args.samples,
         restarts=args.restarts,
     )
-    fields = _replace_key(_encode(rep), "lam", {"lambda": rep.lam})
+    fields = _renamed(_encode(rep), "lam", "lambda")
     payload = {"command": "example4", **fields, "all_ok": rep.all_ok}
     return (0 if rep.all_ok else 1), payload
 
@@ -221,19 +220,13 @@ def _cmd_verify_cert(args) -> tuple[int, dict]:
     rep = verify_certificate(
         cert, tol=args.tol, seed=args.seed, restarts=args.restarts
     )
-    report = _encode(rep)
-    sampled = ("one_var_sup", "orth_pair_sup", "od_sup")
-    report["legs"] = [
-        _replace_key(leg, "sampled", {k: leg["sampled"][k] for k in sampled})
-        for leg in report["legs"]
-    ]
     payload = {
         "command": "verify-cert",
         "certfile": args.certfile,
         "tol": args.tol,
         "seed": args.seed,
         "restarts": args.restarts,
-        **report,
+        **_encode(rep),
     }
     return (0 if rep.overall else 1), payload
 
@@ -265,24 +258,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"posmap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, restarts=False, samples=False):
+    flags = {
+        "tol": dict(type=float, default=DEFAULT_TOL),
+        "seed": dict(type=int, default=0),
+        "restarts": dict(type=int, default=DEFAULT_RESTARTS),
+        "samples": dict(type=int, default=100),
+    }
+
+    def common(p, *names):
+        """--json plus the named flags, each of which the handler reads."""
         p.add_argument("--json", action="store_true", help="print the report as JSON")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--seed", type=int, default=0)
-        if restarts:
-            p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
-        if samples:
-            p.add_argument("--samples", type=int, default=100)
+        for name in names:
+            p.add_argument(f"--{name}", **flags[name])
 
     p = sub.add_parser("check-cp", help="complete positivity via the Choi criterion")
     p.add_argument("mapfile")
-    common(p)
+    common(p, "tol")
     p.set_defaults(handler=_cmd_check_cp)
 
     p = sub.add_parser("check-kpos", help="falsify k-positivity of a map file")
     p.add_argument("mapfile")
     p.add_argument("--k", type=int, required=True)
-    common(p, restarts=True)
+    common(p, "tol", "seed", "restarts")
     p.set_defaults(handler=_cmd_check_kpos)
 
     p = sub.add_parser(
@@ -292,23 +289,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("-o", "--out", default=None, help="write the map file (needs --lambda)")
-    common(p, restarts=True)
+    common(p, "tol", "seed", "restarts")
     p.set_defaults(handler=_cmd_tomiyama)
 
     p = sub.add_parser("defect", help="sampled order-zero defects of a map file")
     p.add_argument("mapfile")
-    common(p, samples=True)
+    common(p, "seed", "samples")
     p.set_defaults(handler=_cmd_defect)
 
     p = sub.add_parser("decompose", help="h*pi structure decomposition of a map file")
     p.add_argument("mapfile")
-    common(p)
+    common(p, "tol")
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("repair", help="measure the column defect and repair to CP")
     p.add_argument("mapfile")
     p.add_argument("-o", "--out", default=None, help="write the repaired map file")
-    common(p)
+    common(p, "tol")
     p.set_defaults(handler=_cmd_repair)
 
     p = sub.add_parser(
@@ -319,12 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    common(p, restarts=True, samples=True)
+    common(p, "seed", "restarts", "samples")
     p.set_defaults(handler=_cmd_example4)
 
     p = sub.add_parser("verify-cert", help="verify a certificate file")
     p.add_argument("certfile")
-    common(p, restarts=True)
+    common(p, "tol", "seed", "restarts")
     p.set_defaults(handler=_cmd_verify_cert)
 
     p = sub.add_parser("gen-cert", help="generate a partition-of-unity certificate")
@@ -332,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True, help="positive weights summing to 1")
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--epsilon", type=float, default=1e-6)
-    common(p)
+    common(p, "seed")
     p.set_defaults(handler=_cmd_gen_cert)
 
     return parser
@@ -342,13 +339,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for flag in ("tol", "eps", "epsilon"):
-            value = getattr(args, flag, 0.0)
-            if not (math.isfinite(value) and value >= 0):
-                parser.error(f"--{flag} must be a finite number >= 0, got {value!r}")
-        if getattr(args, "samples", 1) < 1:
-            parser.error(f"--samples must be at least 1, got {args.samples}")
-        if args.seed < 0:
+        tol = getattr(args, "tol", 0.0)
+        if not (math.isfinite(tol) and tol >= 0):
+            parser.error(f"--tol must be a finite number >= 0, got {tol!r}")
+        if getattr(args, "seed", 0) < 0:
             parser.error(f"--seed must be >= 0, got {args.seed}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

@@ -192,6 +192,8 @@ def verify_corner_family(
     _check_params(n, m, eps)
     if not (1 <= k < n):
         raise BadRangeError(f"need 1 <= k < n, got k={k}, n={n}")
+    if samples < 1:  # a check run on no samples is not a pass
+        raise BadRangeError(f"need samples >= 1, got {samples}")
     if not np.isfinite(lam):
         raise BadRangeError(f"need a finite lambda, got {lam}")
     lam_f = Fraction(lam)

@@ -205,8 +205,8 @@ def _seesaw(
 
 def _falsify_block(
     c: np.ndarray, n: int, d: int, k: int, restarts: int, seed: int
-) -> tuple[float, tuple, int]:
-    """Best value, its Schmidt factors and the capped-restart count on one source block."""
+) -> tuple[float, tuple, int, int]:
+    """Best value, its Schmidt factors, and the restarts used and capped on one source block."""
     c_herm = hermitian_part(c)
     k_eff = min(k, n, d)
     if k_eff >= min(n, d):
@@ -214,12 +214,12 @@ def _falsify_block(
         vals, vecs = np.linalg.eigh(c_herm)
         x = vecs[:, 0]
         factors = _schmidt_factors(x.reshape(n, d), k_eff)
-        return float(vals[0]), factors, 0
+        return float(vals[0]), factors, 0, 0
 
     frames = _start_frames(seed, restarts, d, k_eff)
     values, wmats, capped = _seesaw(c_herm, n, d, k_eff, frames)
     best = int(np.argmin(values))  # the lowest index wins ties
-    return float(values[best]), _schmidt_factors(wmats[best], k_eff), capped
+    return float(values[best]), _schmidt_factors(wmats[best], k_eff), restarts, capped
 
 
 def k_positivity_falsify(
@@ -248,16 +248,15 @@ def k_positivity_falsify(
     best = None  # (block, factors)
     used = capped = 0
     for bi, (c, n) in enumerate(zip(phi.choi_blocks, phi.source.block_sizes)):
-        k_eff = min(k, n, d)
-        if k_eff < min(n, d):
-            used += restarts
-        value, factors, block_capped = _falsify_block(c, n, d, k, restarts, seed)
+        value, factors, block_used, block_capped = _falsify_block(c, n, d, k, restarts, seed)
+        used += block_used
         capped += block_capped
         if value < best_value:
             best_value = value
             best = (bi, factors)
 
-    scale = max(hermitian_kernel(c).scale for c in phi.choi_blocks)
+    kernels = [hermitian_kernel(c) for c in phi.choi_blocks]
+    scale = max(kern.scale for kern in kernels)
     if best is not None and best_value < -tol * scale:
         bi, (left, right) = best
         w = Witness(
@@ -272,6 +271,6 @@ def k_positivity_falsify(
         )
         if witness_verify(phi, w, tol):
             return KposVerdict(VIOLATED, best_value, used, capped, w)
-    if is_cp(phi, tol):
+    if all(kern.psd(tol) for kern in kernels):  # is_cp, from the kernels already in hand
         return KposVerdict(CERTIFIED_POSITIVE, float(best_value), used, capped, None)
     return KposVerdict(UNFALSIFIED, float(best_value), used, capped, None)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posmap import algebra
-from posmap.algebra import Element, FiniteCStar, basis_element, unit
+from posmap.algebra import Element, FiniteCStar, basis_element, unit, zero
 from posmap.certificates import (
     DrCertificate,
     certificate_from_document,
@@ -26,10 +26,10 @@ from posmap.certificates import (
     orderzero_certificate,
     save_certificate,
     save_map,
-    split_direct_sum,
     verify_certificate,
 )
 from posmap.errors import (
+    BadRangeError,
     BadWeightsError,
     ParseError,
     SchemaVersionMismatchError,
@@ -50,14 +50,6 @@ class TestDirectSum:
     def test_concatenates_blocks(self):
         assert direct_sum((M2, M23)).block_sizes == (2, 2, 3)
 
-    def test_split_round_trip(self):
-        total = direct_sum((M2, M23))
-        x = algebra.random_contraction(total, 1)
-        parts = split_direct_sum(x, (M2, M23))
-        assert parts[0].algebra == M2
-        assert parts[1].algebra == M23
-        rebuilt = Element(total, list(parts[0].blocks) + list(parts[1].blocks))
-        assert (rebuilt - x).norm() == 0.0
 
 
 class TestIdentityCertificate:
@@ -105,6 +97,81 @@ class TestOrderzeroCertificate:
             orderzero_certificate(M2, [0.5, 0.4])
         with pytest.raises(BadWeightsError):
             orderzero_certificate(M2, [1.5, -0.5])
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_epsilon_rejected(self, epsilon):
+        # a NaN epsilon got as far as save_certificate and raised a raw ValueError there
+        with pytest.raises(BadRangeError, match="epsilon"):
+            orderzero_certificate(M2, [0.5, 0.5], epsilon=epsilon)
+        with pytest.raises(BadRangeError, match="epsilon"):
+            identity_certificate(M2, epsilon=epsilon)
+
+    def test_identity_is_the_one_weight_certificate(self):
+        ident = identity_certificate(M23, epsilon=2.5)
+        one = orderzero_certificate(M23, [1.0], epsilon=2.5)
+        assert certificate_to_document(ident) == certificate_to_document(one)
+        test_set = (unit(M23), algebra.random_contraction(M23, 9))
+        assert identity_certificate(M23, test_set=list(test_set)).test_set == test_set
+
+
+def _reference_approximation(cert):
+    """The Element-level approximation check: split psi(x) by summand, apply each phi_i, sum from zero."""
+    errors = []
+    for x in cert.test_set:
+        y = cert.psi(x)
+        out = zero(cert.algebra)
+        off = 0
+        for phi, s in zip(cert.phis, cert.summands):
+            out = out + phi(Element(s, y.blocks[off : off + s.n_blocks]))
+            off += s.n_blocks
+        errors.append((out - x).norm())
+    return tuple(errors), tuple(i for i, e in enumerate(errors) if not e < cert.epsilon)
+
+
+class TestApproximationStep:
+    """verify_certificate's stacked approximation step against the Element-level loop."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_certificates_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        shapes = [(1, 2), (2, 2), (1, 1, 2), (2, 1)]
+        alg = FiniteCStar(shapes[seed % 4])
+        summands = tuple(
+            FiniteCStar(shapes[int(i)]) for i in rng.integers(0, 4, size=2 + seed % 2)
+        )
+        cert = DrCertificate(
+            algebra=alg,
+            d=len(summands) - 1,
+            summands=summands,
+            psi=random_map(rng, alg, direct_sum(summands)),
+            phis=tuple(random_map(rng, s, alg) for s in summands),
+            test_set=tuple(algebra.random_contraction(alg, seed + i) for i in range(5)),
+            epsilon=1.0,
+        )
+        ref_errors, _ = _reference_approximation(cert)
+        # epsilon halfway between two errors, so a last-bit difference cannot move a failure
+        mid = sorted(ref_errors)[1:3]
+        cert = dataclasses.replace(cert, epsilon=(mid[0] + mid[1]) / 2)
+        ref_errors, ref_failures = _reference_approximation(cert)
+        rep = verify_certificate(cert, restarts=1, samples=1)
+        assert len(rep.approx_errors) == len(ref_errors)
+        for got, want in zip(rep.approx_errors, ref_errors):
+            assert abs(got - want) <= 1e-13 * max(1.0, want)
+        assert rep.approx_failures == ref_failures
+        assert 0 < len(ref_failures) < len(ref_errors)
+
+    @pytest.mark.parametrize("blocks", [(1,), (3,), (2, 3), (2, 2, 2), (1, 1, 1, 1)])
+    def test_generated_certificates_match_reference_exactly(self, blocks):
+        alg = FiniteCStar(blocks)
+        certs = [
+            identity_certificate(alg),
+            orderzero_certificate(alg, [0.3, 0.7], seed=2),
+            orderzero_certificate(alg, [0.2, 0.3, 0.5], seed=5),
+        ]
+        mutant = dataclasses.replace(certs[1], psi=0.99 * certs[1].psi)
+        for cert in certs + [mutant]:
+            rep = verify_certificate(cert, restarts=1, samples=1)
+            assert (rep.approx_errors, rep.approx_failures) == _reference_approximation(cert)
 
 
 class TestVerifierFailures:
@@ -165,6 +232,11 @@ class TestVerifierFailures:
         cert = identity_certificate(M2)
         with pytest.raises(StructurallyInvalidError):
             verify_certificate(dataclasses.replace(cert, d=1))
+
+    def test_infinite_epsilon_is_structural_error(self):
+        cert = dataclasses.replace(orderzero_certificate(M2, [0.5, 0.5]), epsilon=float("inf"))
+        with pytest.raises(StructurallyInvalidError, match="epsilon"):
+            verify_certificate(cert)
 
     def test_nan_epsilon_is_structural_error(self):
         # a NaN epsilon turned an exact certificate into five approximation failures
@@ -265,6 +337,13 @@ class TestCanonicalLoaders:
             certificate_from_document(dict(doc, epsilon=True))
         with pytest.raises(SchemaVersionMismatchError):
             certificate_from_document(dict(doc, schema_version=True))
+
+    def test_oversized_integer_epsilon_rejected(self):
+        # float(10**400) raised a raw OverflowError after the range check passed
+        doc = certificate_to_document(identity_certificate(M2))
+        with pytest.raises(ParseError, match="epsilon"):
+            certificate_from_document(dict(doc, epsilon=10**400))
+        assert certificate_from_document(dict(doc, epsilon=2)).epsilon == 2.0
 
     def test_integer_entries_accepted(self):
         doc = map_to_document(tomiyama_map(2, 0.8))

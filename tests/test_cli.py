@@ -197,11 +197,37 @@ class TestErrorPaths:
         assert main(argv + ["--lambda", lam]) == 2
         assert "lambda" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("epsilon", ["inf", "-1e-6"])
+    @pytest.mark.parametrize("epsilon", ["inf", "-1e-6", "0", "nan"])
     def test_bad_epsilon_exit_2(self, capsys, tmp_path, epsilon):
         argv = ["gen-cert", "--algebra", "2", "--weights", "1.0", "-o", str(tmp_path / "c.json")]
         assert main(argv + ["--epsilon", epsilon]) == 2
         assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["check-cp", "MAP"], ["--seed", "3"]),
+            (["decompose", "MAP"], ["--seed", "3"]),
+            (["repair", "MAP", "-o", "OUT"], ["--seed", "3"]),
+            (["defect", "MAP"], ["--tol", "1e-6"]),
+            (["example4", "--n", "3", "--m", "1", "--k", "1", "--lambda", "1.4", "--eps", "0.05"],
+             ["--tol", "1e-6"]),
+            (["gen-cert", "--algebra", "2", "--weights", "1", "-o", "OUT"], ["--tol", "1e-6"]),
+        ],
+    )
+    def test_unread_flag_exit_2(self, capsys, tmp_path, psi14_file, argv, flag):
+        # each subcommand declares only the flags its handler reads
+        out = tmp_path / "out.json"
+        argv = [{"MAP": psi14_file, "OUT": str(out)}.get(a, a) for a in argv]
+        assert main(argv + flag) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_without_lambda_exit_2(self, capsys, tmp_path):
+        out = tmp_path / "map.json"
+        assert main(["tomiyama", "--n", "3", "--k", "2", "-o", str(out)]) == 2
+        assert "--lambda" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_samples_exit_2(self, capsys, psi14_file):
         argv = ["example4", "--n", "3", "--m", "1", "--k", "1", "--lambda", "1.4", "--eps", "0.05"]

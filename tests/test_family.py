@@ -164,6 +164,11 @@ class TestVerifyCornerFamily:
         with pytest.raises(BadRangeError):
             verify_corner_family(3, 2, 1, lam, 0.05, samples=1)
 
+    def test_zero_samples_rejected(self):
+        # a check run on no samples is not a pass: samples=0 reported all_ok=True
+        with pytest.raises(BadRangeError, match="samples"):
+            verify_corner_family(3, 2, 1, 1.4, 0.05, samples=0)
+
     def test_small_m_flag_false(self):
         # oracle arithmetic: lambda~ = 0.05*1.4/1.0 = 0.07 <= 1.2
         rep = verify_corner_family(3, 1, 1, 1.4, 0.05, seed=0, samples=20)

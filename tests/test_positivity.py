@@ -158,6 +158,19 @@ class TestFalsifier:
             v = k_positivity_falsify(kraus_map(3, 7), k=k, restarts=4, seed=0)
             assert v.status == CERTIFIED_POSITIVE
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_certified_exactly_when_cp(self, seed):
+        # CERTIFIED_POSITIVE comes from the kernels the witness scale was read from
+        from conftest import random_map
+
+        rng = np.random.default_rng(seed)
+        alg = FiniteCStar((1, 2, 3))
+        for phi in (random_map(rng, alg, alg, cp=True), random_map(rng, alg, alg)):
+            v = k_positivity_falsify(phi, k=2, restarts=3, seed=seed)
+            assert (v.status == CERTIFIED_POSITIVE) == is_cp(phi)
+            # the exact path runs on the blocks with n <= k; only the 3-block searches
+            assert v.restarts_used == 3
+
     def test_determinism(self):
         a = k_positivity_falsify(tomiyama_map(3, 1.4), k=2, restarts=8, seed=3)
         b = k_positivity_falsify(tomiyama_map(3, 1.4), k=2, restarts=8, seed=3)
