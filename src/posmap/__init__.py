@@ -30,9 +30,7 @@ from .certificates import (
 from .family import (
     FamilyReport,
     composed_mixing_parameter,
-    corner_embedding,
     corner_mixture_map,
-    partial_trace_first,
     verify_corner_family,
 )
 from .linalg import op_norm, polar_unitary
@@ -80,7 +78,6 @@ __all__ = [
     "VerifyReport",
     "Witness",
     "composed_mixing_parameter",
-    "corner_embedding",
     "corner_mixture_map",
     "cp_repair",
     "identity_certificate",
@@ -101,7 +98,6 @@ __all__ = [
     "orderzero_certificate",
     "oz_construct",
     "oz_decompose",
-    "partial_trace_first",
     "pmap_norm",
     "polar_lift",
     "polar_unitary",

@@ -100,9 +100,6 @@ class Element:
 
     __rmul__ = __mul__  # only ever reached with a scalar on the left
 
-    def __neg__(self) -> "Element":
-        return Element(self.algebra, [-b for b in self.blocks])
-
     def adj(self) -> "Element":
         """Adjoint (conjugate transpose, blockwise)."""
         return Element(self.algebra, [b.conj().T for b in self.blocks])

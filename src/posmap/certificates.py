@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .algebra import Element, FiniteCStar, embed_stack, from_embedded, unit, unit_stack
+from .algebra import random_contraction, random_positive_contraction
 from .errors import (
     BadRangeError,
     BadWeightsError,
@@ -248,8 +249,6 @@ def verify_certificate(
 
 
 def _default_test_set(algebra: FiniteCStar, seed: int) -> tuple[Element, ...]:
-    from .algebra import random_contraction, random_positive_contraction
-
     return (
         unit(algebra),
         random_positive_contraction(algebra, seed),
@@ -263,8 +262,8 @@ def identity_certificate(
     algebra: FiniteCStar, test_set=None, epsilon: float = 1e-6
 ) -> DrCertificate:
     """d = 0, F_0 = A, psi = phi_0 = id: every algebra certifies rank 0."""
-    cert = orderzero_certificate(algebra, [1.0], epsilon=epsilon)
-    return cert if test_set is None else replace(cert, test_set=tuple(test_set))
+    test_set = _default_test_set(algebra, 0) if test_set is None else tuple(test_set)
+    return _partition_certificate(algebra, [1.0], test_set, epsilon)
 
 
 def orderzero_certificate(
@@ -276,6 +275,13 @@ def orderzero_certificate(
     (sum phi_i)(psi(x)) = (sum w_i) x = x exactly and each leg is a CP
     order-zero contraction.
     """
+    return _partition_certificate(algebra, weights, _default_test_set(algebra, seed), epsilon)
+
+
+def _partition_certificate(
+    algebra: FiniteCStar, weights, test_set: tuple[Element, ...], epsilon: float
+) -> DrCertificate:
+    """The partition-of-unity certificate of orderzero_certificate on a given test set."""
     if not _epsilon_ok(epsilon):
         raise BadRangeError(f"epsilon must be finite and > 0, got {epsilon!r}")
     weights = [float(w) for w in weights]
@@ -294,7 +300,7 @@ def orderzero_certificate(
         summands=summands,
         psi=psi,
         phis=phis,
-        test_set=_default_test_set(algebra, seed),
+        test_set=test_set,
         epsilon=epsilon,
     )
 
@@ -346,17 +352,22 @@ def _encode_pmap(phi: PMap) -> dict:
     return {"choi_blocks": [_encode_matrix(c) for c in phi.choi_blocks]}
 
 
-def _decode_pmap(data, source: FiniteCStar, target: FiniteCStar, where: str) -> PMap:
-    if not isinstance(data, dict) or "choi_blocks" not in data:
-        raise ParseError(f"{where}: expected an object with 'choi_blocks'")
-    raw = data["choi_blocks"]
-    if not isinstance(raw, list) or len(raw) != source.n_blocks:
-        raise ParseError(f"{where}.choi_blocks: expected {source.n_blocks} blocks")
-    d = target.embed_dim
-    blocks = [
-        _decode_matrix(rb, n * d, f"{where}.choi_blocks[{bi}]")
-        for bi, (rb, n) in enumerate(zip(raw, source.block_sizes))
+def _decode_blocks(data, key: str, sizes, where: str) -> list[np.ndarray]:
+    """The square matrices listed under data[key], one per entry of sizes."""
+    if not isinstance(data, dict) or key not in data:
+        raise ParseError(f"{where}: expected an object with '{key}'")
+    raw = data[key]
+    if not isinstance(raw, list) or len(raw) != len(sizes):
+        raise ParseError(f"{where}.{key}: expected {len(sizes)} blocks")
+    return [
+        _decode_matrix(rb, n, f"{where}.{key}[{bi}]")
+        for bi, (rb, n) in enumerate(zip(raw, sizes))
     ]
+
+
+def _decode_pmap(data, source: FiniteCStar, target: FiniteCStar, where: str) -> PMap:
+    sizes = [n * target.embed_dim for n in source.block_sizes]
+    blocks = _decode_blocks(data, "choi_blocks", sizes, where)
     try:
         return PMap.from_choi(source, target, blocks)
     except Exception as exc:
@@ -368,16 +379,7 @@ def _encode_element(x: Element) -> dict:
 
 
 def _decode_element(data, algebra: FiniteCStar, where: str) -> Element:
-    if not isinstance(data, dict) or "blocks" not in data:
-        raise ParseError(f"{where}: expected an object with 'blocks'")
-    raw = data["blocks"]
-    if not isinstance(raw, list) or len(raw) != algebra.n_blocks:
-        raise ParseError(f"{where}.blocks: expected {algebra.n_blocks} blocks")
-    blocks = [
-        _decode_matrix(rb, n, f"{where}.blocks[{bi}]")
-        for bi, (rb, n) in enumerate(zip(raw, algebra.block_sizes))
-    ]
-    return Element(algebra, blocks)
+    return Element(algebra, _decode_blocks(data, "blocks", algebra.block_sizes, where))
 
 
 def _check_schema(doc: dict) -> None:

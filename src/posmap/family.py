@@ -16,10 +16,10 @@ an effective parameter
 which crosses the (k+1)-threshold for large m, so the big map cannot be
 (k+1)-positive even though its defect is small.
 
-Maps are available both as PMap objects (small m) and as direct formula
-appliers on dense (mn) x (mn) arrays or stacks of them. Verification
-applies the formulas one matrix at a time, so large m never materializes
-a Choi matrix; the PMap builders apply them to the stack of matrix units.
+The maps are formula appliers on dense matrices or stacks of them, so
+verification at large m never materializes a Choi matrix;
+corner_mixture_map (small m) and the compressed map handed to the
+falsifier apply them to the stack of matrix units.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def corner_embed_apply(a: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-# -- PMap builders (small m) ---------------------------------------------------
+# -- PMap builder (small m) ----------------------------------------------------
 
 
 def corner_mixture_map(n: int, m: int, lam: float, eps: float) -> PMap:
@@ -92,24 +92,6 @@ def corner_mixture_map(n: int, m: int, lam: float, eps: float) -> PMap:
     alg = FiniteCStar((m * n,))
     stack = corner_mixture_apply(unit_stack(alg), n, m, lam, eps)
     return PMap._from_unit_images(alg, alg, stack)
-
-
-def partial_trace_first(m: int, n: int) -> PMap:
-    """Normalized partial trace M_m (x) M_n -> M_n as a PMap."""
-    if m < 1 or n < 1:
-        raise BadRangeError(f"need m, n >= 1, got m={m}, n={n}")
-    src = FiniteCStar((m * n,))
-    stack = partial_trace_first_apply(unit_stack(src), m, n)
-    return PMap._from_unit_images(src, FiniteCStar((n,)), stack)
-
-
-def corner_embedding(m: int, n: int) -> PMap:
-    """The corner embedding M_n -> M_m (x) M_n as a PMap."""
-    if m < 1 or n < 1:
-        raise BadRangeError(f"need m, n >= 1, got m={m}, n={n}")
-    src = FiniteCStar((n,))
-    stack = corner_embed_apply(unit_stack(src), m)
-    return PMap._from_unit_images(src, FiniteCStar((m * n,)), stack)
 
 
 # -- effective mixing parameter -------------------------------------------------

@@ -9,8 +9,8 @@ the smallest eigenvalue of hs, and scale = max(1, ||hs||). h is Hermitian
 within tol iff herm_dev <= tol * scale, and PSD within tol (is_psd) iff
 also min_eig >= -tol * scale. The support projection and the support
 pseudo-inverses share one eigh path with the same Hermitian test at
-HERM_TOL and drop eigenvalues <= cutoff * ||b||. A tolerance or cutoff
-that is not finite and >= 0 raises BadRangeError. No function mutates its
+HERM_TOL and drop eigenvalues <= SUPPORT_CUTOFF * ||b||. A tolerance that
+is not finite and >= 0 raises BadRangeError. No function mutates its
 arguments.
 """
 
@@ -32,10 +32,10 @@ PSD_TOL = 1e-9
 SUPPORT_CUTOFF = 1e-10
 
 
-def check_tol(tol: float, what: str = "tolerance") -> None:
+def check_tol(tol: float) -> None:
     """Raise BadRangeError unless tol is a finite number >= 0."""
     if not (np.isfinite(tol) and tol >= 0):
-        raise BadRangeError(f"need a finite {what} >= 0, got {tol!r}")
+        raise BadRangeError(f"need a finite tolerance >= 0, got {tol!r}")
 
 
 def as_complex(m) -> np.ndarray:
@@ -109,28 +109,27 @@ def psd_min_eig(h: np.ndarray, tol: float = HERM_TOL) -> float:
     return _spectrum(h, vectors=False, tol=tol)[0].min_eig
 
 
-def _spectral_apply(b: np.ndarray, fn, cutoff: float) -> np.ndarray:
-    """Apply fn to eigenvalues above cutoff * ||b||; eigenvalues at or below map to 0."""
-    check_tol(cutoff, "cutoff")
+def _spectral_apply(b: np.ndarray, fn) -> np.ndarray:
+    """Apply fn to eigenvalues above SUPPORT_CUTOFF * ||b||; the rest map to 0."""
     _, vals, vecs = _spectrum(b, vectors=True, tol=HERM_TOL)
-    keep = vals > cutoff * np.max(np.abs(vals))
+    keep = vals > SUPPORT_CUTOFF * np.max(np.abs(vals))
     mapped = np.where(keep, fn(np.where(keep, vals, 1.0)), 0.0)
     return (vecs * mapped) @ vecs.conj().T
 
 
-def support_projection(b: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
-    """Spectral projection of a PSD matrix onto eigenvalues > cutoff * ||b||."""
-    return _spectral_apply(b, np.ones_like, cutoff)
+def support_projection(b: np.ndarray) -> np.ndarray:
+    """Spectral projection of a PSD matrix onto eigenvalues > SUPPORT_CUTOFF * ||b||."""
+    return _spectral_apply(b, np.ones_like)
 
 
-def pinv_sqrt(b: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
-    """b^{-1/2} on the support of b (eigenvalues <= cutoff * ||b|| are dropped)."""
-    return _spectral_apply(b, lambda v: 1.0 / np.sqrt(v), cutoff)
+def pinv_sqrt(b: np.ndarray) -> np.ndarray:
+    """b^{-1/2} on the support of b (eigenvalues <= SUPPORT_CUTOFF * ||b|| are dropped)."""
+    return _spectral_apply(b, lambda v: 1.0 / np.sqrt(v))
 
 
-def pinv_psd(b: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+def pinv_psd(b: np.ndarray) -> np.ndarray:
     """b^{-1} on the support of b."""
-    return _spectral_apply(b, lambda v: 1.0 / v, cutoff)
+    return _spectral_apply(b, lambda v: 1.0 / v)
 
 
 def polar_unitary(y: np.ndarray) -> np.ndarray:

@@ -155,34 +155,18 @@ class PMap:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_compatible(self, other: "PMap") -> None:
-        if self.source != other.source or self.target != other.target:
-            raise AlgebraMismatchError("maps act between different algebras")
-
     def _with_choi(self, blocks) -> "PMap":
         return PMap(self.source, self.target, blocks, _validate=False)
 
     def __add__(self, other: "PMap") -> "PMap":
-        self._check_compatible(other)
+        if self.source != other.source or self.target != other.target:
+            raise AlgebraMismatchError("maps act between different algebras")
         return self._with_choi([a + b for a, b in zip(self.choi_blocks, other.choi_blocks)])
-
-    def __sub__(self, other: "PMap") -> "PMap":
-        self._check_compatible(other)
-        return self._with_choi([a - b for a, b in zip(self.choi_blocks, other.choi_blocks)])
 
     def scale(self, c: complex) -> "PMap":
         return self._with_choi([complex(c) * blk for blk in self.choi_blocks])
 
     __mul__ = __rmul__ = scale
-
-    def compose(self, inner: "PMap") -> "PMap":
-        """self after inner: apply(compose(phi, psi), x) = phi(psi(x))."""
-        if inner.target != self.source:
-            raise AlgebraMismatchError(
-                "inner map's target does not match outer map's source"
-            )
-        images = self.act(inner.act(unit_stack(inner.source)))
-        return PMap._from_unit_images(inner.source, self.target, images)
 
     # -- properties --------------------------------------------------------
 

@@ -51,7 +51,6 @@ from .errors import (
     PreconditionFailedError,
 )
 from .linalg import (
-    SUPPORT_CUTOFF,
     hermitian_kernel,
     hermitian_part,
     op_norm,
@@ -113,7 +112,7 @@ def kadison_gap(phi: PMap, a: Element) -> float:
     return min(hermitian_kernel(b).min_eig for b in gap.blocks)
 
 
-def schwartz_gap(phi: PMap, a: Element, b: Element, cutoff: float = SUPPORT_CUTOFF) -> float:
+def schwartz_gap(phi: PMap, a: Element, b: Element) -> float:
     """Smallest eigenvalue of phi(a*a) - X*X with X = phi(b*b)^{-1/2} phi(b*a).
 
     The pseudo-inverse square root is taken on the support of phi(b*b).
@@ -124,7 +123,7 @@ def schwartz_gap(phi: PMap, a: Element, b: Element, cutoff: float = SUPPORT_CUTO
     faa = phi(a.adj() * a)
     worst = np.inf
     for hb, gb, fb in zip(h.blocks, g.blocks, faa.blocks):
-        x = pinv_sqrt(hermitian_part(hb), cutoff) @ gb
+        x = pinv_sqrt(hermitian_part(hb)) @ gb
         worst = min(worst, hermitian_kernel(fb - x.conj().T @ x).min_eig)
     return float(worst)
 
@@ -181,8 +180,8 @@ def order_zero_defect(phi: PMap, samples: int, seed: int) -> DefectReport:
     with a random spectral projection, and one orthogonal positive pair
     with exactly disjoint supports.
     """
-    if samples < 1:
-        raise PreconditionFailedError("samples must be >= 1")
+    if samples < 1:  # a check run on no samples is not a pass
+        raise BadRangeError(f"need samples >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     src = phi.source
     units = unit_stack(src)
@@ -217,7 +216,7 @@ class OzDecomposition:
     reconstruct_defect: float
 
 
-def oz_decompose(phi: PMap, cutoff: float = SUPPORT_CUTOFF) -> OzDecomposition:
+def oz_decompose(phi: PMap) -> OzDecomposition:
     """Recover h = phi(1) and pi(e) = h^{-1} phi(e) on the support of h.
 
     Reports how far pi is from a *-homomorphism commuting with h and how
@@ -228,7 +227,7 @@ def oz_decompose(phi: PMap, cutoff: float = SUPPORT_CUTOFF) -> OzDecomposition:
     unit_images = phi.act(unit_stack(phi.source))
     # on the embedded h the cutoff is relative to the global ||h||: blocks may die
     hs = hermitian_part(hm)
-    pis = pinv_psd(hs, cutoff) @ unit_images @ support_projection(hs, cutoff)
+    pis = pinv_psd(hs) @ unit_images @ support_projection(hs)
     mult, _, same = _relation_defects(phi.source, pis)
     return OzDecomposition(
         h=h,

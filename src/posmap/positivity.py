@@ -30,6 +30,7 @@ UNFALSIFIED = "UNFALSIFIED"
 VIOLATED = "VIOLATED"
 
 DEFAULT_RESTARTS = 32
+MAX_RESTARTS = 1024  # the batched see-saw holds restarts * k * n^2 * d complex entries
 DEFAULT_TOL = 1e-8
 _MAX_ITERS = 500
 _FTOL = 1e-12
@@ -240,8 +241,8 @@ def k_positivity_falsify(
     """
     if k < 1:
         raise BadRangeError(f"need k >= 1, got {k}")
-    if restarts < 1:
-        raise BadRangeError(f"need restarts >= 1, got {restarts}")
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise BadRangeError(f"need 1 <= restarts <= {MAX_RESTARTS}, got {restarts}")
     check_tol(tol)
     d = phi.target.embed_dim
     best_value = np.inf

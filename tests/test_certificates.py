@@ -73,6 +73,15 @@ class TestIdentityCertificate:
         assert rep.overall
         assert rep.approx_errors == ()
 
+    def test_given_test_set_draws_no_default(self, monkeypatch):
+        # the default random test set was drawn, normalised and thrown away
+        def draw(*args):
+            raise AssertionError("default test set drawn")
+
+        monkeypatch.setattr("posmap.certificates._default_test_set", draw)
+        cert = identity_certificate(M23, test_set=[unit(M23)])
+        assert len(cert.test_set) == 1
+
 
 class TestOrderzeroCertificate:
     def test_single_weight_reduces_to_identity(self):

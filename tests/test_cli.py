@@ -229,6 +229,11 @@ class TestErrorPaths:
         assert "--lambda" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_restarts_above_cap_exit_2(self, capsys, psi14_file):
+        # 1025 is MAX_RESTARTS + 1; a huge count ended in numpy's "array is too big", exit 1
+        assert main(["check-kpos", psi14_file, "--k", "2", "--restarts", "1025"]) == 2
+        assert "restarts" in capsys.readouterr().err
+
     def test_zero_samples_exit_2(self, capsys, psi14_file):
         argv = ["example4", "--n", "3", "--m", "1", "--k", "1", "--lambda", "1.4", "--eps", "0.05"]
         assert main(argv + ["--samples", "0"]) == 2

@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 
 from posmap import algebra
-from posmap.algebra import FiniteCStar, matrix_units, unit
+from posmap.algebra import FiniteCStar, matrix_units, unit, unit_stack
 from posmap.errors import BadRangeError
 from posmap.family import (
     composed_mixing_parameter,
     corner_embed_apply,
-    corner_embedding,
     corner_mixture_apply,
     corner_mixture_map,
-    partial_trace_first,
     partial_trace_first_apply,
     trace_mixing_apply,
     verify_corner_family,
 )
+from posmap.linalg import op_norm
+from posmap.maps import PMap
 from posmap.positivity import (
     CERTIFIED_POSITIVE,
     UNFALSIFIED,
@@ -66,25 +66,28 @@ class TestCornerMixtureMap:
             corner_mixture_map(2, 2, 1.0, 0.0)
 
 
+def _as_pmap(apply, source, target):
+    """The map that apply computes on dense matrices, built from its matrix-unit images."""
+    return PMap._from_unit_images(source, target, apply(unit_stack(source)))
+
+
 class TestPartialTraceFirst:
     def test_m_one_identity(self):
-        phi = partial_trace_first(1, 3)
-        alg = FiniteCStar((3,))
-        x = algebra.random_contraction(alg, 5)
-        assert (phi(x) - x).norm() < 1e-12
+        x = algebra.random_contraction(FiniteCStar((3,)), 5).blocks[0]
+        assert op_norm(partial_trace_first_apply(x, 1, 3) - x) < 1e-12
 
     def test_is_cp(self):
-        assert is_cp(partial_trace_first(2, 3))
+        phi = _as_pmap(
+            lambda xs: partial_trace_first_apply(xs, 2, 3), FiniteCStar((6,)), FiniteCStar((3,))
+        )
+        assert is_cp(phi)
 
     def test_unital(self):
-        phi = partial_trace_first(2, 3)
-        assert (phi(unit(FiniteCStar((6,)))) - unit(FiniteCStar((3,)))).norm() < 1e-12
+        assert op_norm(partial_trace_first_apply(np.eye(6), 2, 3) - np.eye(3)) < 1e-12
 
     def test_product_units(self):
         # Phi(e^{(m)}_{ab} (x) e^{(n)}_{kl}) = (delta_ab / m) e_{kl}
         m, n = 2, 2
-        phi = partial_trace_first(m, n)
-        src = FiniteCStar((m * n,))
         for a in range(m):
             for b in range(m):
                 for k in range(n):
@@ -93,26 +96,28 @@ class TestPartialTraceFirst:
                         em[a, b] = 1.0
                         en = np.zeros((n, n))
                         en[k, l] = 1.0
-                        x = algebra.Element(src, [np.kron(em, en)])
+                        out = partial_trace_first_apply(np.kron(em, en), m, n)
                         expected = (1.0 if a == b else 0.0) / m * en
-                        assert np.max(np.abs(phi(x).blocks[0] - expected)) < 1e-12
+                        assert np.max(np.abs(out - expected)) < 1e-12
 
 
 class TestCornerEmbedding:
     def test_corner_position(self):
-        emb = corner_embedding(3, 2)
         e = algebra.basis_element(FiniteCStar((2,)), 0, 0, 1)
-        big = emb(e).blocks[0]
+        big = corner_embed_apply(e.blocks[0], 3)
+        assert big.shape == (6, 6)
         assert big[0, 1] == 1.0
         assert np.count_nonzero(big) == 1
 
     def test_embeds_isometrically(self):
-        emb = corner_embedding(2, 3)
         x = algebra.random_contraction(FiniteCStar((3,)), 6)
-        assert emb(x).norm() == pytest.approx(x.norm(), abs=1e-12)
+        assert op_norm(corner_embed_apply(x.blocks[0], 2)) == pytest.approx(x.norm(), abs=1e-12)
 
     def test_is_cp(self):
-        assert is_cp(corner_embedding(2, 3))
+        phi = _as_pmap(
+            lambda xs: corner_embed_apply(xs, 2), FiniteCStar((3,)), FiniteCStar((6,))
+        )
+        assert is_cp(phi)
 
 
 class TestMixingParameter:

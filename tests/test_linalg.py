@@ -269,9 +269,6 @@ def test_bad_tolerance_or_cutoff_rejected(bad):
     calls = [
         lambda: linalg.is_psd(b, bad),
         lambda: linalg.psd_min_eig(b, bad),
-        lambda: linalg.support_projection(b, bad),
-        lambda: linalg.pinv_sqrt(b, bad),
-        lambda: linalg.pinv_psd(b, bad),
     ]
     for call in calls:
         with pytest.raises(BadRangeError):

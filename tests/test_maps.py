@@ -124,18 +124,6 @@ class TestChoi:
 
 
 class TestComposeAndArithmetic:
-    def test_compose_with_identity(self):
-        phi = transpose_map(2)
-        ident = PMap.identity(M2)
-        x = algebra.random_contraction(M2, 9)
-        assert (ident.compose(phi)(x) - phi(x)).norm() < 1e-12
-
-    def test_compose_matches_apply(self):
-        phi = trace_map(3)
-        psi = transpose_map(3)
-        x = algebra.random_contraction(M3, 10)
-        assert (phi.compose(psi)(x) - phi(psi(x))).norm() < 1e-12
-
     def test_choi_linearity(self):
         phi = transpose_map(2)
         psi = trace_map(2)
@@ -217,16 +205,6 @@ def test_stacked_apply_matches_per_element(source, target, seed):
     stack = algebra.embed_stack(source, xs)[:, None]  # (5, 1, Ds, Ds)
     for x, out in zip(xs, phi.act(stack)[:, 0]):
         np.testing.assert_allclose(out, phi(x).embedded(), rtol=0, atol=1e-12)
-
-
-@core
-@given(algebras, algebras, algebras, seeds)
-def test_compose_is_apply_after_apply(a, b, c, seed):
-    rng = np.random.default_rng(seed)
-    inner, outer = random_map(rng, a, b), random_map(rng, b, c)
-    x = random_element(rng, a)
-    expected = outer(inner(x))
-    assert (outer.compose(inner)(x) - expected).norm() <= 1e-12 * max(1.0, expected.norm())
 
 
 @core

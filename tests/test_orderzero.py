@@ -9,6 +9,7 @@ from posmap.algebra import (
     spanning_positive_contractions,
     unit,
 )
+from posmap.certificates import identity_certificate, verify_certificate
 from posmap.errors import (
     BadRangeError,
     NotHomomorphismError,
@@ -17,6 +18,7 @@ from posmap.errors import (
     NotUnitaryError,
     PreconditionFailedError,
 )
+from posmap.family import verify_corner_family
 from posmap.maps import PMap, lstsq_preimage
 from posmap.orderzero import (
     cp_repair,
@@ -34,7 +36,7 @@ from posmap.orderzero import (
 from posmap.positivity import is_cp, tomiyama_map
 
 from posmap.algebra import _positive_contraction_blocks
-from posmap.linalg import hermitian_part, op_norm, pinv_psd, support_projection
+from posmap.linalg import hermitian_part, op_norm
 from posmap.orderzero import _orthogonal_pair, _orthogonal_pair_blocks
 
 from conftest import ginibre, random_hermitian, random_map, random_unitary
@@ -524,11 +526,16 @@ def oracle_order_zero_defect(phi, samples, seed):
 
 def oracle_oz_decompose(phi):
     h = phi.unit_image()
-    rel = [1e-10 * h.norm() / op_norm(hermitian_part(b)) for b in h.blocks]
-    pinv = Element(phi.target, [pinv_psd(hermitian_part(b), r) for b, r in zip(h.blocks, rel)])
-    proj = Element(
-        phi.target, [support_projection(hermitian_part(b), r) for b, r in zip(h.blocks, rel)]
-    )
+    # per block, drop eigenvalues <= 1e-10 ||h||: the cutoff is relative to the global ||h||
+    pinv_blocks, proj_blocks = [], []
+    for b in h.blocks:
+        vals, vecs = np.linalg.eigh(hermitian_part(b))
+        keep = vals > 1e-10 * h.norm()
+        inv = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
+        pinv_blocks.append((vecs * inv) @ vecs.conj().T)
+        proj_blocks.append((vecs * keep) @ vecs.conj().T)
+    pinv = Element(phi.target, pinv_blocks)
+    proj = Element(phi.target, proj_blocks)
     units = matrix_units(phi.source)
     pis = [pinv * phi(e) * proj for e in units]
     commute = max((h * p - p * h).norm() for p in pis)
@@ -599,16 +606,15 @@ class TestStackedAnalysesMatchElementOracle:
         )
 
 
-class TestToleranceRanges:
-    @pytest.mark.parametrize("cutoff", [float("nan"), float("inf"), -1e-10])
-    def test_bad_cutoff_rejected(self, cutoff):
-        # a NaN cutoff made oz_decompose report mult = commute = 0 on this map
-        phi = tomiyama_map(3, 1.2)
-        with pytest.raises(BadRangeError):
-            oz_decompose(phi, cutoff=cutoff)
-        a = algebra.random_contraction(M3, 1)
-        with pytest.raises(BadRangeError):
-            schwartz_gap(phi, a, unit(M3), cutoff)
+def test_zero_samples_is_bad_range():
+    # a check run on no samples is not a pass, and all three say so with one error type
+    phi = tomiyama_map(3, 1.2)
+    with pytest.raises(BadRangeError, match="samples"):
+        order_zero_defect(phi, 0, 0)
+    with pytest.raises(BadRangeError, match="samples"):
+        verify_certificate(identity_certificate(M3), samples=0)
+    with pytest.raises(BadRangeError, match="samples"):
+        verify_corner_family(3, 2, 1, 1.4, 0.05, samples=0)
 
 
 @pytest.mark.parametrize("algebra_", [M3, FiniteCStar((1, 2, 3))])

@@ -12,6 +12,7 @@ from posmap.errors import BadRangeError
 from posmap.maps import PMap, pmap_norm
 from posmap.positivity import (
     CERTIFIED_POSITIVE,
+    MAX_RESTARTS,
     UNFALSIFIED,
     VIOLATED,
     Witness,
@@ -138,6 +139,13 @@ class TestTomiyamaMap:
 
 
 class TestFalsifier:
+    def test_restarts_outside_range_rejected(self):
+        # checked before the start frames are allocated; only the first value past the cap is tried
+        phi = tomiyama_map(3, 1.4)
+        for restarts in (0, MAX_RESTARTS + 1):
+            with pytest.raises(BadRangeError, match="restarts"):
+                k_positivity_falsify(phi, 2, restarts=restarts)
+
     def test_psi_14_k1_unfalsified(self):
         # 1.4 <= 1.5 = threshold(3,1): positive, nothing to find
         v = k_positivity_falsify(tomiyama_map(3, 1.4), k=1, restarts=32, seed=0)
