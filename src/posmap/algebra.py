@@ -143,10 +143,6 @@ def embed_stack(algebra: FiniteCStar, elements: Sequence[Element]) -> np.ndarray
     return np.array([x.embedded() for x in elements], dtype=np.complex128).reshape(-1, d, d)
 
 
-def zero(algebra: FiniteCStar) -> Element:
-    return Element(algebra, [np.zeros((s, s)) for s in algebra.block_sizes])
-
-
 def unit(algebra: FiniteCStar) -> Element:
     return Element(algebra, [np.eye(s) for s in algebra.block_sizes])
 
@@ -208,17 +204,17 @@ def spanning_positive_contractions(algebra: FiniteCStar) -> list[Element]:
     return out
 
 
-def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def _ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def _contraction(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = _ginibre(rng, n)
+    g = _ginibre(rng, (n, n))
     return g / op_norm(g)
 
 
 def _positive_contraction_blocks(rng: np.random.Generator, sizes: Iterable[int]):
-    wishart = [g.conj().T @ g for g in (_ginibre(rng, n) for n in sizes)]
+    wishart = [g.conj().T @ g for g in (_ginibre(rng, (n, n)) for n in sizes)]
     return [w / op_norm(w) for w in wishart]
 
 

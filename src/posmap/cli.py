@@ -83,18 +83,11 @@ def _print_report(payload: dict, as_json: bool) -> None:
     walk(payload)
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, convert, what: str) -> list:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return [convert(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise PosmapError(f"{flag}: expected comma-separated integers, got {text!r}")
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise PosmapError(f"{flag}: expected comma-separated numbers, got {text!r}")
+        raise PosmapError(f"{flag}: expected comma-separated {what}, got {text!r}")
 
 
 # -- subcommand handlers (return (exit_code, payload)) --------------------------
@@ -232,8 +225,8 @@ def _cmd_verify_cert(args) -> tuple[int, dict]:
 
 
 def _cmd_gen_cert(args) -> tuple[int, dict]:
-    blocks = _parse_int_list(args.algebra, "--algebra")
-    weights = _parse_float_list(args.weights, "--weights")
+    blocks = _parse_list(args.algebra, "--algebra", int, "integers")
+    weights = _parse_list(args.weights, "--weights", float, "numbers")
     cert = orderzero_certificate(
         FiniteCStar(tuple(blocks)), weights, seed=args.seed, epsilon=args.epsilon
     )
@@ -347,7 +340,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code, payload = args.handler(args)
+        # an overflow raises NumericalFailureError; numpy's warning would only precede it
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, payload = args.handler(args)
     except (PosmapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

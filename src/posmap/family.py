@@ -19,7 +19,8 @@ which crosses the (k+1)-threshold for large m, so the big map cannot be
 The maps are formula appliers on dense matrices or stacks of them, so
 verification at large m never materializes a Choi matrix;
 corner_mixture_map (small m) and the compressed map handed to the
-falsifier apply them to the stack of matrix units.
+falsifier apply them to the stack of matrix units. Every entry point first
+checks n >= 2, m >= 1, mn <= MAX_SIZE, eps in (0, 1) and a finite lambda.
 """
 
 from __future__ import annotations
@@ -34,18 +35,23 @@ from .algebra import FiniteCStar, _contraction, unit_stack
 from .errors import BadRangeError
 from .linalg import as_complex, op_norm
 from .maps import PMap
-from .positivity import KposVerdict, k_positivity_falsify
+from .positivity import KposVerdict, _threshold, k_positivity_falsify
 
 CLOSED_FORM_TOL = 1e-10
+MAX_SIZE = 2048  # largest m n: one dense complex (mn)^2 matrix is then 64 MiB
 
 
-def _check_params(n: int, m: int, eps: float) -> None:
+def _check_params(n: int, m: int, lam: float, eps: float) -> None:
     if n < 2:
         raise BadRangeError(f"need n >= 2, got {n}")
     if m < 1:
         raise BadRangeError(f"need m >= 1, got {m}")
+    if m * n > MAX_SIZE:
+        raise BadRangeError(f"need m * n <= {MAX_SIZE}, got {m * n}")
     if not (0.0 < eps < 1.0):
         raise BadRangeError(f"need eps in (0, 1), got {eps}")
+    if not np.isfinite(lam):
+        raise BadRangeError(f"need a finite lambda, got {lam}")
 
 
 # -- formula-level actions on (..., N, N) stacks of dense matrices ---------------
@@ -61,7 +67,7 @@ def trace_mixing_apply(a: np.ndarray, lam: float) -> np.ndarray:
 
 def corner_mixture_apply(x: np.ndarray, n: int, m: int, lam: float, eps: float) -> np.ndarray:
     """Apply the corner-mixture map to (mn) x (mn) matrices."""
-    _check_params(n, m, eps)
+    _check_params(n, m, lam, eps)
     x = as_complex(x)
     corner = x[..., :n, :n]  # rows and columns with first tensor index 0
     # np.kron pads eye(m) to the stack's rank, so each matrix gets its own block diagonal
@@ -88,7 +94,7 @@ def corner_embed_apply(a: np.ndarray, m: int) -> np.ndarray:
 
 def corner_mixture_map(n: int, m: int, lam: float, eps: float) -> PMap:
     """The corner-mixture map as a PMap on the single block M_{mn}."""
-    _check_params(n, m, eps)
+    _check_params(n, m, lam, eps)
     alg = FiniteCStar((m * n,))
     stack = corner_mixture_apply(unit_stack(alg), n, m, lam, eps)
     return PMap._from_unit_images(alg, alg, stack)
@@ -171,19 +177,16 @@ def verify_corner_family(
 
     Requires the window 1/(n(k+1)-1) < lambda - 1 <= 1/(nk-1).
     """
-    _check_params(n, m, eps)
+    _check_params(n, m, lam, eps)
     if not (1 <= k < n):
         raise BadRangeError(f"need 1 <= k < n, got k={k}, n={n}")
     if samples < 1:  # a check run on no samples is not a pass
         raise BadRangeError(f"need samples >= 1, got {samples}")
-    if not np.isfinite(lam):
-        raise BadRangeError(f"need a finite lambda, got {lam}")
     lam_f = Fraction(lam)
-    lo = Fraction(1, n * (k + 1) - 1)
-    hi = Fraction(1, n * k - 1)
-    if not (lo < lam_f - 1 <= hi):
+    lo, hi = _threshold(n, k + 1), _threshold(n, k)  # the window for lambda
+    if not (lo < lam_f <= hi):
         raise BadRangeError(
-            f"lambda - 1 = {lam - 1} outside the window ({float(lo)}, {float(hi)}]"
+            f"lambda - 1 = {lam - 1} outside the window ({float(lo - 1)}, {float(hi - 1)}]"
         )
 
     size = m * n
@@ -213,8 +216,7 @@ def verify_corner_family(
         expected = prefactor * trace_mixing_apply(blk, lam_tilde)
         closed_form_dev = max(closed_form_dev, op_norm(composed - expected))
 
-    next_threshold_f = 1 + Fraction(1, n * (k + 1) - 1)
-    exceeds = lam_tilde_f > next_threshold_f
+    exceeds = lam_tilde_f > lo  # lo is the (k+1)-threshold
 
     falsifier = None
     if exceeds:
@@ -237,7 +239,7 @@ def verify_corner_family(
         closed_form_dev=closed_form_dev,
         closed_form_ok=closed_form_dev < CLOSED_FORM_TOL,
         mixing_parameter=lam_tilde,
-        next_threshold=float(next_threshold_f),
+        next_threshold=float(lo),
         exceeds_next_threshold=exceeds,
         falsifier=falsifier,
     )

@@ -10,8 +10,9 @@ within tol iff herm_dev <= tol * scale, and PSD within tol (is_psd) iff
 also min_eig >= -tol * scale. The support projection and the support
 pseudo-inverses share one eigh path with the same Hermitian test at
 HERM_TOL and drop eigenvalues <= SUPPORT_CUTOFF * ||b||. A tolerance that
-is not finite and >= 0 raises BadRangeError. No function mutates its
-arguments.
+is not finite and >= 0 raises BadRangeError. op_norm takes a matrix or a
+(..., N, N) stack. A LAPACK failure or an overflowed eigenvalue or norm
+raises NumericalFailureError. No function mutates its arguments.
 """
 
 from __future__ import annotations
@@ -77,9 +78,11 @@ def _spectrum(h: np.ndarray, vectors: bool, tol: float | None = None):
     hs = hermitian_part(h)
     try:
         vals, vecs = np.linalg.eigh(hs) if vectors else (np.linalg.eigvalsh(hs), None)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(str(exc)) from exc
     dev = float(np.linalg.norm(h - h.conj().T))
+    if not (np.all(np.isfinite(vals)) and np.isfinite(dev)):
+        raise NumericalFailureError("spectrum or Hermitian deviation is not finite")
     kernel = HermKernel(dev, float(vals[0]), max(1.0, float(-vals[0]), float(vals[-1])))
     if tol is not None and not kernel.hermitian(tol):
         raise NotHermitianError(f"matrix is not Hermitian within tolerance ({kernel})")
@@ -96,12 +99,18 @@ def is_psd(h: np.ndarray, tol: float = PSD_TOL) -> bool:
     return hermitian_kernel(h).psd(tol)
 
 
-def op_norm(m) -> float:
-    """Largest singular value; zero for the zero matrix."""
+def op_norm(m):
+    """Largest singular value of a matrix, or the array of them for a (..., N, N) stack."""
     m = as_complex(m)
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+    if m.size == 0:  # no singular values, and numpy < 2 cannot reduce over none
+        return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
+    try:
+        norms = np.linalg.norm(m, 2, axis=(-2, -1))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(str(exc)) from exc
+    if not np.all(np.isfinite(norms)):
+        raise NumericalFailureError("operator norm is not finite")
+    return float(norms) if m.ndim == 2 else norms
 
 
 def psd_min_eig(h: np.ndarray, tol: float = HERM_TOL) -> float:

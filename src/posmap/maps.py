@@ -11,6 +11,8 @@ With elements embedded block-diagonally and flattened row-major,
 vec(phi(x)) = vec(x) @ T, so T is (Ds*Ds) x (D*D) for a source of
 embedding size Ds. Its rows at source coordinates outside the diagonal
 blocks and its columns at such target coordinates are zero.
+Every construction checks the block count and shapes, finite entries and
+that no image leaks outside the embedded target blocks.
 """
 
 from __future__ import annotations
@@ -44,32 +46,30 @@ class PMap:
 
     __slots__ = ("source", "target", "choi_blocks", "_transfer")
 
-    def __init__(self, source: FiniteCStar, target: FiniteCStar, choi_blocks, _validate=True):
+    def __init__(self, source: FiniteCStar, target: FiniteCStar, choi_blocks):
         blocks = [as_complex(c) for c in choi_blocks]
         if len(blocks) != source.n_blocks:
             raise DimensionMismatchError(
                 f"expected {source.n_blocks} Choi blocks, got {len(blocks)}"
             )
         d = target.embed_dim
-        for c, n in zip(blocks, source.block_sizes):
+        mask = ~block_mask(target)
+        for bi, (c, n) in enumerate(zip(blocks, source.block_sizes)):
             if c.shape != (n * d, n * d):
                 raise DimensionMismatchError(
                     f"Choi block shape {c.shape} does not match {(n * d, n * d)}"
                 )
             if not np.all(np.isfinite(c.real)) or not np.all(np.isfinite(c.imag)):
                 raise DimensionMismatchError("Choi block contains non-finite entries")
-        if _validate:
-            mask = ~block_mask(target)
-            for bi, (c, n) in enumerate(zip(blocks, source.block_sizes)):
-                # images phi(e_ij) must lie in the embedded direct sum
-                offd = c.reshape(n, d, n, d).transpose(0, 2, 1, 3)[:, :, mask]
-                leak = float(np.max(np.abs(offd))) if offd.size else 0.0
-                scale = max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
-                if leak > LEAK_TOL * scale:
-                    raise DimensionMismatchError(
-                        f"Choi block {bi} leaks outside the embedded target blocks "
-                        f"(max off-diagonal entry {leak:.3e})"
-                    )
+            # images phi(e_ij) must lie in the embedded direct sum
+            offd = c.reshape(n, d, n, d).transpose(0, 2, 1, 3)[:, :, mask]
+            leak = float(np.max(np.abs(offd))) if offd.size else 0.0
+            scale = max(1.0, float(np.max(np.abs(c))))
+            if leak > LEAK_TOL * scale:
+                raise DimensionMismatchError(
+                    f"Choi block {bi} leaks outside the embedded target blocks "
+                    f"(max off-diagonal entry {leak:.3e})"
+                )
         self.source = source
         self.target = target
         self.choi_blocks = tuple(_freeze(c) for c in blocks)
@@ -103,11 +103,11 @@ class PMap:
             t.reshape(n, n, d, d).transpose(0, 2, 1, 3).reshape(n * d, n * d)
             for t, n in zip(parts, sizes)
         ]
-        return cls(source, target, blocks, _validate=False)
+        return cls(source, target, blocks)
 
     @classmethod
     def from_choi(cls, source: FiniteCStar, target: FiniteCStar, choi_blocks) -> "PMap":
-        return cls(source, target, choi_blocks, _validate=True)
+        return cls(source, target, choi_blocks)
 
     @classmethod
     def identity(cls, algebra: FiniteCStar) -> "PMap":
@@ -155,16 +155,14 @@ class PMap:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _with_choi(self, blocks) -> "PMap":
-        return PMap(self.source, self.target, blocks, _validate=False)
-
     def __add__(self, other: "PMap") -> "PMap":
         if self.source != other.source or self.target != other.target:
             raise AlgebraMismatchError("maps act between different algebras")
-        return self._with_choi([a + b for a, b in zip(self.choi_blocks, other.choi_blocks)])
+        blocks = [a + b for a, b in zip(self.choi_blocks, other.choi_blocks)]
+        return PMap(self.source, self.target, blocks)
 
     def scale(self, c: complex) -> "PMap":
-        return self._with_choi([complex(c) * blk for blk in self.choi_blocks])
+        return PMap(self.source, self.target, [complex(c) * blk for blk in self.choi_blocks])
 
     __mul__ = __rmul__ = scale
 

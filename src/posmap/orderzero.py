@@ -69,13 +69,14 @@ def one_var_defect(phi: PMap, a: Element) -> float:
     """||phi(a)^2 - phi(a^2) phi(1)|| for a positive contraction a."""
     if not is_positive(a, 1e-9) or a.norm() > 1 + 1e-9:
         raise NotPositiveContractionError("a must be a positive contraction")
-    fa = phi(a)
-    return (fa * fa - phi(a * a) * phi.unit_image()).norm()
+    f1 = phi.act(np.eye(phi.source.embed_dim))
+    return _one_var(phi, embed_stack(phi.source, [a]), f1)
 
 
-def _norms(stack: np.ndarray) -> np.ndarray:
-    """Operator norm of every matrix in a (..., D, D) stack of embedded elements."""
-    return np.linalg.norm(stack, 2, axis=(-2, -1))
+def _one_var(phi: PMap, probes: np.ndarray, f1: np.ndarray) -> float:
+    """Worst one-variable defect ||phi(a)^2 - phi(a^2) phi(1)|| over a (p, Ds, Ds) probe stack."""
+    fp = phi.act(probes)
+    return float(op_norm(fp @ fp - phi.act(probes @ probes) @ f1).max())
 
 
 def _od_sup(
@@ -85,7 +86,7 @@ def _od_sup(
     fa = phi.act(probes)[:, None]
     left = fa @ unit_images - f1 @ phi.act(probes[:, None] @ units)
     right = unit_images @ fa - phi.act(units @ probes[:, None]) @ f1
-    return float(max(_norms(left).max(), _norms(right).max()))
+    return float(max(op_norm(left).max(), op_norm(right).max()))
 
 
 def od_defect(phi: PMap, a: Element) -> float:
@@ -159,7 +160,7 @@ def _orthogonal_pair_blocks(rng: np.random.Generator, algebra: FiniteCStar):
     if flat.all():
         masks[-1][-1] = False
     for n, mask in zip(algebra.block_sizes, masks):
-        v = np.linalg.qr(_ginibre(rng, n))[0]
+        v = np.linalg.qr(_ginibre(rng, (n, n)))[0]
         coeff_a = np.where(mask, rng.uniform(0.2, 1.0, size=n), 0.0)
         coeff_b = np.where(mask, 0.0, rng.uniform(0.2, 1.0, size=n))
         blocks_a.append((v * coeff_a) @ v.conj().T)
@@ -192,11 +193,10 @@ def order_zero_defect(phi: PMap, samples: int, seed: int) -> DefectReport:
         w = embed_blocks(src, _positive_contraction_blocks(rng, src.block_sizes))
         a, b, p = (embed_blocks(src, blocks) for blocks in _orthogonal_pair_blocks(rng, src))
         probes = np.stack([w, p])
-        fp = phi.act(probes)
-        one_var = max(one_var, float(_norms(fp @ fp - phi.act(probes @ probes) @ f1).max()))
+        one_var = max(one_var, _one_var(phi, probes, f1))
         od = max(od, _od_sup(phi, probes, units, unit_images, f1))
         fa, fb = phi.act(np.stack([a, b]))
-        orth = max(orth, float(_norms(fa @ fb)))
+        orth = max(orth, op_norm(fa @ fb))
     return DefectReport(
         one_var_sup=one_var, orth_pair_sup=orth, od_sup=od, samples=samples, seed=seed
     )
@@ -233,8 +233,8 @@ def oz_decompose(phi: PMap) -> OzDecomposition:
         h=h,
         pi_images=tuple(from_embedded(phi.target, m) for m in pis),
         mult_defect=float(mult[same].max()),
-        commute_defect=float(_norms(hm @ pis - pis @ hm).max()),
-        reconstruct_defect=float(_norms(hm @ pis - unit_images).max()),
+        commute_defect=float(op_norm(hm @ pis - pis @ hm).max()),
+        reconstruct_defect=float(op_norm(hm @ pis - unit_images).max()),
     )
 
 
@@ -261,8 +261,8 @@ def _relation_defects(algebra: FiniteCStar, pis: np.ndarray):
     mult = np.empty((algebra.dim, algebra.dim))
     for u in range(algebra.dim):
         meets = (rows == cols[u])[:, None, None]
-        mult[u] = _norms(pis[u] @ pis - np.where(meets, pis[index[rows[u], cols]], 0.0))
-    star = _norms(np.swapaxes(pis, -2, -1).conj() - pis[index[cols, rows]])
+        mult[u] = op_norm(pis[u] @ pis - np.where(meets, pis[index[rows[u], cols]], 0.0))
+    star = op_norm(np.swapaxes(pis, -2, -1).conj() - pis[index[cols, rows]])
     return mult, star, block[:, None] == block[None, :]
 
 
@@ -284,7 +284,7 @@ def oz_construct(source: FiniteCStar, pi_images: list[Element], h: Element) -> P
     pis = embed_stack(target, pi_images)
     hm = h.embedded()
     mult, star, same = _relation_defects(source, pis)
-    commute = _norms(hm @ pis - pis @ hm)
+    commute = op_norm(hm @ pis - pis @ hm)
     # report the first unit that fails, checking star, commutation, then products
     bad_mult = same & (mult > tol)
     fails = (star > tol) | (commute > tol) | bad_mult.any(axis=1)
@@ -322,7 +322,7 @@ def cp_repair(phi: PMap) -> tuple[PMap, float]:
     n = phi.source.block_sizes[0]
     d = phi.target.embed_dim
     img = phi.act(unit_stack(phi.source)).reshape(n, n, d, d)
-    eps = float(_norms(img[:, :1] @ img[:1, :] - img).max())
+    eps = float(op_norm(img[:, :1] @ img[:1, :] - img).max())
     # the bump a -> n eps Tr(a) 1 has Choi matrix n eps 1
     bump = PMap.from_choi(phi.source, phi.target, [n * eps * np.eye(n * d)])
     return phi + bump, eps
@@ -353,8 +353,8 @@ def polar_lift(phi: PMap, x: Element, y: Element) -> tuple[Element, bool]:
 # -- block-column bounds ---------------------------------------------------------
 
 
-def _column_blocks(m: np.ndarray, d: int, eps: float):
-    """The d x d blocks of m's first block column, once d and the bound eps are valid."""
+def _first_block_column(m: np.ndarray, d: int, eps: float) -> np.ndarray:
+    """m's first block column m[:, :d], once d and the bound eps are valid."""
     if d < 1:
         raise BadRangeError(f"need a block size d >= 1, got {d}")
     if np.isnan(eps):
@@ -364,8 +364,7 @@ def _column_blocks(m: np.ndarray, d: int, eps: float):
         raise PreconditionFailedError(
             f"matrix size {big} is not a multiple of the block size {d}"
         )
-    L = big // d
-    return [m[i * d : (i + 1) * d, 0:d] for i in range(L)]
+    return m[:, :d]
 
 
 def lemma31_positive_check(a: np.ndarray, d: int, eps: float) -> bool:
@@ -382,11 +381,10 @@ def lemma31_positive_check(a: np.ndarray, d: int, eps: float) -> bool:
     # scale = max(1, ||a||) for a PSD a, so it exceeds 1 + 1e-9 iff ||a|| does
     if kernel.scale > 1 + 1e-9:
         raise NotPositiveContractionError("input is not a contraction")
-    cols = _column_blocks(a, d, eps)
-    if op_norm(cols[0]) >= eps:
+    col = _first_block_column(a, d, eps)
+    if op_norm(col[:d]) >= eps:
         raise PreconditionFailedError("||a_{1,1}|| < eps does not hold")
-    total = sum(c.conj().T @ c for c in cols)
-    return op_norm(total) < eps
+    return op_norm(col.conj().T @ col) < eps
 
 
 def lemma31_unitary_check(u: np.ndarray, d: int, eps: float) -> bool:
@@ -399,8 +397,7 @@ def lemma31_unitary_check(u: np.ndarray, d: int, eps: float) -> bool:
     n = u.shape[0]
     if op_norm(u.conj().T @ u - np.eye(n)) > 1e-9:
         raise NotUnitaryError("input is not unitary")
-    cols = _column_blocks(u, d, eps)
-    if op_norm(cols[0].conj().T @ cols[0] - np.eye(d)) >= eps:
+    col = _first_block_column(u, d, eps)
+    if op_norm(col[:d].conj().T @ col[:d] - np.eye(d)) >= eps:
         raise PreconditionFailedError("||u_{1,1}* u_{1,1} - 1|| < eps does not hold")
-    tail = sum(c.conj().T @ c for c in cols[1:]) if len(cols) > 1 else np.zeros((d, d))
-    return op_norm(tail) < eps
+    return op_norm(col[d:].conj().T @ col[d:]) < eps  # an empty tail gives the zero matrix

@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import FiniteCStar, unit_stack
-from .errors import BadRangeError, DimensionMismatchError
+from .algebra import FiniteCStar, _ginibre, unit_stack
+from .errors import BadRangeError, DimensionMismatchError, NumericalFailureError
 from .linalg import check_tol, hermitian_kernel, hermitian_part, is_psd
 from .maps import PMap
 
@@ -41,11 +41,16 @@ def is_cp(phi: PMap, tol: float = DEFAULT_TOL) -> bool:
     return all(is_psd(c, tol) for c in phi.choi_blocks)
 
 
+def _threshold(n: int, k: int) -> Fraction:
+    """1 + 1/(nk - 1), exactly; needs nk >= 2."""
+    return 1 + Fraction(1, n * k - 1)
+
+
 def tomiyama_threshold(n: int, k: int) -> float:
     """Largest lambda for which the trace-mixing map on M_n is k-positive."""
     if not (1 <= k <= n) or n * k < 2:
         raise BadRangeError(f"need 1 <= k <= n and nk >= 2, got n={n}, k={k}")
-    return float(Fraction(1) + Fraction(1, n * k - 1))
+    return float(_threshold(n, k))
 
 
 def tomiyama_map(n: int, lam: float) -> PMap:
@@ -77,12 +82,12 @@ class Witness:
     block: int = 0
 
     def assemble(self) -> np.ndarray:
-        n = self.factors_left[0].shape[0]
-        d = self.factors_right[0].shape[0]
-        x = np.zeros(n * d, dtype=np.complex128)
-        for a, b in zip(self.factors_left, self.factors_right):
-            x += np.kron(a, b)
-        return x
+        return _assemble(self.factors_left, self.factors_right)
+
+
+def _assemble(left, right) -> np.ndarray:
+    """The vector sum_r left[r] (x) right[r]."""
+    return sum(np.kron(a, b) for a, b in zip(left, right))
 
 
 @dataclass(frozen=True)
@@ -138,11 +143,8 @@ def _schmidt_factors(wmat: np.ndarray, k: int):
 
 def _start_frames(seed: int, restarts: int, d: int, k: int) -> np.ndarray:
     """Orthonormal (d, k) start frames; restart r draws from default_rng([seed, r])."""
-    g = np.empty((restarts, d, k), dtype=np.complex128)
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        g[r] = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-    return np.linalg.qr(g)[0]
+    g = [_ginibre(np.random.default_rng([seed, r]), (d, k)) for r in range(restarts)]
+    return np.linalg.qr(np.array(g))[0]
 
 
 def _compress(t_laid: np.ndarray, frames: np.ndarray, p: int) -> np.ndarray:
@@ -209,6 +211,8 @@ def _falsify_block(
 ) -> tuple[float, tuple, int, int]:
     """Best value, its Schmidt factors, and the restarts used and capped on one source block."""
     c_herm = hermitian_part(c)
+    if not np.all(np.isfinite(c_herm)):
+        raise NumericalFailureError("Hermitian part of Choi block is not finite")
     k_eff = min(k, n, d)
     if k_eff >= min(n, d):
         # Schmidt constraint is vacuous: the exact minimum is the bottom eigenvector
@@ -265,9 +269,7 @@ def k_positivity_falsify(
             factors_left=left,
             factors_right=right,
             value=best_value,
-            vector_norm=float(
-                np.linalg.norm(sum(np.kron(a, b) for a, b in zip(left, right)))
-            ),
+            vector_norm=float(np.linalg.norm(_assemble(left, right))),
             block=bi,
         )
         if witness_verify(phi, w, tol):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posmap import algebra
-from posmap.algebra import Element, FiniteCStar, basis_element, unit, zero
+from posmap.algebra import Element, FiniteCStar, basis_element, unit
 from posmap.certificates import (
     DrCertificate,
     certificate_from_document,
@@ -31,6 +31,7 @@ from posmap.certificates import (
 from posmap.errors import (
     BadRangeError,
     BadWeightsError,
+    NumericalFailureError,
     ParseError,
     SchemaVersionMismatchError,
     StructurallyInvalidError,
@@ -128,7 +129,7 @@ def _reference_approximation(cert):
     errors = []
     for x in cert.test_set:
         y = cert.psi(x)
-        out = zero(cert.algebra)
+        out = 0.0 * unit(cert.algebra)
         off = 0
         for phi, s in zip(cert.phis, cert.summands):
             out = out + phi(Element(s, y.blocks[off : off + s.n_blocks]))
@@ -184,6 +185,14 @@ class TestApproximationStep:
 
 
 class TestVerifierFailures:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_huge_leg_is_numerical_failure(self):
+        # the leg's sampled defects overflow; the SVD ended in a LinAlgError
+        cert = orderzero_certificate(M2, [0.5, 0.5])
+        cert = dataclasses.replace(cert, phis=(1e200 * cert.phis[0],) + cert.phis[1:])
+        with pytest.raises(NumericalFailureError):
+            verify_certificate(cert)
+
     def test_non_order_zero_leg(self):
         # replace phi_0 by the trace-mixing map at lambda = 1 (CP but not order
         # zero); epsilon loose so only the order-zero sub-check fails

@@ -2,13 +2,17 @@ import json
 
 import pytest
 
+import dataclasses
+
 from posmap.algebra import FiniteCStar
-from posmap.certificates import save_map
+from posmap.certificates import orderzero_certificate, save_certificate, save_map
 from posmap.cli import build_parser, main
+from posmap.maps import PMap
 from posmap.positivity import tomiyama_map
 
 from test_maps import transpose_map
 
+M2 = FiniteCStar((2,))
 M3 = FiniteCStar((3,))
 
 
@@ -238,6 +242,52 @@ class TestErrorPaths:
         argv = ["example4", "--n", "3", "--m", "1", "--k", "1", "--lambda", "1.4", "--eps", "0.05"]
         assert main(argv + ["--samples", "0"]) == 2
         assert main(["defect", psi14_file, "--samples", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, expected",
+        [
+            ("--algebra", "2,x", "--algebra: expected comma-separated integers, got '2,x'"),
+            ("--weights", "0.5,x", "--weights: expected comma-separated numbers, got '0.5,x'"),
+        ],
+    )
+    def test_bad_list_exit_2(self, capsys, tmp_path, flag, value, expected):
+        out = tmp_path / "c.json"
+        lists = {"--algebra": "2", "--weights": "1.0", flag: value}
+        argv = ["gen-cert", "--algebra", lists["--algebra"], "--weights", lists["--weights"]]
+        assert main(argv + ["-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")  # an overflow warning would print ahead of the error
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-kpos", "HUGE", "--k", "1"],
+            ["check-kpos", "HUGE", "--k", "2"],
+            ["defect", "HUGE"],
+            ["defect", "BIG"],
+            ["verify-cert", "CERT"],
+        ],
+    )
+    def test_overflow_exit_2(self, capsys, tmp_path, argv):
+        # each ended in numpy's LinAlgError traceback, exit 1
+        files = {name: str(tmp_path / f"{name}.json") for name in ("HUGE", "BIG", "CERT")}
+        save_map(1.5e308 * PMap.identity(M2), files["HUGE"])
+        save_map(1e200 * PMap.identity(M2), files["BIG"])
+        cert = orderzero_certificate(M2, [0.5, 0.5])
+        cert = dataclasses.replace(cert, phis=(1e200 * cert.phis[0],) + cert.phis[1:])
+        save_certificate(cert, files["CERT"])
+        assert main([files.get(a, a) for a in argv] + ["--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_size_above_bound_exit_2(self, capsys):
+        # m n = 3 * 683 = 2049, one above family.MAX_SIZE
+        argv = ["example4", "--n", "3", "--m", "683", "--k", "1", "--lambda", "1.4", "--eps", "0.05"]
+        assert main(argv + ["--samples", "1", "--json"]) == 2
+        assert capsys.readouterr().err == "error: need m * n <= 2048, got 2049\n"
 
     def test_negative_seed_exit_2(self, capsys, psi14_file):
         assert main(["check-kpos", psi14_file, "--k", "2", "--seed", "-1"]) == 2

@@ -5,6 +5,7 @@ from posmap import algebra
 from posmap.algebra import FiniteCStar, matrix_units, unit, unit_stack
 from posmap.errors import BadRangeError
 from posmap.family import (
+    MAX_SIZE,
     composed_mixing_parameter,
     corner_embed_apply,
     corner_mixture_apply,
@@ -35,6 +36,13 @@ class TestCornerMixtureMap:
             blk = e.blocks[0]
             expected = (1 - eps) * blk + eps * np.kron(np.eye(m), blk[:n, :n])
             assert np.max(np.abs(phi(e).blocks[0] - expected)) < 1e-12
+
+    def test_non_finite_lambda_named(self):
+        # corner_mixture_apply returned NaN; corner_mixture_map blamed the Choi block
+        with pytest.raises(BadRangeError, match="lambda"):
+            corner_mixture_apply(np.eye(6), 3, 2, float("nan"), 0.1)
+        with pytest.raises(BadRangeError, match="lambda"):
+            corner_mixture_map(3, 1, float("inf"), 0.5)
 
     def test_unital(self):
         phi = corner_mixture_map(3, 2, 1.4, 0.05)
@@ -168,6 +176,12 @@ class TestVerifyCornerFamily:
     def test_non_finite_lambda_rejected(self, lam):
         with pytest.raises(BadRangeError):
             verify_corner_family(3, 2, 1, lam, 0.05, samples=1)
+
+    def test_size_above_bound_rejected(self):
+        # m n = 2049, one above MAX_SIZE: rejected before anything is drawn
+        assert 683 * 3 == MAX_SIZE + 1
+        with pytest.raises(BadRangeError, match="m \\* n"):
+            verify_corner_family(3, 683, 1, 1.4, 0.05, samples=1)
 
     def test_zero_samples_rejected(self):
         # a check run on no samples is not a pass: samples=0 reported all_ok=True

@@ -8,6 +8,7 @@ from posmap.errors import (
     BadRangeError,
     NonSquareError,
     NotHermitianError,
+    NumericalFailureError,
 )
 
 from conftest import ginibre, random_hermitian, random_unitary
@@ -58,6 +59,14 @@ class TestEigHermitian:
             assert np.linalg.norm((vecs * vals) @ vecs.conj().T - h, 2) <= 1e-9 * scale
             assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(n)) <= 1e-10 * n
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_spectrum_overflow_is_numerical_failure(self):
+        # finite entries: an eigenvalue (2e308) or herm_dev (||h - h*||) overflows
+        with pytest.raises(NumericalFailureError):
+            linalg.hermitian_kernel(np.full((2, 2), 1e308))
+        with pytest.raises(NumericalFailureError):
+            linalg.hermitian_kernel(np.array([[0.0, 1.5e308], [-1.5e308, 0.0]]))
+
 
 class TestOpNorm:
     def test_identity(self):
@@ -83,6 +92,21 @@ class TestOpNorm:
         ref = linalg.op_norm(m)
         assert abs(linalg.op_norm(m.conj().T) - ref) < 1e-10
         assert abs(linalg.op_norm(u @ m @ w) - ref) < 1e-10
+
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(9)
+        stack = np.array([ginibre(rng, 4) for _ in range(5)])
+        norms = linalg.op_norm(stack)
+        assert norms.shape == (5,)
+        assert list(norms) == [linalg.op_norm(m) for m in stack]  # bit for bit
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_is_numerical_failure(self):
+        huge = np.full((2, 2), 1e200)
+        with pytest.raises(NumericalFailureError):
+            linalg.op_norm(huge @ huge)  # inf entries
+        with pytest.raises(NumericalFailureError):
+            linalg.op_norm(np.array([[1.5e308, 1.5e308], [0.0, 0.0]]))  # finite, norm overflows
 
 
 class TestPsdMinEig:

@@ -53,7 +53,7 @@ class TestFromAction:
         assert (phi(e12) - e21).norm() < 1e-15
 
     def test_zero_map(self):
-        phi = PMap.from_action(M2, M2, [algebra.zero(M2)] * 4)
+        phi = PMap.from_action(M2, M2, [0.0 * unit(M2)] * 4)
         assert phi(unit(M2)).norm() == 0.0
 
     def test_count_mismatch(self):
@@ -121,6 +121,15 @@ class TestChoi:
         c[0, 1] = 1.0
         with pytest.raises(DimensionMismatchError):
             PMap.from_choi(FiniteCStar((1,)), alg, [c])
+
+    def test_unit_image_leakage_rejected(self):
+        # the identity on (1,1) with e_00's image given an off-block entry;
+        # unvalidated, transfer would zero it silently
+        alg = FiniteCStar((1, 1))
+        stack = algebra.unit_stack(alg)
+        stack[0, 0, 1] = 1.0
+        with pytest.raises(DimensionMismatchError, match="leaks"):
+            PMap._from_unit_images(alg, alg, stack)
 
 
 class TestComposeAndArithmetic:

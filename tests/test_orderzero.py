@@ -13,6 +13,7 @@ from posmap.certificates import identity_certificate, verify_certificate
 from posmap.errors import (
     BadRangeError,
     NotHomomorphismError,
+    NumericalFailureError,
     NotCommutingError,
     NotPositiveContractionError,
     NotUnitaryError,
@@ -137,6 +138,13 @@ class TestOrderZeroDefectReport:
         a = order_zero_defect(tomiyama_map(3, 1.2), samples=10, seed=4)
         b = order_zero_defect(tomiyama_map(3, 1.2), samples=10, seed=4)
         assert a == b
+
+    @pytest.mark.parametrize("c", [1.5e308, 1e200])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_huge_map_is_numerical_failure(self, c):
+        # phi(a)^2 overflows; the SVD of the inf stack ended in a LinAlgError
+        with pytest.raises(NumericalFailureError):
+            order_zero_defect(c * PMap.identity(M2), samples=1, seed=0)
 
 
 class TestOdDefect:
@@ -471,6 +479,11 @@ class TestLemma31:
             lemma31_positive_check(np.zeros((6, 6)), 2, float("nan"))
         with pytest.raises(BadRangeError):
             lemma31_unitary_check(np.eye(6), 2, float("nan"))
+
+    def test_single_block_column(self):
+        # d is the matrix size: the column is the whole matrix, the unitary tail is empty
+        assert lemma31_positive_check(0.05 * np.eye(4), 4, 0.1)
+        assert lemma31_unitary_check(random_unitary(np.random.default_rng(4), 4), 4, 0.1)
 
     @pytest.mark.parametrize("d", [0, -2])
     def test_bad_block_size_rejected(self, d):

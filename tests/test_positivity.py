@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from posmap import algebra
 from posmap.algebra import Element, FiniteCStar, unit
-from posmap.errors import BadRangeError
+from posmap.errors import BadRangeError, NumericalFailureError
 from posmap.maps import PMap, pmap_norm
 from posmap.positivity import (
     CERTIFIED_POSITIVE,
@@ -145,6 +145,13 @@ class TestFalsifier:
         for restarts in (0, MAX_RESTARTS + 1):
             with pytest.raises(BadRangeError, match="restarts"):
                 k_positivity_falsify(phi, 2, restarts=restarts)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_huge_map_is_numerical_failure(self, k):
+        # the Hermitian part of 1.5e308 * id overflows; the search ended in a LinAlgError
+        with pytest.raises(NumericalFailureError):
+            k_positivity_falsify(1.5e308 * PMap.identity(M2), k)
 
     def test_psi_14_k1_unfalsified(self):
         # 1.4 <= 1.5 = threshold(3,1): positive, nothing to find

@@ -20,7 +20,7 @@ CALLABLES = {
     "FiniteCStar": ["block_sizes"],
     "KposVerdict": ["best_value", "restarts_capped", "restarts_used", "status", "witness"],
     "OzDecomposition": ["commute_defect", "h", "mult_defect", "pi_images", "reconstruct_defect"],
-    "PMap": ["_validate", "choi_blocks", "source", "target"],
+    "PMap": ["choi_blocks", "source", "target"],
     "VerifyReport": [
         "approx_errors", "approx_failures", "caveat", "epsilon", "legs", "overall",
         "psi_contraction_ok", "psi_norm", "psi_two_positive", "sum_contractive_ok", "sum_norm",
