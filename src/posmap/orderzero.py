@@ -48,6 +48,7 @@ from .errors import (
     NotCommutingError,
     NotPositiveContractionError,
     NotUnitaryError,
+    NumericalFailureError,
     PreconditionFailedError,
 )
 from .linalg import (
@@ -70,20 +71,21 @@ def one_var_defect(phi: PMap, a: Element) -> float:
     if not is_positive(a, 1e-9) or a.norm() > 1 + 1e-9:
         raise NotPositiveContractionError("a must be a positive contraction")
     f1 = phi.act(np.eye(phi.source.embed_dim))
-    return _one_var(phi, embed_stack(phi.source, [a]), f1)
+    probes = embed_stack(phi.source, [a])
+    return _one_var(phi, probes, phi.act(probes), f1)
 
 
-def _one_var(phi: PMap, probes: np.ndarray, f1: np.ndarray) -> float:
-    """Worst one-variable defect ||phi(a)^2 - phi(a^2) phi(1)|| over a (p, Ds, Ds) probe stack."""
-    fp = phi.act(probes)
+def _one_var(phi: PMap, probes: np.ndarray, fp: np.ndarray, f1: np.ndarray) -> float:
+    """Worst ||phi(a)^2 - phi(a^2) phi(1)|| over a (p, Ds, Ds) probe stack with images fp."""
     return float(op_norm(fp @ fp - phi.act(probes @ probes) @ f1).max())
 
 
 def _od_sup(
-    phi: PMap, probes: np.ndarray, units: np.ndarray, unit_images: np.ndarray, f1: np.ndarray
+    phi: PMap, probes: np.ndarray, fp: np.ndarray,
+    units: np.ndarray, unit_images: np.ndarray, f1: np.ndarray,
 ) -> float:
-    """Worst OD-identity deviation over a (p, Ds, Ds) probe stack and every matrix unit."""
-    fa = phi.act(probes)[:, None]
+    """Worst OD-identity deviation over a probe stack with images fp and every matrix unit."""
+    fa = fp[:, None]
     left = fa @ unit_images - f1 @ phi.act(probes[:, None] @ units)
     right = unit_images @ fa - phi.act(units @ probes[:, None]) @ f1
     return float(max(op_norm(left).max(), op_norm(right).max()))
@@ -99,7 +101,8 @@ def od_defect(phi: PMap, a: Element) -> float:
     units = unit_stack(phi.source)
     f1 = phi.act(np.eye(phi.source.embed_dim))
     unit_images = phi.act(units)
-    return _od_sup(phi, embed_stack(phi.source, [a]), units, unit_images, f1)
+    probes = embed_stack(phi.source, [a])
+    return _od_sup(phi, probes, phi.act(probes), units, unit_images, f1)
 
 
 def kadison_gap(phi: PMap, a: Element) -> float:
@@ -193,8 +196,9 @@ def order_zero_defect(phi: PMap, samples: int, seed: int) -> DefectReport:
         w = embed_blocks(src, _positive_contraction_blocks(rng, src.block_sizes))
         a, b, p = (embed_blocks(src, blocks) for blocks in _orthogonal_pair_blocks(rng, src))
         probes = np.stack([w, p])
-        one_var = max(one_var, _one_var(phi, probes, f1))
-        od = max(od, _od_sup(phi, probes, units, unit_images, f1))
+        fp = phi.act(probes)
+        one_var = max(one_var, _one_var(phi, probes, fp, f1))
+        od = max(od, _od_sup(phi, probes, fp, units, unit_images, f1))
         fa, fb = phi.act(np.stack([a, b]))
         orth = max(orth, op_norm(fa @ fb))
     return DefectReport(
@@ -227,6 +231,8 @@ def oz_decompose(phi: PMap) -> OzDecomposition:
     unit_images = phi.act(unit_stack(phi.source))
     # on the embedded h the cutoff is relative to the global ||h||: blocks may die
     hs = hermitian_part(hm)
+    if not np.all(np.isfinite(hs)):
+        raise NumericalFailureError("phi(1) or its Hermitian part is not finite")
     pis = pinv_psd(hs) @ unit_images @ support_projection(hs)
     mult, _, same = _relation_defects(phi.source, pis)
     return OzDecomposition(

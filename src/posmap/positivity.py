@@ -167,41 +167,55 @@ def _still_moving(prev: np.ndarray, active: np.ndarray, value: np.ndarray) -> np
     return active[moving]
 
 
+def _bottom_pairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest eigenvalue and a unit eigenvector of each matrix of a Hermitian (R, p, p) stack.
+
+    The vector comes from two solves of inverse iteration shifted 64 eps ||m||
+    (at least 1e-300) below the eigvalsh minimum, from the start sin(1..p),
+    which no vector with algebraic entries is orthogonal to (e^i is transcendental).
+    """
+    p = m.shape[-1]
+    try:
+        vals = np.linalg.eigvalsh(m)
+        shift = np.maximum(64 * np.finfo(float).eps * np.abs(vals[:, [0, -1]]).max(axis=1), 1e-300)
+        shifted = m - (vals[:, 0] - shift)[:, None, None] * np.eye(p)
+        v = np.sin(np.arange(1.0, p + 1))[:, None]
+        for _ in range(2):
+            v = np.linalg.solve(shifted, v)
+            v = v / np.abs(v).max(axis=1, keepdims=True)  # ||v||^2 stays in range
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"bottom eigenpair failed: {exc}") from exc
+    return vals[:, 0], v[:, :, 0] / np.linalg.norm(v, axis=1)
+
+
 def _seesaw(
     c_herm: np.ndarray, n: int, d: int, k: int, frames: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Alternating descent from every start frame, all restarts advanced together.
 
+    A half-step holds one side to an orthonormal frame F and solves exactly
+    for the k free factors X of the other side; QR of X is the next frame.
     Returns each restart's value, its (n, d) coefficient matrix, and how many
     restarts were stopped by _MAX_ITERS. A restart that stops leaves the
     active set, so its result never depends on the others.
     """
     t = c_herm.reshape(n, d, n, d)  # t[i, s, j, t]
-    t_left = t.transpose(1, 0, 2, 3).reshape(d, n * n * d)  # [s, (i, j, t)]
-    t_right = t.transpose(0, 1, 3, 2).reshape(n, d * d * n)  # [i, (s, t, j)]
-    b_frames = frames.copy()
+    # for _compress: [s, (i, j, t)] frees the left factors (side 0), [i, (s, t, j)] the right
+    laid = t.transpose(1, 0, 2, 3).reshape(d, -1), t.transpose(0, 1, 3, 2).reshape(n, -1)
+    held = [frames.copy(), np.empty((len(frames), n, k), dtype=np.complex128)]
     wmat = np.empty((len(frames), n, d), dtype=np.complex128)
     prev = np.full(len(frames), np.inf)
     active = np.arange(len(frames))
-    for _ in range(_MAX_ITERS):
-        # left step: quadratic form in the stacked left factors
-        b = b_frames[active]
-        vals, vecs = np.linalg.eigh(_compress(t_left, b, n))
-        stacked = vecs[:, :, 0].reshape(-1, k, n)
-        # x[(i,s)] = sum_r A[i,r] B[s,r]
-        wmat[active] = np.swapaxes(stacked, 1, 2) @ np.swapaxes(b, 1, 2)
-        active = _still_moving(prev, active, vals[:, 0])
+    for side in (0, 1) * _MAX_ITERS:
+        f = held[side][active]  # frame of the other side, (R, d or n, k)
+        vals, vecs = _bottom_pairs(_compress(laid[side], f, (n, d)[side]))
+        free = np.swapaxes(vecs.reshape(-1, k, (n, d)[side]), 1, 2)
+        coeff = free @ np.swapaxes(f, 1, 2)  # x[(i,s)] = sum_r A[i,r] B[s,r], transposed if side 1
+        wmat[active] = np.swapaxes(coeff, 1, 2) if side else coeff
+        held[1 - side][active] = np.linalg.qr(free)[0]
+        active = _still_moving(prev, active, vals)
         if not active.size:
             break
-        # right step: orthonormal left frame from the Schmidt decomposition
-        a = np.linalg.svd(wmat[active], full_matrices=False)[0][:, :, :k]
-        vals, vecs = np.linalg.eigh(_compress(t_right, a, d))
-        wmat[active] = a @ vecs[:, :, 0].reshape(-1, k, d)
-        active = _still_moving(prev, active, vals[:, 0])
-        if not active.size:
-            break
-        vh = np.linalg.svd(wmat[active], full_matrices=False)[2]
-        b_frames[active] = np.swapaxes(vh[:, :k, :], 1, 2)  # current right Schmidt factors
     values = np.array([_quadratic_value(c_herm, w.reshape(-1)) for w in wmat])
     return values, wmat, int(active.size)
 

@@ -283,6 +283,16 @@ class TestErrorPaths:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_decompose_overflow_exit_2(self, capsys, tmp_path):
+        # phi(1) is finite but its Hermitian part overflows; the error blamed the input matrix
+        path = str(tmp_path / "huge.json")
+        save_map(1.5e308 * PMap.identity(M2), path)
+        assert main(["decompose", path, "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: phi(1) or its Hermitian part is not finite\n"
+
     def test_size_above_bound_exit_2(self, capsys):
         # m n = 3 * 683 = 2049, one above family.MAX_SIZE
         argv = ["example4", "--n", "3", "--m", "683", "--k", "1", "--lambda", "1.4", "--eps", "0.05"]

@@ -146,6 +146,14 @@ class TestOrderZeroDefectReport:
         with pytest.raises(NumericalFailureError):
             order_zero_defect(c * PMap.identity(M2), samples=1, seed=0)
 
+    def test_probe_images_computed_once(self, monkeypatch):
+        # phi.act(probes) ran in both the one-variable and the OD kernel: 62 calls
+        calls = []
+        act = PMap.act
+        monkeypatch.setattr(PMap, "act", lambda self, xs: calls.append(1) or act(self, xs))
+        order_zero_defect(tomiyama_map(3, 1.2), samples=10, seed=0)
+        assert len(calls) == 52  # unit and unit-image set-up, then five per sample
+
 
 class TestOdDefect:
     def test_multiplicative_domain(self):

@@ -22,7 +22,15 @@ from posmap.positivity import (
     tomiyama_threshold,
     witness_verify,
 )
-from posmap.positivity import _seesaw, _start_frames
+from posmap.positivity import (
+    _MAX_ITERS,
+    _bottom_pairs,
+    _compress,
+    _quadratic_value,
+    _seesaw,
+    _start_frames,
+    _still_moving,
+)
 
 from test_maps import trace_map, transpose_map
 
@@ -49,6 +57,18 @@ def kraus_map(n, seed, n_kraus=3):
             e[i, j] = 1.0
             images.append(Element(alg, [sum(v.conj().T @ e @ v for v in vs)]))
     return PMap.from_action(alg, alg, images)
+
+
+def near_threshold_choi(n, k, rng):
+    """Trace-mixing Choi block just past threshold(n, k), conjugated by a random
+    product unitary, plus a small Hermitian perturbation: restarts run to the cap."""
+    thr = tomiyama_threshold(n, k)
+    delta = 0.05 * (thr - 1)
+    w = np.kron(_haar(rng, n), _haar(rng, n))
+    g = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    h = (g + g.conj().T) / 2
+    pert = h * (delta * (k - 1 / n) / 2 / np.linalg.norm(h, 2))
+    return w @ tomiyama_map(n, thr + delta).choi_blocks[0] @ w.conj().T + pert
 
 
 class TestIsCp:
@@ -224,22 +244,116 @@ class TestFalsifier:
         assert v.restarts_capped == 0
 
     def test_near_threshold_restarts_capped(self):
-        # trace-mixing map just past threshold(3,1), conjugated by a random product
-        # unitary plus a small Hermitian perturbation: every restart runs to the cap
         n, k, restarts = 3, 1, 4
-        rng = np.random.default_rng(0)
-        thr = tomiyama_threshold(n, k)
-        delta = 0.05 * (thr - 1)
-        w = np.kron(_haar(rng, n), _haar(rng, n))
-        g = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
-        h = (g + g.conj().T) / 2
-        pert = h * (delta * (k - 1 / n) / 2 / np.linalg.norm(h, 2))
-        choi = w @ tomiyama_map(n, thr + delta).choi_blocks[0] @ w.conj().T + pert
-        phi = PMap.from_choi(M3, M3, [choi])
+        phi = PMap.from_choi(M3, M3, [near_threshold_choi(n, k, np.random.default_rng(0))])
         v = k_positivity_falsify(phi, k=k, restarts=restarts, seed=0)
         assert v.status == VIOLATED
         assert v.restarts_used == restarts
         assert v.restarts_capped == restarts
+
+
+def reference_seesaw(c_herm, n, d, k, frames):
+    """The see-saw with a full eigh per half-step and frames from the SVD of the
+    current vector: the same minimiser and stopping rule as _seesaw."""
+    t = c_herm.reshape(n, d, n, d)
+    t_left = t.transpose(1, 0, 2, 3).reshape(d, n * n * d)
+    t_right = t.transpose(0, 1, 3, 2).reshape(n, d * d * n)
+    b_frames = frames.copy()
+    wmat = np.empty((len(frames), n, d), dtype=np.complex128)
+    prev = np.full(len(frames), np.inf)
+    active = np.arange(len(frames))
+    for _ in range(_MAX_ITERS):
+        b = b_frames[active]
+        vals, vecs = np.linalg.eigh(_compress(t_left, b, n))
+        stacked = vecs[:, :, 0].reshape(-1, k, n)
+        wmat[active] = np.swapaxes(stacked, 1, 2) @ np.swapaxes(b, 1, 2)
+        active = _still_moving(prev, active, vals[:, 0])
+        if not active.size:
+            break
+        a = np.linalg.svd(wmat[active], full_matrices=False)[0][:, :, :k]
+        vals, vecs = np.linalg.eigh(_compress(t_right, a, d))
+        wmat[active] = a @ vecs[:, :, 0].reshape(-1, k, d)
+        active = _still_moving(prev, active, vals[:, 0])
+        if not active.size:
+            break
+        vh = np.linalg.svd(wmat[active], full_matrices=False)[2]
+        b_frames[active] = np.swapaxes(vh[:, :k, :], 1, 2)
+    values = np.array([_quadratic_value(c_herm, w.reshape(-1)) for w in wmat])
+    return values, wmat, int(active.size)
+
+
+def _unconjugated_forms():
+    """Compressions of the tomiyama_map(3, 1.4) Choi block: exactly degenerate spectra."""
+    c = np.asarray(tomiyama_map(3, 1.4).choi_blocks[0], dtype=complex)
+    t = c.reshape(3, 3, 3, 3)
+    t_left = t.transpose(1, 0, 2, 3).reshape(3, 27)
+    t_right = t.transpose(0, 1, 3, 2).reshape(3, 27)
+    forms = []
+    for frames in (_start_frames(0, 4, 3, 2), np.eye(3, dtype=complex)[None, :, :2]):
+        forms += [_compress(t_left, frames, 3), _compress(t_right, frames, 3)]
+    return forms
+
+
+def _random_hermitian_stack(p, size, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((6, p, p)) + 1j * rng.standard_normal((6, p, p))
+    return size * (g + np.swapaxes(g, 1, 2).conj()) / 2
+
+
+# (size p, operator-norm scale) of the random stacks
+RANDOM_STACKS = [
+    (1, 1.0), (2, 1e-6), (5, 1.0), (12, 1e3), (18, 100.0), (30, 1e6), (4, 1e250), (3, 1e-200)
+]
+DEGENERATE_STACKS = [
+    np.eye(4)[None],
+    np.diag([3.0, 3.0, 3.0, 7.0])[None],
+    np.diag([-1.0, -1.0, 2.0])[None],
+    np.zeros((2, 3, 3)),
+]
+
+
+class TestBottomPairs:
+    @pytest.mark.parametrize(
+        "m",
+        [_random_hermitian_stack(p, size, seed) for seed, (p, size) in enumerate(RANDOM_STACKS)]
+        + DEGENERATE_STACKS
+        + _unconjugated_forms(),
+    )
+    def test_matches_eigh(self, m):
+        low, v = _bottom_pairs(m)
+        vals = np.linalg.eigvalsh(m)
+        assert np.array_equal(low, vals[:, 0])
+        np.testing.assert_allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0, atol=1e-14)
+        scale = np.abs(vals).max(axis=1)[:, None]
+        scale[scale == 0] = 1.0
+        mv = (m / scale[:, :, None] @ v[:, :, None])[:, :, 0]
+        assert np.all(np.linalg.norm(mv - (low[:, None] / scale) * v, axis=1) <= 1e-12)
+
+    def test_non_finite_is_numerical_failure(self):
+        with pytest.raises(NumericalFailureError):
+            _bottom_pairs(np.full((1, 3, 3), np.nan))
+
+
+class TestSeesawReference:
+    @pytest.mark.parametrize(
+        "n, d, k, seed, near",
+        [(5, 5, 2, 7, False), (3, 4, 2, 1, False), (4, 3, 1, 2, False),
+         (3, 3, 1, 0, True), (3, 3, 2, 5, True), (4, 4, 2, 6, True)],
+    )
+    def test_matches_eigh_svd_reference(self, n, d, k, seed, near):
+        rng = np.random.default_rng(seed)
+        if near:
+            c = near_threshold_choi(n, k, rng)
+            c = (c + c.conj().T) / 2
+        else:
+            g = rng.standard_normal((n * d, n * d)) + 1j * rng.standard_normal((n * d, n * d))
+            c = (g + g.conj().T) / 2
+        frames = _start_frames(seed, 8, d, k)
+        values, _, capped = _seesaw(c, n, d, k, frames)
+        ref_values, _, ref_capped = reference_seesaw(c, n, d, k, frames)
+        np.testing.assert_allclose(values, ref_values, rtol=1e-13, atol=0)
+        assert capped == ref_capped
+        assert (capped > 0) == near  # the near-threshold blocks reach the iteration cap
 
 
 class TestWitnessVerify:
