@@ -170,16 +170,16 @@ def _still_moving(prev: np.ndarray, active: np.ndarray, value: np.ndarray) -> np
 def _bottom_pairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lowest eigenvalue and a unit eigenvector of each matrix of a Hermitian (R, p, p) stack.
 
-    The vector comes from two solves of inverse iteration shifted 64 eps ||m||
-    (at least 1e-300) below the eigvalsh minimum, from the start sin(1..p),
+    Two solves of inverse iteration on each matrix, scaled by a power of two to spectral
+    radius in [1/2, 1) and shifted 64 eps below its eigvalsh minimum, from sin(1..p),
     which no vector with algebraic entries is orthogonal to (e^i is transcendental).
     """
-    p = m.shape[-1]
     try:
         vals = np.linalg.eigvalsh(m)
-        shift = np.maximum(64 * np.finfo(float).eps * np.abs(vals[:, [0, -1]]).max(axis=1), 1e-300)
-        shifted = m - (vals[:, 0] - shift)[:, None, None] * np.eye(p)
-        v = np.sin(np.arange(1.0, p + 1))[:, None]
+        e = np.frexp(np.abs(vals[:, [0, -1]]).max(axis=1))[1][:, None, None]
+        low = np.ldexp(vals[:, :1, None], -e) - 64 * np.finfo(float).eps
+        shifted = np.ldexp(m.real, -e) + 1j * np.ldexp(m.imag, -e) - low * np.eye(m.shape[-1])
+        v = np.sin(np.arange(1.0, m.shape[-1] + 1))[None, :, None]  # 3-D: a stack of matrices
         for _ in range(2):
             v = np.linalg.solve(shifted, v)
             v = v / np.abs(v).max(axis=1, keepdims=True)  # ||v||^2 stays in range

@@ -302,7 +302,8 @@ def _random_hermitian_stack(p, size, seed):
 
 # (size p, operator-norm scale) of the random stacks
 RANDOM_STACKS = [
-    (1, 1.0), (2, 1e-6), (5, 1.0), (12, 1e3), (18, 100.0), (30, 1e6), (4, 1e250), (3, 1e-200)
+    (1, 1.0), (2, 1e-6), (5, 1.0), (12, 1e3), (18, 100.0), (30, 1e6), (4, 1e250), (3, 1e-200),
+    (3, 1e-310),  # subnormal entries
 ]
 DEGENERATE_STACKS = [
     np.eye(4)[None],
@@ -324,10 +325,12 @@ class TestBottomPairs:
         vals = np.linalg.eigvalsh(m)
         assert np.array_equal(low, vals[:, 0])
         np.testing.assert_allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0, atol=1e-14)
-        scale = np.abs(vals).max(axis=1)[:, None]
-        scale[scale == 0] = 1.0
-        mv = (m / scale[:, :, None] @ v[:, :, None])[:, :, 0]
-        assert np.all(np.linalg.norm(mv - (low[:, None] / scale) * v, axis=1) <= 1e-12)
+        # residual of each matrix scaled exactly by a power of two to spectral radius ~1,
+        # so that subnormal stacks are not checked in subnormal arithmetic
+        scale, e = np.abs(vals).max(axis=1), np.frexp(np.abs(vals).max(axis=1))[1]
+        unit_m = np.ldexp(m.real, -e[:, None, None]) + 1j * np.ldexp(m.imag, -e[:, None, None])
+        res = (unit_m @ v[:, :, None])[:, :, 0] - np.ldexp(low, -e)[:, None] * v
+        assert np.all(np.linalg.norm(res, axis=1) <= 1e-12 * np.ldexp(scale, -e))
 
     def test_non_finite_is_numerical_failure(self):
         with pytest.raises(NumericalFailureError):
@@ -354,6 +357,16 @@ class TestSeesawReference:
         np.testing.assert_allclose(values, ref_values, rtol=1e-13, atol=0)
         assert capped == ref_capped
         assert (capped > 0) == near  # the near-threshold blocks reach the iteration cap
+
+    def test_subnormal_block_moves(self):
+        # entries of size 1e-310 carry about 44 bits, so agreement is to about 1e-11
+        c = 1e-310 * np.asarray(tomiyama_map(3, 1.4).choi_blocks[0], dtype=complex)
+        frames = _start_frames(0, 8, 3, 2)
+        values, _, capped = _seesaw(c, 3, 3, 2, frames)
+        ref_values, _, ref_capped = reference_seesaw(c, 3, 3, 2, frames)
+        np.testing.assert_allclose(values, ref_values, rtol=1e-11, atol=0)
+        assert capped == ref_capped
+        assert values.min() / 1e-310 == pytest.approx(-1 / 3, rel=1e-11)
 
 
 class TestWitnessVerify:
