@@ -2,13 +2,14 @@
 
 A FiniteCStar is just its ordered tuple of block sizes; an Element carries
 one square complex block per summand. Elements are immutable after
-construction (blocks are copied and marked read-only) so they are safe to
-share between threads.
+construction (blocks are copied and marked read-only), so maps, reports
+and certificates can hold them without copying.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -154,10 +155,13 @@ def basis_element(algebra: FiniteCStar, block: int, i: int, j: int) -> Element:
     return Element(algebra, blocks)
 
 
+@lru_cache(maxsize=64)
 def block_mask(algebra: FiniteCStar) -> np.ndarray:
-    """Boolean D x D mask of the entries inside the embedded diagonal blocks."""
+    """Read-only boolean D x D mask of the in-block entries, built once per algebra."""
     owner = np.repeat(np.arange(algebra.n_blocks), algebra.block_sizes)
-    return owner[:, None] == owner[None, :]
+    mask = owner[:, None] == owner[None, :]
+    mask.setflags(write=False)
+    return mask
 
 
 def unit_stack(algebra: FiniteCStar) -> np.ndarray:

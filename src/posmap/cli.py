@@ -90,14 +90,13 @@ def _parse_list(text: str, flag: str, convert, what: str) -> list:
         raise PosmapError(f"{flag}: expected comma-separated {what}, got {text!r}")
 
 
-# -- subcommand handlers (return (exit_code, payload)) --------------------------
+# -- subcommand handlers (return (exit_code, payload); main adds "command") -----
 
 
 def _cmd_check_cp(args) -> tuple[int, dict]:
     phi = load_map(args.mapfile)
     verdict = is_cp(phi, args.tol)
     payload = {
-        "command": "check-cp",
         "mapfile": args.mapfile,
         "tol": args.tol,
         "completely_positive": verdict,
@@ -111,7 +110,6 @@ def _cmd_check_kpos(args) -> tuple[int, dict]:
         phi, args.k, restarts=args.restarts, seed=args.seed, tol=args.tol
     )
     payload = {
-        "command": "check-kpos",
         "mapfile": args.mapfile,
         "k": args.k,
         "restarts": args.restarts,
@@ -127,7 +125,6 @@ def _cmd_tomiyama(args) -> tuple[int, dict]:
         raise PosmapError("-o/--out needs --lambda")
     threshold = tomiyama_threshold(args.n, args.k)
     payload = {
-        "command": "tomiyama",
         "n": args.n,
         "k": args.k,
         "threshold": threshold,
@@ -156,14 +153,13 @@ def _cmd_tomiyama(args) -> tuple[int, dict]:
 def _cmd_defect(args) -> tuple[int, dict]:
     phi = load_map(args.mapfile)
     rep = order_zero_defect(phi, samples=args.samples, seed=args.seed)
-    return 0, {"command": "defect", "mapfile": args.mapfile, **_encode(rep)}
+    return 0, {"mapfile": args.mapfile, **_encode(rep)}
 
 
 def _cmd_decompose(args) -> tuple[int, dict]:
     phi = load_map(args.mapfile)
     dec = oz_decompose(phi)
     payload = {
-        "command": "decompose",
         "mapfile": args.mapfile,
         "h_norm": dec.h.norm(),
         "mult_defect": dec.mult_defect,
@@ -181,7 +177,6 @@ def _cmd_repair(args) -> tuple[int, dict]:
     repaired, eps = cp_repair(phi)
     cp_after = is_cp(repaired, args.tol)
     payload = {
-        "command": "repair",
         "mapfile": args.mapfile,
         "eps_meas": eps,
         "repaired_is_cp": cp_after,
@@ -204,8 +199,7 @@ def _cmd_example4(args) -> tuple[int, dict]:
         restarts=args.restarts,
     )
     fields = _renamed(_encode(rep), "lam", "lambda")
-    payload = {"command": "example4", **fields, "all_ok": rep.all_ok}
-    return (0 if rep.all_ok else 1), payload
+    return (0 if rep.all_ok else 1), {**fields, "all_ok": rep.all_ok}
 
 
 def _cmd_verify_cert(args) -> tuple[int, dict]:
@@ -214,7 +208,6 @@ def _cmd_verify_cert(args) -> tuple[int, dict]:
         cert, tol=args.tol, seed=args.seed, restarts=args.restarts
     )
     payload = {
-        "command": "verify-cert",
         "certfile": args.certfile,
         "tol": args.tol,
         "seed": args.seed,
@@ -232,7 +225,6 @@ def _cmd_gen_cert(args) -> tuple[int, dict]:
     )
     save_certificate(cert, args.out)
     payload = {
-        "command": "gen-cert",
         "algebra": blocks,
         "weights": weights,
         "seed": args.seed,
@@ -346,7 +338,7 @@ def main(argv=None) -> int:
     except (PosmapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _print_report(payload, args.json)
+    _print_report({"command": args.command, **payload}, args.json)
     return code
 
 

@@ -6,11 +6,12 @@ with the target direct sum embedded block-diagonally into one matrix
 algebra of size D = target.embed_dim. C is an (n*D) x (n*D) matrix whose
 (i,s),(j,t) entry is phi(e_ij)[s,t].
 
-The map acts through one transfer matrix T derived from the Choi blocks.
-With elements embedded block-diagonally and flattened row-major,
-vec(phi(x)) = vec(x) @ T, so T is (Ds*Ds) x (D*D) for a source of
-embedding size Ds. Its rows at source coordinates outside the diagonal
-blocks and its columns at such target coordinates are zero.
+The map acts through one transfer matrix T, the Choi data re-laid: row u
+is vec(phi(e_u)), the embedded image of the u-th matrix unit flattened
+row-major, in the order of unit_stack. So T is (sum n_i^2) x (D*D), and
+vec(phi(x)) = x_in @ T where x_in lists the in-block entries of the
+embedded x in that order. Its columns at target coordinates outside the
+diagonal blocks are zero.
 Every construction checks the block count and shapes, finite entries and
 that no image leaks outside the embedded target blocks.
 """
@@ -117,29 +118,28 @@ class PMap:
 
     @property
     def transfer(self) -> np.ndarray:
-        """T with vec(phi(x)) = vec(x) @ T on row-major embedded coordinates.
+        """The (dim, D*D) stack of matrix-unit images: row u is vec(phi(e_u)).
 
         Built once from the Choi blocks. Columns at target coordinates
         outside the diagonal blocks are zero, so every image lies exactly
         in the embedded direct sum.
         """
         if self._transfer is None:
-            ds, d = self.source.embed_dim, self.target.embed_dim
-            images = [
+            d = self.target.embed_dim
+            t = np.concatenate([
                 c.reshape(n, d, n, d).transpose(0, 2, 1, 3).reshape(n * n, d * d)
                 for c, n in zip(self.choi_blocks, self.source.block_sizes)
-            ]
-            t = np.zeros((ds * ds, d * d), dtype=np.complex128)
-            t[block_mask(self.source).reshape(-1)] = np.concatenate(images)
+            ])
             t[:, ~block_mask(self.target).reshape(-1)] = 0.0
             t.setflags(write=False)
             self._transfer = t
         return self._transfer
 
     def act(self, xs: np.ndarray) -> np.ndarray:
-        """phi on a (..., Ds, Ds) stack of embedded source elements, as one GEMM."""
+        """phi on a (..., Ds, Ds) stack of embedded elements: an in-block gather, then one GEMM."""
         d = self.target.embed_dim
-        out = xs.reshape(-1, xs.shape[-1] * xs.shape[-1]) @ self.transfer
+        flat = xs.reshape(-1, xs.shape[-1] * xs.shape[-1])
+        out = flat[:, block_mask(self.source).reshape(-1)] @ self.transfer
         return out.reshape(xs.shape[:-2] + (d, d))
 
     def apply(self, x: Element) -> Element:
@@ -185,8 +185,8 @@ def lstsq_preimage(phi: PMap, y: Element) -> Element:
     """Minimal-norm least-squares solution x of phi(x) = y."""
     if y.algebra != phi.target:
         raise AlgebraMismatchError("element does not belong to the target algebra")
-    # off-block source coordinates are zero columns of T.T, so the
-    # minimal-norm solution stays block-diagonal
     x, *_ = np.linalg.lstsq(phi.transfer.T, y.embedded().reshape(-1), rcond=None)
     ds = phi.source.embed_dim
-    return from_embedded(phi.source, x.reshape(ds, ds))
+    m = np.zeros((ds, ds), dtype=np.complex128)
+    m[block_mask(phi.source)] = x
+    return from_embedded(phi.source, m)

@@ -37,7 +37,6 @@ from .algebra import (
     embed_blocks,
     embed_stack,
     from_embedded,
-    is_positive,
     unit_stack,
 )
 from .errors import (
@@ -66,10 +65,17 @@ from .maps import PMap
 # -- defect functionals ------------------------------------------------------
 
 
+def _check_positive_contraction(m: np.ndarray, what: str) -> None:
+    """NotPositiveContractionError unless m is PSD within 1e-9 and ||m|| <= 1 + 1e-9."""
+    kernel = hermitian_kernel(m)
+    # for a PSD m, scale = max(1, ||m||), so it exceeds 1 + 1e-9 iff ||m|| does
+    if not kernel.psd(1e-9) or kernel.scale > 1 + 1e-9:
+        raise NotPositiveContractionError(f"{what} must be a positive contraction")
+
+
 def one_var_defect(phi: PMap, a: Element) -> float:
     """||phi(a)^2 - phi(a^2) phi(1)|| for a positive contraction a."""
-    if not is_positive(a, 1e-9) or a.norm() > 1 + 1e-9:
-        raise NotPositiveContractionError("a must be a positive contraction")
+    _check_positive_contraction(a.embedded(), "a")
     f1 = phi.act(np.eye(phi.source.embed_dim))
     probes = embed_stack(phi.source, [a])
     return _one_var(phi, probes, phi.act(probes), f1)
@@ -100,7 +106,7 @@ def od_defect(phi: PMap, a: Element) -> float:
     """
     units = unit_stack(phi.source)
     f1 = phi.act(np.eye(phi.source.embed_dim))
-    unit_images = phi.act(units)
+    unit_images = phi.transfer.reshape(-1, *f1.shape)  # row u of T is phi(e_u)
     probes = embed_stack(phi.source, [a])
     return _od_sup(phi, probes, phi.act(probes), units, unit_images, f1)
 
@@ -190,7 +196,7 @@ def order_zero_defect(phi: PMap, samples: int, seed: int) -> DefectReport:
     src = phi.source
     units = unit_stack(src)
     f1 = phi.act(np.eye(src.embed_dim))
-    unit_images = phi.act(units)
+    unit_images = phi.transfer.reshape(-1, *f1.shape)  # row u of T is phi(e_u)
     one_var = orth = od = 0.0
     for _ in range(samples):
         w = embed_blocks(src, _positive_contraction_blocks(rng, src.block_sizes))
@@ -228,7 +234,7 @@ def oz_decompose(phi: PMap) -> OzDecomposition:
     """
     h = phi.unit_image()
     hm = h.embedded()
-    unit_images = phi.act(unit_stack(phi.source))
+    unit_images = phi.transfer.reshape(-1, *hm.shape)
     # on the embedded h the cutoff is relative to the global ||h||: blocks may die
     hs = hermitian_part(hm)
     if not np.all(np.isfinite(hs)):
@@ -283,8 +289,7 @@ def oz_construct(source: FiniteCStar, pi_images: list[Element], h: Element) -> P
         raise NotHomomorphismError(
             f"expected {source.dim} images, got {len(pi_images)}"
         )
-    if not is_positive(h, 1e-9) or h.norm() > 1 + 1e-9:
-        raise NotPositiveContractionError("h must be a positive contraction")
+    _check_positive_contraction(h.embedded(), "h")
     tol = 1e-10
     target = h.algebra
     pis = embed_stack(target, pi_images)
@@ -327,7 +332,7 @@ def cp_repair(phi: PMap) -> tuple[PMap, float]:
         raise NotHermitianError("cp_repair needs a self-adjoint map")
     n = phi.source.block_sizes[0]
     d = phi.target.embed_dim
-    img = phi.act(unit_stack(phi.source)).reshape(n, n, d, d)
+    img = phi.transfer.reshape(n, n, d, d)
     eps = float(op_norm(img[:, :1] @ img[:1, :] - img).max())
     # the bump a -> n eps Tr(a) 1 has Choi matrix n eps 1
     bump = PMap.from_choi(phi.source, phi.target, [n * eps * np.eye(n * d)])
@@ -381,12 +386,7 @@ def lemma31_positive_check(a: np.ndarray, d: int, eps: float) -> bool:
     every valid input; False signals an implementation bug.
     """
     a = np.asarray(a, dtype=np.complex128)
-    kernel = hermitian_kernel(a)
-    if not kernel.psd(1e-9):
-        raise NotPositiveContractionError("input is not a positive matrix")
-    # scale = max(1, ||a||) for a PSD a, so it exceeds 1 + 1e-9 iff ||a|| does
-    if kernel.scale > 1 + 1e-9:
-        raise NotPositiveContractionError("input is not a contraction")
+    _check_positive_contraction(a, "input")
     col = _first_block_column(a, d, eps)
     if op_norm(col[:d]) >= eps:
         raise PreconditionFailedError("||a_{1,1}|| < eps does not hold")

@@ -56,6 +56,32 @@ class TestArithmetic:
         assert unit(M23).blocks[1].shape == (3, 3)
 
 
+class TestElementBoundary:
+    @pytest.mark.parametrize(
+        "blocks, field",
+        [
+            ([np.eye(2)], "expected 2 blocks, got 1"),
+            ([np.eye(2), np.eye(2)], r"block of shape \(2, 2\) does not match size 3"),
+            ([np.eye(2), np.diag([1.0, np.nan, 1.0])], "non-finite"),
+            ([np.eye(2), np.diag([1.0, 1j * np.inf, 1.0])], "non-finite"),
+        ],
+    )
+    def test_rejected_with_exact_type(self, blocks, field):
+        with pytest.raises(AlgebraMismatchError, match=field) as info:
+            Element(M23, blocks)
+        assert type(info.value) is AlgebraMismatchError
+
+
+class TestBlockMask:
+    def test_built_once_per_algebra_and_read_only(self):
+        mask = algebra.block_mask(FiniteCStar((1, 2)))
+        assert algebra.block_mask(FiniteCStar((1, 2))) is mask
+        assert not mask.flags.writeable
+        np.testing.assert_array_equal(
+            mask, [[True, False, False], [False, True, True], [False, True, True]]
+        )
+
+
 class TestMatrixUnits:
     def test_count(self):
         assert len(matrix_units(M23)) == 13

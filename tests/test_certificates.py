@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -367,6 +368,59 @@ class TestCanonicalLoaders:
         doc = map_to_document(tomiyama_map(2, 0.8))
         doc["map"]["choi_blocks"][0] = [[int(re), int(im)] for re, im in doc["map"]["choi_blocks"][0]]
         assert map_from_document(doc).choi_blocks[0].shape == (4, 4)
+
+
+class TestStructureChecks:
+    """verify_certificate rejects data that does not fit together, naming the part."""
+
+    CERT = orderzero_certificate(M2, [0.5, 0.5])  # d = 1, summands (M2, M2)
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            (dict(psi=PMap.identity(FiniteCStar((2, 2)))), "psi"),  # wrong source
+            (dict(psi=PMap.identity(M2)), "psi"),  # wrong target
+            (dict(phis=(PMap.identity(M2), PMap.identity(M3))), "phis[1]"),
+            (dict(test_set=(unit(M2), unit(M3))), "test_set[1] is not an element of A"),
+            (dict(test_set=(unit(M2), 2.0 * unit(M2))), "test_set[1] is not a contraction"),
+        ],
+    )
+    def test_rejected_with_exact_type(self, changes, field):
+        with pytest.raises(StructurallyInvalidError, match=re.escape(field)) as info:
+            verify_certificate(dataclasses.replace(self.CERT, **changes))
+        assert type(info.value) is StructurallyInvalidError
+
+
+def _broken_document(path, value):
+    """The d = 1 certificate document with the entry at path replaced by value(entry)."""
+    doc = certificate_to_document(orderzero_certificate(M2, [0.5, 0.5]))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value(node[last])
+    return doc
+
+
+class TestLoaderChecks:
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("psi", "choi_blocks", 0, 3), lambda v: v[:1], "psi.choi_blocks[0][3]: expected"),
+            (("phis", 1, "choi_blocks", 0, 0), lambda v: 1.0, "phis[1].choi_blocks[0][0]: "),
+            (("summands",), lambda v: {"blocks": [2]}, "summands: expected a list"),
+            (("summands",), lambda v: v[:1], "summands: expected 2 entries, got 1"),
+            (("phis",), lambda v: v[:1], "phis: expected 2 entries"),
+            (("phis",), lambda v: v + v, "phis: expected 2 entries"),
+            (("test_set",), lambda v: {"blocks": []}, "test_set: expected a list"),
+        ],
+    )
+    def test_rejected_with_exact_type(self, path, value, field):
+        with pytest.raises(ParseError, match=re.escape(field)) as info:
+            certificate_from_document(_broken_document(path, value))
+        assert type(info.value) is ParseError
+        if "choi_blocks" in field:
+            assert "[re, im] pair" in str(info.value)
 
 
 class TestMapFiles:

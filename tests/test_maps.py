@@ -132,6 +132,60 @@ class TestChoi:
             PMap._from_unit_images(alg, alg, stack)
 
 
+class TestConstructorBoundary:
+    @pytest.mark.parametrize(
+        "blocks, field",
+        [
+            ([], "expected 1 Choi blocks, got 0"),
+            ([np.eye(4), np.eye(4)], "expected 1 Choi blocks, got 2"),
+            ([np.eye(3)], r"Choi block shape \(3, 3\) does not match \(4, 4\)"),
+            ([np.diag([1.0, np.nan, 1.0, 1.0])], "non-finite"),
+            ([np.diag([1.0, 1.0, 1j * np.inf, 1.0])], "non-finite"),
+        ],
+    )
+    def test_rejected_with_exact_type(self, blocks, field):
+        with pytest.raises(DimensionMismatchError, match=field) as info:
+            PMap(M2, M2, blocks)
+        assert type(info.value) is DimensionMismatchError
+
+
+class TestTransferLayout:
+    # three source blocks into a two-block target: sum n_i^2 = 14 rows, D^2 = 9 columns
+    SOURCE = FiniteCStar((1, 2, 3))
+    TARGET = FiniteCStar((2, 1))
+
+    def _map(self, seed=7):
+        return random_map(np.random.default_rng(seed), self.SOURCE, self.TARGET)
+
+    def test_rows_are_unit_images(self):
+        phi = self._map()
+        assert phi.transfer.shape == (14, 9)
+        d = self.TARGET.embed_dim
+        rows = phi.transfer.reshape(-1, d, d)
+        np.testing.assert_array_equal(rows, phi.act(algebra.unit_stack(self.SOURCE)))
+        # and, independently, the (i, j) tile of the Choi block is phi(e_ij)
+        u = 0
+        for c, n in zip(phi.choi_blocks, self.SOURCE.block_sizes):
+            for i in range(n):
+                for j in range(n):
+                    np.testing.assert_array_equal(rows[u], c[i * d:(i + 1) * d, j * d:(j + 1) * d])
+                    u += 1
+
+    def test_commutative_identity_has_no_padded_rows(self):
+        # one row per matrix unit, so C^N costs N * N^2 entries, not N^2 * N^2
+        t = PMap.identity(FiniteCStar((1,) * 50)).transfer
+        assert t.shape == (50, 2500)
+        assert not t.flags.writeable
+
+    def test_act_ignores_off_block_source_entries(self):
+        phi = self._map()
+        rng = np.random.default_rng(3)
+        x = random_element(rng, self.SOURCE)
+        xs = x.embedded()
+        xs[~algebra.block_mask(self.SOURCE)] = np.nan  # never read
+        np.testing.assert_array_equal(phi.act(xs), phi(x).embedded())
+
+
 class TestComposeAndArithmetic:
     def test_choi_linearity(self):
         phi = transpose_map(2)

@@ -147,12 +147,13 @@ class TestOrderZeroDefectReport:
             order_zero_defect(c * PMap.identity(M2), samples=1, seed=0)
 
     def test_probe_images_computed_once(self, monkeypatch):
-        # phi.act(probes) ran in both the one-variable and the OD kernel: 62 calls
+        # phi.act(probes) ran in both the one-variable and the OD kernel: 62 calls;
+        # the unit images are read from the transfer matrix, not acted out
         calls = []
         act = PMap.act
         monkeypatch.setattr(PMap, "act", lambda self, xs: calls.append(1) or act(self, xs))
         order_zero_defect(tomiyama_map(3, 1.2), samples=10, seed=0)
-        assert len(calls) == 52  # unit and unit-image set-up, then five per sample
+        assert len(calls) == 51  # phi(1) once, then five per sample
 
 
 class TestOdDefect:
