@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import AlgebraMismatchError, BadRangeError
-from .linalg import as_complex, is_psd, op_norm
+from .linalg import as_complex, check_seed, is_psd, op_norm
 
 
 @dataclass(frozen=True)
@@ -217,9 +217,9 @@ def _contraction(rng: np.random.Generator, n: int) -> np.ndarray:
     return g / op_norm(g)
 
 
-def _positive_contraction_blocks(rng: np.random.Generator, sizes: Iterable[int]):
-    wishart = [g.conj().T @ g for g in (_ginibre(rng, (n, n)) for n in sizes)]
-    return [w / op_norm(w) for w in wishart]
+def _wishart(g: np.ndarray) -> np.ndarray:
+    gg = np.swapaxes(g.conj(), -2, -1) @ g
+    return gg / np.expand_dims(op_norm(gg), (-2, -1))
 
 
 def random_positive_contraction(algebra: FiniteCStar, seed: int) -> Element:
@@ -228,12 +228,14 @@ def random_positive_contraction(algebra: FiniteCStar, seed: int) -> Element:
     Blockwise g*g / ||g*g|| with g complex standard normal, so every block
     has norm exactly 1.
     """
+    check_seed(seed)
     rng = np.random.default_rng(seed)
-    return Element(algebra, _positive_contraction_blocks(rng, algebra.block_sizes))
+    return Element(algebra, [_wishart(_ginibre(rng, (n, n))) for n in algebra.block_sizes])
 
 
 def random_contraction(algebra: FiniteCStar, seed: int) -> Element:
     """Ginibre matrix normalized to operator norm 1, blockwise."""
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     return Element(algebra, [_contraction(rng, n) for n in algebra.block_sizes])
 

@@ -35,7 +35,7 @@ from .errors import (
     SchemaVersionMismatchError,
     StructurallyInvalidError,
 )
-from .linalg import check_tol
+from .linalg import check_seed, check_tol
 from .maps import PMap, pmap_norm
 from .orderzero import order_zero_defect, oz_decompose
 from .positivity import (
@@ -172,6 +172,7 @@ def verify_certificate(
     together dimensionally.
     """
     check_tol(tol)
+    check_seed(seed)
     _check_structure(cert)
 
     psi_norm = pmap_norm(cert.psi)
@@ -275,6 +276,7 @@ def orderzero_certificate(
     (sum phi_i)(psi(x)) = (sum w_i) x = x exactly and each leg is a CP
     order-zero contraction.
     """
+    check_seed(seed)
     return _partition_certificate(algebra, weights, _default_test_set(algebra, seed), epsilon)
 
 

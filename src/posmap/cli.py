@@ -205,13 +205,14 @@ def _cmd_example4(args) -> tuple[int, dict]:
 def _cmd_verify_cert(args) -> tuple[int, dict]:
     cert = load_certificate(args.certfile)
     rep = verify_certificate(
-        cert, tol=args.tol, seed=args.seed, restarts=args.restarts
+        cert, tol=args.tol, seed=args.seed, restarts=args.restarts, samples=args.samples
     )
     payload = {
         "certfile": args.certfile,
         "tol": args.tol,
         "seed": args.seed,
         "restarts": args.restarts,
+        "samples": args.samples,
         **_encode(rep),
     }
     return (0 if rep.overall else 1), payload
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-cert", help="verify a certificate file")
     p.add_argument("certfile")
-    common(p, "tol", "seed", "restarts")
+    common(p, "tol", "seed", "restarts", "samples")
     p.set_defaults(handler=_cmd_verify_cert)
 
     p = sub.add_parser("gen-cert", help="generate a partition-of-unity certificate")

@@ -33,7 +33,7 @@ import numpy as np
 
 from .algebra import FiniteCStar, _contraction, unit_stack
 from .errors import BadRangeError
-from .linalg import as_complex, op_norm
+from .linalg import as_complex, check_seed, op_norm
 from .maps import PMap
 from .positivity import KposVerdict, _threshold, k_positivity_falsify
 
@@ -182,6 +182,7 @@ def verify_corner_family(
         raise BadRangeError(f"need 1 <= k < n, got k={k}, n={n}")
     if samples < 1:  # a check run on no samples is not a pass
         raise BadRangeError(f"need samples >= 1, got {samples}")
+    check_seed(seed)
     lam_f = Fraction(lam)
     lo, hi = _threshold(n, k + 1), _threshold(n, k)  # the window for lambda
     if not (lo < lam_f <= hi):

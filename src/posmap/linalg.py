@@ -10,9 +10,10 @@ within tol iff herm_dev <= tol * scale, and PSD within tol (is_psd) iff
 also min_eig >= -tol * scale. The support projection and the support
 pseudo-inverses share one eigh path with the same Hermitian test at
 HERM_TOL and drop eigenvalues <= SUPPORT_CUTOFF * ||b||. A tolerance that
-is not finite and >= 0 raises BadRangeError. op_norm takes a matrix or a
-(..., N, N) stack. A LAPACK failure or an overflowed eigenvalue or norm
-raises NumericalFailureError. No function mutates its arguments.
+is not finite and >= 0, or a negative seed, raises BadRangeError. op_norm
+takes a matrix or a (..., N, N) stack. A LAPACK failure or an overflowed
+eigenvalue or norm raises NumericalFailureError. No function mutates its
+arguments.
 """
 
 from __future__ import annotations
@@ -37,6 +38,12 @@ def check_tol(tol: float) -> None:
     """Raise BadRangeError unless tol is a finite number >= 0."""
     if not (np.isfinite(tol) and tol >= 0):
         raise BadRangeError(f"need a finite tolerance >= 0, got {tol!r}")
+
+
+def check_seed(seed: int) -> None:
+    """Raise BadRangeError unless seed >= 0 (numpy's generators take no negative seed)."""
+    if seed < 0:
+        raise BadRangeError(f"need a seed >= 0, got {seed!r}")
 
 
 def as_complex(m) -> np.ndarray:

@@ -32,9 +32,8 @@ from .algebra import (
     Element,
     FiniteCStar,
     _ginibre,
-    _positive_contraction_blocks,
+    _wishart,
     block_mask,
-    embed_blocks,
     embed_stack,
     from_embedded,
     unit_stack,
@@ -51,6 +50,7 @@ from .errors import (
     PreconditionFailedError,
 )
 from .linalg import (
+    check_seed,
     hermitian_kernel,
     hermitian_part,
     op_norm,
@@ -152,35 +152,44 @@ class DefectReport:
     seed: int
 
 
-def _orthogonal_pair_blocks(rng: np.random.Generator, algebra: FiniteCStar):
-    """Blocks of positive contractions (a, b, p) with ab = 0, in a common eigenbasis.
+# Samples are drawn in batches of dim chunks and evaluated chunk by chunk. Each OD stack
+# of a chunk holds 2 * chunk * dim * D^2 complex entries, at most this bound (unless a
+# chunk is one sample), and each (batch, D, D) stack of a batch holds half as many.
+_CHUNK_ENTRIES = 2**13
 
-    p is the support projection of a. Products of the disjoint diagonal
-    supports vanish exactly; the conjugating unitary contributes only
-    rounding noise.
+
+def _sample_stacks(rng: np.random.Generator, algebra: FiniteCStar, count: int):
+    """(w, a, b, p) for count samples, as embedded (count, D, D) stacks.
+
+    Per sample: a Wishart Ginibre matrix g per block, the support masks (never
+    all equal), then per block a Ginibre matrix for the eigenbasis v and the
+    coefficients of a, b >= 0, whose supports in v are disjoint: ab = 0 up to
+    the rounding of v. w = g*g / ||g*g|| and p is the support projection of a.
     """
-    blocks_a, blocks_b, blocks_p = [], [], []
-    masks = []
-    for n in algebra.block_sizes:
-        masks.append(rng.integers(0, 2, size=n).astype(bool))
-    flat = np.concatenate(masks)
-    if not flat.any():
-        masks[0][0] = True
-    if flat.all():
-        masks[-1][-1] = False
-    for n, mask in zip(algebra.block_sizes, masks):
-        v = np.linalg.qr(_ginibre(rng, (n, n)))[0]
-        coeff_a = np.where(mask, rng.uniform(0.2, 1.0, size=n), 0.0)
-        coeff_b = np.where(mask, 0.0, rng.uniform(0.2, 1.0, size=n))
-        blocks_a.append((v * coeff_a) @ v.conj().T)
-        blocks_b.append((v * coeff_b) @ v.conj().T)
-        blocks_p.append((v * mask.astype(float)) @ v.conj().T)
-    return blocks_a, blocks_b, blocks_p
-
-
-def _orthogonal_pair(rng: np.random.Generator, algebra: FiniteCStar):
-    """The orthogonal pair (a, b, p) as Elements."""
-    return tuple(Element(algebra, blocks) for blocks in _orthogonal_pair_blocks(rng, algebra))
+    sizes = algebra.block_sizes
+    draws = []
+    for _ in range(count):
+        gs = [_ginibre(rng, (n, n)) for n in sizes]
+        masks = [rng.integers(0, 2, size=n).astype(bool) for n in sizes]
+        flat = np.concatenate(masks)
+        masks[0][0] |= not flat.any()
+        masks[-1][-1] &= not flat.all()
+        draws.append([
+            (g, m, _ginibre(rng, (n, n)), rng.uniform(0.2, 1.0, n), rng.uniform(0.2, 1.0, n))
+            for g, m, n in zip(gs, masks, sizes)
+        ])
+    d = algebra.embed_dim
+    w, a, b, p = (np.zeros((count, d, d), dtype=np.complex128) for _ in range(4))
+    for bi, (n, off) in enumerate(zip(sizes, np.cumsum((0,) + sizes))):
+        g, mask, h, u_a, u_b = map(np.array, zip(*(sample[bi] for sample in draws)))
+        at = np.s_[:, off : off + n, off : off + n]
+        w[at] = _wishart(g)
+        v = np.linalg.qr(h)[0]
+        vh = np.swapaxes(v.conj(), -2, -1)
+        a[at] = (v * np.where(mask, u_a, 0.0)[:, None]) @ vh
+        b[at] = (v * np.where(mask, 0.0, u_b)[:, None]) @ vh
+        p[at] = (v * mask[:, None]) @ vh
+    return w, a, b, p
 
 
 def order_zero_defect(phi: PMap, samples: int, seed: int) -> DefectReport:
@@ -188,25 +197,31 @@ def order_zero_defect(phi: PMap, samples: int, seed: int) -> DefectReport:
 
     Each sample probes a Wishart-normalized positive contraction together
     with a random spectral projection, and one orthogonal positive pair
-    with exactly disjoint supports.
+    with exactly disjoint supports. The draws are made sample by sample, so
+    a seed names the same probes however they are evaluated. The samples
+    are evaluated as stacked chunks; the suprema are maxima, so the report
+    is bit-identical to evaluating one sample at a time.
     """
     if samples < 1:  # a check run on no samples is not a pass
         raise BadRangeError(f"need samples >= 1, got {samples}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     src = phi.source
     units = unit_stack(src)
     f1 = phi.act(np.eye(src.embed_dim))
     unit_images = phi.transfer.reshape(-1, *f1.shape)  # row u of T is phi(e_u)
+    chunk = max(1, _CHUNK_ENTRIES // (2 * max(units.size, unit_images.size)))
     one_var = orth = od = 0.0
-    for _ in range(samples):
-        w = embed_blocks(src, _positive_contraction_blocks(rng, src.block_sizes))
-        a, b, p = (embed_blocks(src, blocks) for blocks in _orthogonal_pair_blocks(rng, src))
-        probes = np.stack([w, p])
-        fp = phi.act(probes)
-        one_var = max(one_var, _one_var(phi, probes, fp, f1))
-        od = max(od, _od_sup(phi, probes, fp, units, unit_images, f1))
-        fa, fb = phi.act(np.stack([a, b]))
-        orth = max(orth, op_norm(fa @ fb))
+    for start in range(0, samples, chunk * src.dim):
+        batch = _sample_stacks(rng, src, min(chunk * src.dim, samples - start))
+        for at in range(0, len(batch[0]), chunk):
+            w, a, b, p = (x[at : at + chunk] for x in batch)
+            probes = np.concatenate([w, p])
+            fp = phi.act(probes)
+            one_var = max(one_var, _one_var(phi, probes, fp, f1))
+            od = max(od, _od_sup(phi, probes, fp, units, unit_images, f1))
+            fa, fb = phi.act(np.stack([a, b]))
+            orth = max(orth, float(op_norm(fa @ fb).max()))
     return DefectReport(
         one_var_sup=one_var, orth_pair_sup=orth, od_sup=od, samples=samples, seed=seed
     )

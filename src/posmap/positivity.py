@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import FiniteCStar, _ginibre, unit_stack
 from .errors import BadRangeError, DimensionMismatchError, NumericalFailureError
-from .linalg import check_tol, hermitian_kernel, hermitian_part, is_psd
+from .linalg import check_seed, check_tol, hermitian_kernel, hermitian_part, is_psd
 from .maps import PMap
 
 CERTIFIED_POSITIVE = "CERTIFIED_POSITIVE"
@@ -262,6 +262,7 @@ def k_positivity_falsify(
     if not 1 <= restarts <= MAX_RESTARTS:
         raise BadRangeError(f"need 1 <= restarts <= {MAX_RESTARTS}, got {restarts}")
     check_tol(tol)
+    check_seed(seed)
     d = phi.target.embed_dim
     best_value = np.inf
     best = None  # (block, factors)

@@ -160,6 +160,20 @@ class TestCertCommands:
         assert code == 0
         assert "overall: True" in out
 
+    def test_verify_cert_samples(self, capsys, tmp_path):
+        # --samples reaches the order-zero defects and is reported; none is a usage error
+        cert = tmp_path / "cert.json"
+        main(["gen-cert", "--algebra", "2", "--weights", "0.5,0.5", "-o", str(cert)])
+        capsys.readouterr()
+        code, payload = run_json(capsys, ["verify-cert", str(cert), "--samples", "3"])
+        assert code == 0
+        assert payload["samples"] == 3
+        assert run_json(capsys, ["verify-cert", str(cert)])[1]["samples"] == 100
+        assert main(["verify-cert", str(cert), "--samples", "0", "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: need samples >= 1, got 0\n"
+
 
 class TestErrorPaths:
     def test_missing_file_exit_2(self, capsys):
@@ -346,7 +360,7 @@ JSON_SCHEMAS = {
     "verify-cert": ["approx_errors", "approx_failures", "caveat", "certfile", "command",
                     "epsilon", "legs", "overall", "psi_contraction_ok", "psi_norm",
                     "psi_two_positive", "psi_two_positive.status", "psi_two_positive.verdict",
-                    "restarts", "seed", "sum_contractive_ok", "sum_norm", "tol"]
+                    "restarts", "samples", "seed", "sum_contractive_ok", "sum_norm", "tol"]
     + _nest("legs[]", ["commute_defect", "contraction_norm", "contraction_ok", "mult_defect",
                        "od_sup", "one_var_sup", "order_zero_ok", "orth_pair_sup",
                        "reconstruct_defect", "two_positive", "two_positive.status",

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import posmap
 from posmap import linalg
 from posmap.errors import (
     BadRangeError,
@@ -297,6 +298,32 @@ def test_bad_tolerance_or_cutoff_rejected(bad):
     for call in calls:
         with pytest.raises(BadRangeError):
             call()
+
+
+NEGATIVE_SEED_CALLS = {
+    "order_zero_defect": lambda: posmap.order_zero_defect(posmap.tomiyama_map(3, 1.2), 5, -1),
+    "k_positivity_falsify": lambda: posmap.k_positivity_falsify(
+        posmap.tomiyama_map(3, 1.2), 2, seed=-1
+    ),
+    "verify_corner_family": lambda: posmap.verify_corner_family(3, 2, 1, 1.4, 0.05, seed=-1),
+    "verify_certificate": lambda: posmap.verify_certificate(
+        posmap.identity_certificate(posmap.FiniteCStar((2,))), seed=-1
+    ),
+    "orderzero_certificate": lambda: posmap.orderzero_certificate(
+        posmap.FiniteCStar((2,)), [0.5, 0.5], seed=-1
+    ),
+    "random_contraction": lambda: posmap.random_contraction(posmap.FiniteCStar((2, 1)), -3),
+    "random_positive_contraction": lambda: posmap.random_positive_contraction(
+        posmap.FiniteCStar((2, 1)), -1
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NEGATIVE_SEED_CALLS))
+def test_negative_seed_is_bad_range(entry):
+    # numpy's generators reject a negative seed with a bare ValueError
+    with pytest.raises(BadRangeError, match="need a seed >= 0, got -"):
+        NEGATIVE_SEED_CALLS[entry]()
 
 
 @pytest.mark.parametrize(

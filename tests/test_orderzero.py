@@ -36,9 +36,10 @@ from posmap.orderzero import (
 )
 from posmap.positivity import is_cp, tomiyama_map
 
-from posmap.algebra import _positive_contraction_blocks
+from posmap import orderzero
+from posmap.algebra import embed_blocks
 from posmap.linalg import hermitian_part, op_norm
-from posmap.orderzero import _orthogonal_pair, _orthogonal_pair_blocks
+from posmap.orderzero import _one_var, _od_sup, _sample_stacks
 
 from conftest import ginibre, random_hermitian, random_map, random_unitary
 from test_maps import transpose_map
@@ -147,13 +148,17 @@ class TestOrderZeroDefectReport:
             order_zero_defect(c * PMap.identity(M2), samples=1, seed=0)
 
     def test_probe_images_computed_once(self, monkeypatch):
-        # phi.act(probes) ran in both the one-variable and the OD kernel: 62 calls;
-        # the unit images are read from the transfer matrix, not acted out
+        # the unit images are read from the transfer matrix, not acted out, and the
+        # samples are acted on as stacked chunks: 51 calls when it acted per sample
         calls = []
         act = PMap.act
         monkeypatch.setattr(PMap, "act", lambda self, xs: calls.append(1) or act(self, xs))
-        order_zero_defect(tomiyama_map(3, 1.2), samples=10, seed=0)
-        assert len(calls) == 51  # phi(1) once, then five per sample
+        phi = tomiyama_map(3, 1.2)
+        assert chunk_size(phi) == 50
+        order_zero_defect(phi, samples=10, seed=0)
+        assert len(calls) == 6  # phi(1) once, then five per chunk
+        order_zero_defect(phi, samples=51, seed=0)
+        assert len(calls) == 6 + 11
 
 
 class TestOdDefect:
@@ -536,8 +541,8 @@ def oracle_order_zero_defect(phi, samples, seed):
     src, f1 = phi.source, phi.unit_image()
     one_var = orth = od = 0.0
     for _ in range(samples):
-        w = Element(src, _positive_contraction_blocks(rng, src.block_sizes))
-        a, b, p = _orthogonal_pair(rng, src)
+        w = Element(src, wishart_blocks(rng, src.block_sizes))
+        a, b, p = (Element(src, blocks) for blocks in orthogonal_pair_blocks(rng, src))
         for probe in (w, p):
             fp = phi(probe)
             one_var = max(one_var, (fp * fp - phi(probe * probe) * f1).norm())
@@ -639,12 +644,104 @@ def test_zero_samples_is_bad_range():
         verify_corner_family(3, 2, 1, 1.4, 0.05, samples=0)
 
 
+# -- the per-sample draw, the reference for the batched order_zero_defect ----------
+
+
+def wishart_blocks(rng, sizes):
+    """Per block g*g / ||g*g||, one Ginibre g drawn per block in order."""
+    wishart = [g.conj().T @ g for g in (ginibre(rng, n) for n in sizes)]
+    return [w / op_norm(w) for w in wishart]
+
+
+def orthogonal_pair_blocks(rng, algebra_):
+    """Blocks of positive contractions (a, b, p) with ab = 0, in a common eigenbasis.
+
+    p is the support projection of a. Products of the disjoint diagonal
+    supports vanish exactly; the conjugating unitary contributes only
+    rounding noise.
+    """
+    blocks_a, blocks_b, blocks_p = [], [], []
+    masks = []
+    for n in algebra_.block_sizes:
+        masks.append(rng.integers(0, 2, size=n).astype(bool))
+    flat = np.concatenate(masks)
+    if not flat.any():
+        masks[0][0] = True
+    if flat.all():
+        masks[-1][-1] = False
+    for n, mask in zip(algebra_.block_sizes, masks):
+        v = np.linalg.qr(ginibre(rng, n))[0]
+        coeff_a = np.where(mask, rng.uniform(0.2, 1.0, size=n), 0.0)
+        coeff_b = np.where(mask, 0.0, rng.uniform(0.2, 1.0, size=n))
+        blocks_a.append((v * coeff_a) @ v.conj().T)
+        blocks_b.append((v * coeff_b) @ v.conj().T)
+        blocks_p.append((v * mask.astype(float)) @ v.conj().T)
+    return blocks_a, blocks_b, blocks_p
+
+
+def reference_order_zero_defect(phi, samples, seed):
+    """order_zero_defect one sample at a time: draw, act and take norms per sample."""
+    rng = np.random.default_rng(seed)
+    src = phi.source
+    units = algebra.unit_stack(src)
+    f1 = phi.act(np.eye(src.embed_dim))
+    unit_images = phi.transfer.reshape(-1, *f1.shape)
+    one_var = orth = od = 0.0
+    for _ in range(samples):
+        w = embed_blocks(src, wishart_blocks(rng, src.block_sizes))
+        a, b, p = (embed_blocks(src, blocks) for blocks in orthogonal_pair_blocks(rng, src))
+        probes = np.stack([w, p])
+        fp = phi.act(probes)
+        one_var = max(one_var, _one_var(phi, probes, fp, f1))
+        od = max(od, _od_sup(phi, probes, fp, units, unit_images, f1))
+        fa, fb = phi.act(np.stack([a, b]))
+        orth = max(orth, op_norm(fa @ fb))
+    return one_var, orth, od
+
+
+def chunk_size(phi):
+    """Samples per evaluated chunk: the OD stacks stay within _CHUNK_ENTRIES."""
+    size = max(phi.source.embed_dim, phi.target.embed_dim)
+    return max(1, orderzero._CHUNK_ENTRIES // (2 * phi.source.dim * size * size))
+
+
 @pytest.mark.parametrize("algebra_", [M3, FiniteCStar((1, 2, 3))])
 def test_pair_blocks_are_the_pair_elements(algebra_):
-    # order_zero_defect embeds the blocks directly; the draws must match
+    # the batched build embeds exactly the per-sample draws, in their order
     rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-    for _ in range(5):
-        elements = _orthogonal_pair(rng_a, algebra_)
-        blocks = _orthogonal_pair_blocks(rng_b, algebra_)
-        for x, bs in zip(elements, blocks):
-            assert np.array_equal(x.embedded(), algebra.embed_blocks(algebra_, bs))
+    stacks = _sample_stacks(rng_a, algebra_, 5)
+    for s in range(5):
+        w = wishart_blocks(rng_b, algebra_.block_sizes)
+        for stack, blocks in zip(stacks, [w, *orthogonal_pair_blocks(rng_b, algebra_)]):
+            assert np.array_equal(stack[s], embed_blocks(algebra_, blocks))
+
+
+BATCHED_MAPS = [
+    (FiniteCStar((2, 1, 2)), FiniteCStar((1, 1, 2)), False),
+    (FiniteCStar((1, 2)), FiniteCStar((2, 1, 1)), True),
+    (FiniteCStar((1, 1, 1)), FiniteCStar((3,)), True),
+]
+
+
+@pytest.mark.parametrize("source,target,cp", BATCHED_MAPS)
+def test_batched_report_is_bit_identical_to_per_sample(source, target, cp, monkeypatch):
+    # counts around a chunk and across several; the last one also spans two draw batches
+    phi = random_map(np.random.default_rng(81), source, target, cp=cp)
+    chunk = chunk_size(phi)
+    assert chunk >= 3
+    acted = []
+    act = PMap.act
+
+    def counted(self, xs):
+        acted.append(xs[..., 0, 0].size)
+        return act(self, xs)
+
+    monkeypatch.setattr(PMap, "act", counted)
+    for samples in (1, 2, chunk - 1, chunk + 1, 3 * chunk + 1, chunk * source.dim + 1):
+        acted.clear()
+        rep = order_zero_defect(phi, samples=samples, seed=samples)
+        # every sample once: phi(1), then w and p, their squares, both OD stacks, a and b
+        assert sum(acted) == 1 + samples * (6 + 4 * source.dim)
+        got = (rep.one_var_sup, rep.orth_pair_sup, rep.od_sup)
+        want = reference_order_zero_defect(phi, samples, samples)
+        assert [x.hex() for x in got] == [float(x).hex() for x in want], samples
