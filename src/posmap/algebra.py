@@ -164,6 +164,19 @@ def block_mask(algebra: FiniteCStar) -> np.ndarray:
     return mask
 
 
+MAX_SIZE = 2048  # one dense complex MAX_SIZE x MAX_SIZE matrix is 64 MiB
+
+
+def check_image_budget(source_dim: int, target_embed_dim: int) -> None:
+    """Raise BadRangeError if a (source_dim, D, D) unit-image stack exceeds MAX_SIZE**2 entries."""
+    entries = source_dim * target_embed_dim**2
+    if entries > MAX_SIZE**2:
+        raise BadRangeError(
+            f"need at most MAX_SIZE^2 = {MAX_SIZE**2} unit-image entries, got "
+            f"{source_dim} images of size {target_embed_dim}^2 = {entries}"
+        )
+
+
 def unit_stack(algebra: FiniteCStar) -> np.ndarray:
     """All matrix units embedded, as a (dim, D, D) stack with D = embed_dim.
 

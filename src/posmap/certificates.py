@@ -26,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Element, FiniteCStar, embed_stack, from_embedded, unit, unit_stack
-from .algebra import random_contraction, random_positive_contraction
+from .algebra import Element, FiniteCStar, check_image_budget, embed_stack, from_embedded
+from .algebra import random_contraction, random_positive_contraction, unit, unit_stack
 from .errors import (
     BadRangeError,
     BadWeightsError,
@@ -263,8 +263,7 @@ def identity_certificate(
     algebra: FiniteCStar, test_set=None, epsilon: float = 1e-6
 ) -> DrCertificate:
     """d = 0, F_0 = A, psi = phi_0 = id: every algebra certifies rank 0."""
-    test_set = _default_test_set(algebra, 0) if test_set is None else tuple(test_set)
-    return _partition_certificate(algebra, [1.0], test_set, epsilon)
+    return _partition_certificate(algebra, [1.0], 0, epsilon, test_set)
 
 
 def orderzero_certificate(
@@ -277,20 +276,23 @@ def orderzero_certificate(
     order-zero contraction.
     """
     check_seed(seed)
-    return _partition_certificate(algebra, weights, _default_test_set(algebra, seed), epsilon)
+    return _partition_certificate(algebra, weights, seed, epsilon)
 
 
 def _partition_certificate(
-    algebra: FiniteCStar, weights, test_set: tuple[Element, ...], epsilon: float
+    algebra: FiniteCStar, weights, seed: int, epsilon: float, test_set=None
 ) -> DrCertificate:
-    """The partition-of-unity certificate of orderzero_certificate on a given test set."""
+    """The certificate of orderzero_certificate; the default test set is drawn after every check."""
     if not _epsilon_ok(epsilon):
         raise BadRangeError(f"epsilon must be finite and > 0, got {epsilon!r}")
     weights = [float(w) for w in weights]
-    if not weights or any(w <= 0 for w in weights):
+    # written so that a NaN fails each rule
+    if not weights or not all(w > 0 for w in weights):
         raise BadWeightsError(f"weights must be positive, got {weights}")
-    if abs(sum(weights) - 1.0) > 1e-12:
+    if not abs(sum(weights) - 1.0) <= 1e-12:
         raise BadWeightsError(f"weights must sum to 1, got sum {sum(weights)}")
+    check_image_budget(algebra.dim, len(weights) * algebra.embed_dim)  # psi's (d+1)-fold target
+    test_set = _default_test_set(algebra, seed) if test_set is None else tuple(test_set)
     summands = tuple(algebra for _ in weights)
     # np.kron pads eye to the stack's rank: one diagonal copy of each unit per summand
     images = np.kron(np.eye(len(weights)), unit_stack(algebra))

@@ -20,7 +20,8 @@ The maps are formula appliers on dense matrices or stacks of them, so
 verification at large m never materializes a Choi matrix;
 corner_mixture_map (small m) and the compressed map handed to the
 falsifier apply them to the stack of matrix units. Every entry point first
-checks n >= 2, m >= 1, mn <= MAX_SIZE, eps in (0, 1) and a finite lambda.
+checks n >= 2, m >= 1, mn <= MAX_SIZE, eps in (0, 1) and a finite lambda;
+corner_mixture_map also needs mn <= 45 (algebra.check_image_budget).
 """
 
 from __future__ import annotations
@@ -31,14 +32,13 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import FiniteCStar, _contraction, unit_stack
+from .algebra import MAX_SIZE, FiniteCStar, _contraction, check_image_budget, unit_stack
 from .errors import BadRangeError
 from .linalg import as_complex, check_seed, op_norm
 from .maps import PMap
 from .positivity import KposVerdict, _threshold, k_positivity_falsify
 
 CLOSED_FORM_TOL = 1e-10
-MAX_SIZE = 2048  # largest m n: one dense complex (mn)^2 matrix is then 64 MiB
 
 
 def _check_params(n: int, m: int, lam: float, eps: float) -> None:
@@ -95,6 +95,7 @@ def corner_embed_apply(a: np.ndarray, m: int) -> np.ndarray:
 def corner_mixture_map(n: int, m: int, lam: float, eps: float) -> PMap:
     """The corner-mixture map as a PMap on the single block M_{mn}."""
     _check_params(n, m, lam, eps)
+    check_image_budget((m * n) ** 2, m * n)  # so m n <= 45
     alg = FiniteCStar((m * n,))
     stack = corner_mixture_apply(unit_stack(alg), n, m, lam, eps)
     return PMap._from_unit_images(alg, alg, stack)

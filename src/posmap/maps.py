@@ -12,8 +12,9 @@ row-major, in the order of unit_stack. So T is (sum n_i^2) x (D*D), and
 vec(phi(x)) = x_in @ T where x_in lists the in-block entries of the
 embedded x in that order. Its columns at target coordinates outside the
 diagonal blocks are zero.
-Every construction checks the block count and shapes, finite entries and
-that no image leaks outside the embedded target blocks.
+The constructor builds T, read-only, and checks the Choi blocks once: count,
+shapes, finite entries, and no image leaking outside the target blocks (a
+leak below LEAK_TOL stays in choi_blocks and is zero in T).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ LEAK_TOL = 1e-10
 
 
 class PMap:
-    """A linear map between FiniteCStar algebras, stored as per-block Choi matrices."""
+    """A map between FiniteCStar algebras: per-block Choi matrices and the T built from them."""
 
     __slots__ = ("source", "target", "choi_blocks", "_transfer")
 
@@ -54,7 +55,8 @@ class PMap:
                 f"expected {source.n_blocks} Choi blocks, got {len(blocks)}"
             )
         d = target.embed_dim
-        mask = ~block_mask(target)
+        off = ~block_mask(target).reshape(-1)
+        rows = []
         for bi, (c, n) in enumerate(zip(blocks, source.block_sizes)):
             if c.shape != (n * d, n * d):
                 raise DimensionMismatchError(
@@ -62,19 +64,23 @@ class PMap:
                 )
             if not np.all(np.isfinite(c.real)) or not np.all(np.isfinite(c.imag)):
                 raise DimensionMismatchError("Choi block contains non-finite entries")
-            # images phi(e_ij) must lie in the embedded direct sum
-            offd = c.reshape(n, d, n, d).transpose(0, 2, 1, 3)[:, :, mask]
-            leak = float(np.max(np.abs(offd))) if offd.size else 0.0
+            # the rows of T for this block; images phi(e_ij) must lie in the embedded direct sum
+            t = c.reshape(n, d, n, d).transpose(0, 2, 1, 3).reshape(n * n, d * d)
+            leak = float(np.max(np.abs(t[:, off]), initial=0.0))
             scale = max(1.0, float(np.max(np.abs(c))))
             if leak > LEAK_TOL * scale:
                 raise DimensionMismatchError(
                     f"Choi block {bi} leaks outside the embedded target blocks "
                     f"(max off-diagonal entry {leak:.3e})"
                 )
+            rows.append(t)
+        transfer = np.concatenate(rows)  # a copy, also where 1 x 1 blocks' rows are views
+        transfer[:, off] = 0.0
+        transfer.setflags(write=False)
         self.source = source
         self.target = target
         self.choi_blocks = tuple(_freeze(c) for c in blocks)
-        self._transfer = None
+        self._transfer = transfer
 
     # -- construction ------------------------------------------------------
 
@@ -118,21 +124,7 @@ class PMap:
 
     @property
     def transfer(self) -> np.ndarray:
-        """The (dim, D*D) stack of matrix-unit images: row u is vec(phi(e_u)).
-
-        Built once from the Choi blocks. Columns at target coordinates
-        outside the diagonal blocks are zero, so every image lies exactly
-        in the embedded direct sum.
-        """
-        if self._transfer is None:
-            d = self.target.embed_dim
-            t = np.concatenate([
-                c.reshape(n, d, n, d).transpose(0, 2, 1, 3).reshape(n * n, d * d)
-                for c, n in zip(self.choi_blocks, self.source.block_sizes)
-            ])
-            t[:, ~block_mask(self.target).reshape(-1)] = 0.0
-            t.setflags(write=False)
-            self._transfer = t
+        """T, the read-only (dim, D*D) stack of matrix-unit images: row u is vec(phi(e_u))."""
         return self._transfer
 
     def act(self, xs: np.ndarray) -> np.ndarray:

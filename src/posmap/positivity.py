@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import FiniteCStar, _ginibre, unit_stack
+from .algebra import FiniteCStar, _ginibre, check_image_budget, unit_stack
 from .errors import BadRangeError, DimensionMismatchError, NumericalFailureError
 from .linalg import check_seed, check_tol, hermitian_kernel, hermitian_part, is_psd
 from .maps import PMap
@@ -59,6 +59,7 @@ def tomiyama_map(n: int, lam: float) -> PMap:
         raise BadRangeError(f"need n >= 2, got {n}")
     if not 0 <= lam < np.inf:
         raise BadRangeError(f"need a finite lambda >= 0, got {lam}")
+    check_image_budget(n * n, n)  # so n <= 45
     alg = FiniteCStar((n,))
     stack = unit_stack(alg)
     stack[stack != 0] = 1.0 - lam  # assigned, not scaled: 1 - lam < 0 would sign the zeros

@@ -108,6 +108,29 @@ class TestOrderzeroCertificate:
             orderzero_certificate(M2, [0.5, 0.4])
         with pytest.raises(BadWeightsError):
             orderzero_certificate(M2, [1.5, -0.5])
+        # w <= 0 and |sum - 1| > 1e-12 are both False for NaN, which then failed in PMap
+        with pytest.raises(BadWeightsError, match="positive"):
+            orderzero_certificate(M2, [float("nan")])
+        with pytest.raises(BadWeightsError, match="positive"):
+            orderzero_certificate(M2, [0.5, float("nan")])
+
+    @pytest.mark.parametrize(
+        "alg, weights",
+        [
+            (FiniteCStar((10**6,)), [1.0]),  # the algebra alone is past the budget
+            (FiniteCStar((4,)), [1 / 256] * 256),  # psi's 256-fold target is past it
+        ],
+    )
+    def test_above_image_budget_rejected(self, monkeypatch, alg, weights):
+        # refused before the default test set is drawn; numpy's MemoryError came first
+        def draw(*args):
+            raise AssertionError("default test set drawn")
+
+        monkeypatch.setattr("posmap.certificates._default_test_set", draw)
+        with pytest.raises(BadRangeError, match="unit-image entries"):
+            orderzero_certificate(alg, weights)
+        with pytest.raises(BadRangeError, match="unit-image entries"):
+            identity_certificate(FiniteCStar((46,)))
 
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_epsilon_rejected(self, epsilon):

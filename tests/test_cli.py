@@ -313,6 +313,30 @@ class TestErrorPaths:
         assert main(argv + ["--samples", "1", "--json"]) == 2
         assert capsys.readouterr().err == "error: need m * n <= 2048, got 2049\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tomiyama", "--n", "46", "--k", "1", "--lambda", "1.4"],
+            ["gen-cert", "--algebra", "1000000", "--weights", "1"],
+        ],
+    )
+    def test_above_image_budget_exit_2(self, capsys, tmp_path, argv):
+        # with no budget, --n 10**6 and --algebra 1000000 ended in numpy's MemoryError, exit 1
+        out = tmp_path / "g.json"
+        assert main(argv + ["-o", str(out), "--json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: need at most MAX_SIZE^2 = 4194304 unit-image entries")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("weights", ["nan", "0.5,nan"])
+    def test_nan_weights_exit_2(self, capsys, tmp_path, weights):
+        # a NaN weight passed the weights rule and failed as a non-finite Choi block
+        out = tmp_path / "x.json"
+        argv = ["gen-cert", "--algebra", "2", "--weights", weights, "-o", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: weights must be positive, got [")
+        assert not out.exists()
+
     def test_negative_seed_exit_2(self, capsys, psi14_file):
         assert main(["check-kpos", psi14_file, "--k", "2", "--seed", "-1"]) == 2
         assert main(["defect", psi14_file, "--seed", "-1"]) == 2

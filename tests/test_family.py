@@ -73,6 +73,12 @@ class TestCornerMixtureMap:
         with pytest.raises(BadRangeError):
             corner_mixture_map(2, 2, 1.0, 0.0)
 
+    def test_above_image_budget_rejected(self):
+        # m n = 46 is within MAX_SIZE, but its unit-image stack is not
+        assert MAX_SIZE is algebra.MAX_SIZE
+        with pytest.raises(BadRangeError, match="unit-image entries"):
+            corner_mixture_map(2, 23, 1.0, 0.1)
+
 
 def _as_pmap(apply, source, target):
     """The map that apply computes on dense matrices, built from its matrix-unit images."""

@@ -11,7 +11,7 @@ from posmap.errors import (
     CountMismatchError,
     DimensionMismatchError,
 )
-from posmap.maps import PMap, lstsq_preimage, pmap_norm
+from posmap.maps import LEAK_TOL, PMap, lstsq_preimage, pmap_norm
 
 from conftest import ginibre, random_map
 
@@ -184,6 +184,44 @@ class TestTransferLayout:
         xs = x.embedded()
         xs[~algebra.block_mask(self.SOURCE)] = np.nan  # never read
         np.testing.assert_array_equal(phi.act(xs), phi(x).embedded())
+
+
+class TestTransferBuiltAtConstruction:
+    @pytest.mark.parametrize(
+        "source, target",
+        [
+            (FiniteCStar((2, 1)), FiniteCStar((1, 2))),
+            # 1 x 1 source blocks: each block's rows of T are a view of the input
+            (FiniteCStar((1, 1, 1)), FiniteCStar((2, 1))),
+        ],
+    )
+    def test_does_not_alias_the_input(self, source, target):
+        ref = random_map(np.random.default_rng(5), source, target)
+        blocks = [c.astype(np.complex128) for c in ref.choi_blocks]  # writable copies
+        phi = PMap(source, target, blocks)
+        for c in blocks:
+            c[...] = 7.0 + 1j  # the caller reuses its arrays
+        np.testing.assert_array_equal(phi.transfer, ref.transfer)
+        for got, want in zip(phi.choi_blocks, ref.choi_blocks):
+            np.testing.assert_array_equal(got, want)
+
+    def test_leak_below_tolerance_is_zero_in_transfer(self):
+        # accepted by the leak check, kept in the Choi block, dropped from T
+        alg = FiniteCStar((1, 1))
+        stack = algebra.unit_stack(alg)
+        stack[0, 0, 1] = 0.5 * LEAK_TOL
+        phi = PMap._from_unit_images(alg, alg, stack)
+        assert phi.choi_blocks[0][0, 1] == 0.5 * LEAK_TOL
+        assert phi.transfer[0, 1] == 0.0
+        np.testing.assert_array_equal(phi.transfer, PMap.identity(alg).transfer)
+
+    def test_read_only_and_the_same_object(self):
+        phi = random_map(np.random.default_rng(2), FiniteCStar((2, 1)), M3)
+        t = phi.transfer
+        assert phi.transfer is t
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0, 0] = 1.0
 
 
 class TestComposeAndArithmetic:

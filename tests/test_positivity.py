@@ -157,6 +157,12 @@ class TestTomiyamaMap:
         with pytest.raises(BadRangeError):
             tomiyama_map(3, lam)
 
+    def test_above_image_budget_rejected(self):
+        # n = 46 is the first n past the budget: 46^4 > MAX_SIZE^2 entries. Unchecked,
+        # n = 200 built a 25.6 GB stack and n = 10^6 ended in numpy's MemoryError
+        with pytest.raises(BadRangeError, match="unit-image entries"):
+            tomiyama_map(46, 1.0)
+
 
 class TestFalsifier:
     def test_restarts_outside_range_rejected(self):
