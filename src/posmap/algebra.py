@@ -227,7 +227,7 @@ def _ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 
 def _contraction(rng: np.random.Generator, n: int) -> np.ndarray:
     g = _ginibre(rng, (n, n))
-    return g / op_norm(g)
+    return np.divide(g, op_norm(g), out=g)  # in place: g is a fresh draw
 
 
 def _wishart(g: np.ndarray) -> np.ndarray:

@@ -17,11 +17,12 @@ which crosses the (k+1)-threshold for large m, so the big map cannot be
 (k+1)-positive even though its defect is small.
 
 The maps are formula appliers on dense matrices or stacks of them, so
-verification at large m never materializes a Choi matrix;
-corner_mixture_map (small m) and the compressed map handed to the
-falsifier apply them to the stack of matrix units. Every entry point first
-checks n >= 2, m >= 1, mn <= MAX_SIZE, eps in (0, 1) and a finite lambda;
-corner_mixture_map also needs mn <= 45 (algebra.check_image_budget).
+verification at large m never materializes a Choi matrix and holds at most
+three dense (mn) x (mn) matrices, about 192 MiB at mn = 2046. The compressed
+map handed to the falsifier and corner_mixture_map (small m) apply them to
+the stack of matrix units. Every entry point first checks n >= 2, m >= 1,
+mn <= MAX_SIZE, eps in (0, 1) and a finite lambda; check_image_budget adds
+mn <= 45 for corner_mixture_map and n <= 45 for verify_corner_family.
 """
 
 from __future__ import annotations
@@ -70,8 +71,11 @@ def corner_mixture_apply(x: np.ndarray, n: int, m: int, lam: float, eps: float) 
     _check_params(n, m, lam, eps)
     x = as_complex(x)
     corner = x[..., :n, :n]  # rows and columns with first tensor index 0
-    # np.kron pads eye(m) to the stack's rank, so each matrix gets its own block diagonal
-    return (1.0 - eps) * x + eps * np.kron(np.eye(m), trace_mixing_apply(corner, lam))
+    out = (1.0 - eps) * x
+    blocks = out.reshape(out.shape[:-2] + (m, n, m, n))  # a view: out is fresh and contiguous
+    d = np.arange(m)  # 1_m (x) t adds t to the m diagonal n x n blocks, in place
+    blocks[..., d, :, d, :] += eps * trace_mixing_apply(corner, lam)
+    return out
 
 
 def partial_trace_first_apply(x: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -179,6 +183,7 @@ def verify_corner_family(
     Requires the window 1/(n(k+1)-1) < lambda - 1 <= 1/(nk-1).
     """
     _check_params(n, m, lam, eps)
+    check_image_budget(n * n, n)  # the compressed map's unit images, so n <= 45
     if not (1 <= k < n):
         raise BadRangeError(f"need 1 <= k < n, got k={k}, n={n}")
     if samples < 1:  # a check run on no samples is not a pass
@@ -196,9 +201,14 @@ def verify_corner_family(
     defect_max = 0.0
     for _ in range(samples):
         x = _contraction(rng, size)
-        fx = corner_mixture_apply(x, n, m, lam, eps)
         fxx = corner_mixture_apply(x @ x, n, m, lam, eps)
-        defect_max = max(defect_max, op_norm(fx @ fx - fxx))
+        fx = corner_mixture_apply(x, n, m, lam, eps)
+        del x  # ordered and dropped so that at most three (mn)^2 matrices are alive
+        d = fx @ fx
+        d -= fxx
+        del fx, fxx
+        defect_max = max(defect_max, op_norm(d))
+        del d
     defect_bound = 6.0 * eps
 
     lam_tilde_f = _mixing_parameter_fraction(m, Fraction(eps), lam_f)

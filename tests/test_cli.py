@@ -307,6 +307,14 @@ class TestErrorPaths:
         assert out == ""
         assert err == "error: phi(1) or its Hermitian part is not finite\n"
 
+    def test_example4_above_image_budget_exit_2(self, capsys):
+        # n = 46 ran its samples, then ended in numpy's MemoryError (14.6 TiB), exit 1
+        argv = ["example4", "--n", "46", "--m", "1", "--k", "1", "--lambda", "1.02", "--eps", "0.05"]
+        assert main(argv + ["--samples", "1", "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: need at most MAX_SIZE^2 = 4194304 unit-image entries")
+
     def test_size_above_bound_exit_2(self, capsys):
         # m n = 3 * 683 = 2049, one above family.MAX_SIZE
         argv = ["example4", "--n", "3", "--m", "683", "--k", "1", "--lambda", "1.4", "--eps", "0.05"]

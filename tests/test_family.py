@@ -1,3 +1,7 @@
+import dataclasses
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,7 @@ from posmap.algebra import FiniteCStar, matrix_units, unit, unit_stack
 from posmap.errors import BadRangeError
 from posmap.family import (
     MAX_SIZE,
+    _mixing_parameter_fraction,
     composed_mixing_parameter,
     corner_embed_apply,
     corner_mixture_apply,
@@ -20,10 +25,16 @@ from posmap.positivity import (
     CERTIFIED_POSITIVE,
     UNFALSIFIED,
     VIOLATED,
+    _threshold,
     is_cp,
     k_positivity_falsify,
     tomiyama_map,
 )
+
+
+def _kron_formula(x, n, m, lam, eps):
+    """The corner mixture as first written: np.kron pads eye(m) to the stack's rank."""
+    return (1.0 - eps) * x + eps * np.kron(np.eye(m), trace_mixing_apply(x[..., :n, :n], lam))
 
 
 class TestCornerMixtureMap:
@@ -78,6 +89,18 @@ class TestCornerMixtureMap:
         assert MAX_SIZE is algebra.MAX_SIZE
         with pytest.raises(BadRangeError, match="unit-image entries"):
             corner_mixture_map(2, 23, 1.0, 0.1)
+
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+    def test_apply_bit_identical_to_kron(self, lead):
+        # the in-place block-diagonal add does the kron formula's operations, entry by entry
+        n, m, lam, eps = 3, 4, 1.4, 0.05
+        rng = np.random.default_rng(7)
+        x = algebra._ginibre(rng, lead + (m * n, m * n))
+        before = x.copy()
+        out = corner_mixture_apply(x, n, m, lam, eps)
+        assert out.shape == x.shape
+        assert np.array_equal(out, _kron_formula(x, n, m, lam, eps))
+        assert np.array_equal(x, before)
 
 
 def _as_pmap(apply, source, target):
@@ -218,6 +241,69 @@ class TestVerifyCornerFamily:
         assert rep.falsifier is not None
         assert rep.falsifier.status == VIOLATED
         assert rep.closed_form_ok
+
+    def test_image_budget_enforced(self):
+        # the compressed map's n^4 unit-image entries: n = 46 allocated 14.6 TiB after the samples
+        assert 45**4 <= MAX_SIZE**2 < 46**4
+        with pytest.raises(BadRangeError, match="unit-image entries"):
+            verify_corner_family(46, 1, 1, 1.02, 0.05, samples=1)
+        rep = verify_corner_family(45, 1, 1, 1.02, 0.05, samples=1)
+        assert rep.closed_form_ok
+
+    def test_sample_loop_holds_three_matrices(self):
+        # the loop kept seven (mn)^2 matrices alive at its peak, four of them temporaries
+        n, m = 3, 100
+        matrix_bytes = (m * n) ** 2 * 16
+        tracemalloc.start()
+        try:
+            verify_corner_family(n, m, 1, 1.4, 0.05, samples=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * matrix_bytes, peak / matrix_bytes
+
+    @pytest.mark.parametrize("m", [1, 4, 50])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_report_bit_identical_to_reference_loop(self, m, seed):
+        # every float of the report, against the out-of-place loop and kron formula
+        n, k, lam, eps, samples = 3, 1, 1.4, 0.05, 4
+        rep = verify_corner_family(n, m, k, lam, eps, seed=seed, samples=samples)
+        rng = np.random.default_rng(seed)
+        defect_max = 0.0
+        for _ in range(samples):
+            g = algebra._ginibre(rng, (m * n, m * n))
+            x = g / op_norm(g)
+            fx = _kron_formula(x, n, m, lam, eps)
+            fxx = _kron_formula(x @ x, n, m, lam, eps)
+            defect_max = max(defect_max, op_norm(fx @ fx - fxx))
+        lam_tilde_f = _mixing_parameter_fraction(m, Fraction(eps), Fraction(lam))
+        prefactor = float(Fraction(eps) * Fraction(lam) / lam_tilde_f)
+        closed_form_dev = 0.0
+        for blk in unit_stack(FiniteCStar((n,))):
+            composed = partial_trace_first_apply(
+                _kron_formula(corner_embed_apply(blk, m), n, m, lam, eps), m, n
+            )
+            expected = prefactor * trace_mixing_apply(blk, float(lam_tilde_f))
+            closed_form_dev = max(closed_form_dev, op_norm(composed - expected))
+        reference = {
+            "lam": lam,
+            "eps": eps,
+            "defect_max": defect_max,
+            "defect_bound": 6.0 * eps,
+            "closed_form_dev": closed_form_dev,
+            "mixing_parameter": float(lam_tilde_f),
+            "next_threshold": float(_threshold(n, k + 1)),
+        }
+        floats = {
+            f.name: getattr(rep, f.name)
+            for f in dataclasses.fields(rep)
+            if isinstance(getattr(rep, f.name), float)
+        }
+        assert floats.keys() == reference.keys()
+        assert {key: v.hex() for key, v in floats.items()} == {
+            key: v.hex() for key, v in reference.items()
+        }
+        assert rep.falsifier is None  # lambda~ <= 1.2 for m <= 50
 
     def test_closed_form_tight(self):
         # 3x3 grid of in-window parameter points
