@@ -43,6 +43,7 @@ from .positivity import (
     UNFALSIFIED,
     VIOLATED,
     KposVerdict,
+    check_restarts,
     is_cp,
     k_positivity_falsify,
 )
@@ -173,6 +174,7 @@ def verify_certificate(
     """
     check_tol(tol)
     check_seed(seed)
+    check_restarts(restarts)
     _check_structure(cert)
 
     psi_norm = pmap_norm(cert.psi)
@@ -296,7 +298,7 @@ def _partition_certificate(
     summands = tuple(algebra for _ in weights)
     # np.kron pads eye to the stack's rank: one diagonal copy of each unit per summand
     images = np.kron(np.eye(len(weights)), unit_stack(algebra))
-    psi = PMap._from_unit_images(algebra, direct_sum(summands), images)
+    psi = PMap(algebra, direct_sum(summands), images)
     phis = tuple(w * PMap.identity(algebra) for w in weights)
     return DrCertificate(
         algebra=algebra,

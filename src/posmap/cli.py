@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -30,11 +29,13 @@ from .certificates import (
 )
 from .errors import PosmapError
 from .family import verify_corner_family
+from .linalg import check_seed, check_tol
 from .orderzero import cp_repair, order_zero_defect, oz_decompose
 from .positivity import (
     DEFAULT_RESTARTS,
     DEFAULT_TOL,
     VIOLATED,
+    check_restarts,
     is_cp,
     k_positivity_falsify,
     tomiyama_map,
@@ -325,13 +326,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        tol = getattr(args, "tol", 0.0)
-        if not (math.isfinite(tol) and tol >= 0):
-            parser.error(f"--tol must be a finite number >= 0, got {tol!r}")
-        if getattr(args, "seed", 0) < 0:
-            parser.error(f"--seed must be >= 0, got {args.seed}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    try:  # the library's own range checks, before any handler runs
+        for name, check in (("tol", check_tol), ("seed", check_seed), ("restarts", check_restarts)):
+            if hasattr(args, name):
+                check(getattr(args, name))
+    except PosmapError as exc:
+        print(f"error: --{name}: {exc}", file=sys.stderr)
+        return 2
     try:
         # an overflow raises NumericalFailureError; numpy's warning would only precede it
         with np.errstate(over="ignore", invalid="ignore"):

@@ -37,7 +37,7 @@ from .algebra import MAX_SIZE, FiniteCStar, _contraction, check_image_budget, un
 from .errors import BadRangeError
 from .linalg import as_complex, check_seed, op_norm
 from .maps import PMap
-from .positivity import KposVerdict, _threshold, k_positivity_falsify
+from .positivity import KposVerdict, _threshold, check_restarts, k_positivity_falsify
 
 CLOSED_FORM_TOL = 1e-10
 
@@ -102,7 +102,7 @@ def corner_mixture_map(n: int, m: int, lam: float, eps: float) -> PMap:
     check_image_budget((m * n) ** 2, m * n)  # so m n <= 45
     alg = FiniteCStar((m * n,))
     stack = corner_mixture_apply(unit_stack(alg), n, m, lam, eps)
-    return PMap._from_unit_images(alg, alg, stack)
+    return PMap(alg, alg, stack)
 
 
 # -- effective mixing parameter -------------------------------------------------
@@ -189,6 +189,7 @@ def verify_corner_family(
     if samples < 1:  # a check run on no samples is not a pass
         raise BadRangeError(f"need samples >= 1, got {samples}")
     check_seed(seed)
+    check_restarts(restarts)
     lam_f = Fraction(lam)
     lo, hi = _threshold(n, k + 1), _threshold(n, k)  # the window for lambda
     if not (lo < lam_f <= hi):
@@ -232,7 +233,7 @@ def verify_corner_family(
 
     falsifier = None
     if exceeds:
-        compressed = PMap._from_unit_images(alg_n, alg_n, np.array(composed_images))
+        compressed = PMap(alg_n, alg_n, composed_images)
         falsifier = k_positivity_falsify(
             compressed, k + 1, restarts=restarts, seed=seed
         )

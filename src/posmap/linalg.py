@@ -10,10 +10,10 @@ within tol iff herm_dev <= tol * scale, and PSD within tol (is_psd) iff
 also min_eig >= -tol * scale. The support projection and the support
 pseudo-inverses share one eigh path with the same Hermitian test at
 HERM_TOL and drop eigenvalues <= SUPPORT_CUTOFF * ||b||. A tolerance that
-is not finite and >= 0, or a negative seed, raises BadRangeError. op_norm
-takes a matrix or a (..., N, N) stack. A LAPACK failure or an overflowed
-eigenvalue or norm raises NumericalFailureError. No function mutates its
-arguments.
+is not finite and >= TOL_FLOOR (below it a verdict is the sign of a rounding
+error), or a negative seed, raises BadRangeError. op_norm takes a matrix or
+a (..., N, N) stack. A LAPACK failure or an overflowed eigenvalue or norm
+raises NumericalFailureError. No function mutates its arguments.
 """
 
 from __future__ import annotations
@@ -32,12 +32,13 @@ from .errors import (
 HERM_TOL = 1e-10
 PSD_TOL = 1e-9
 SUPPORT_CUTOFF = 1e-10
+TOL_FLOOR = 1e-12  # above eigvalsh's backward error p*u = 2.2e-13 at the budget's p = 2025
 
 
 def check_tol(tol: float) -> None:
-    """Raise BadRangeError unless tol is a finite number >= 0."""
-    if not (np.isfinite(tol) and tol >= 0):
-        raise BadRangeError(f"need a finite tolerance >= 0, got {tol!r}")
+    """Raise BadRangeError unless tol is a finite number >= TOL_FLOOR."""
+    if not (np.isfinite(tol) and tol >= TOL_FLOOR):
+        raise BadRangeError(f"need a finite tolerance >= {TOL_FLOOR}, got {tol!r}")
 
 
 def check_seed(seed: int) -> None:

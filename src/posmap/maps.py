@@ -1,20 +1,17 @@
 """Linear maps between finite-dimensional C*-algebras.
 
-A PMap stores, for each source block of size n, the unnormalized Choi
-matrix C = sum_ij e_ij (x) phi(e_ij) of the restriction to that block,
-with the target direct sum embedded block-diagonally into one matrix
-algebra of size D = target.embed_dim. C is an (n*D) x (n*D) matrix whose
-(i,s),(j,t) entry is phi(e_ij)[s,t].
+A PMap stores one array, its transfer matrix T: row u is vec(phi(e_u)), the
+image of the u-th matrix unit of the source (in unit_stack order) embedded
+block-diagonally into the matrix algebra of size D = target.embed_dim and
+flattened row-major. So T is (sum n_i^2) x (D*D), vec(phi(x)) = x_in @ T
+where x_in lists the in-block entries of the embedded x in that order, and
+T's columns at target coordinates outside the diagonal blocks are zero.
 
-The map acts through one transfer matrix T, the Choi data re-laid: row u
-is vec(phi(e_u)), the embedded image of the u-th matrix unit flattened
-row-major, in the order of unit_stack. So T is (sum n_i^2) x (D*D), and
-vec(phi(x)) = x_in @ T where x_in lists the in-block entries of the
-embedded x in that order. Its columns at target coordinates outside the
-diagonal blocks are zero.
-The constructor builds T, read-only, and checks the Choi blocks once: count,
-shapes, finite entries, and no image leaking outside the target blocks (a
-leak below LEAK_TOL stays in choi_blocks and is zero in T).
+The Choi matrix of a source block of size n, the (n*D) x (n*D) matrix
+C = sum_ij e_ij (x) phi(e_ij) with (i,s),(j,t) entry phi(e_ij)[s,t], is
+re-laid from T on each read. The constructor copies the unit-image stack
+once and checks it once: shape, finite entries, and no image leaking
+outside the target blocks (a leak below LEAK_TOL is zeroed in T).
 """
 
 from __future__ import annotations
@@ -23,63 +20,48 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (
-    Element,
-    FiniteCStar,
-    _freeze,
-    block_mask,
-    embed_stack,
-    from_embedded,
-    unit,
-    unit_stack,
-)
-from .errors import (
-    AlgebraMismatchError,
-    CountMismatchError,
-    DimensionMismatchError,
-)
+from .algebra import Element, FiniteCStar, block_mask, embed_stack, from_embedded, unit, unit_stack
+from .errors import AlgebraMismatchError, CountMismatchError, DimensionMismatchError
 from .linalg import as_complex, hermitian_kernel
 
 LEAK_TOL = 1e-10
 
 
+def _block_runs(source: FiniteCStar, rows: np.ndarray) -> list[np.ndarray]:
+    """rows, one per matrix unit of source, split into each source block's run (views)."""
+    return np.split(rows, np.cumsum([n * n for n in source.block_sizes])[:-1])
+
+
 class PMap:
-    """A map between FiniteCStar algebras: per-block Choi matrices and the T built from them."""
+    """A map between FiniteCStar algebras, stored as its transfer matrix T only."""
 
-    __slots__ = ("source", "target", "choi_blocks", "_transfer")
+    __slots__ = ("source", "target", "_transfer")
 
-    def __init__(self, source: FiniteCStar, target: FiniteCStar, choi_blocks):
-        blocks = [as_complex(c) for c in choi_blocks]
-        if len(blocks) != source.n_blocks:
-            raise DimensionMismatchError(
-                f"expected {source.n_blocks} Choi blocks, got {len(blocks)}"
-            )
+    def __init__(self, source: FiniteCStar, target: FiniteCStar, images):
+        """images: the (source.dim, D, D) stack of embedded unit images, in unit_stack order."""
         d = target.embed_dim
+        transfer = np.array(images, dtype=np.complex128)  # the one copy
+        if transfer.shape != (source.dim, d, d):
+            raise DimensionMismatchError(
+                f"unit-image stack shape {transfer.shape} does not match {(source.dim, d, d)}"
+            )
+        if not np.all(np.isfinite(transfer)):
+            raise DimensionMismatchError("unit images contain non-finite entries")
+        transfer = transfer.reshape(source.dim, d * d)
         off = ~block_mask(target).reshape(-1)
-        rows = []
-        for bi, (c, n) in enumerate(zip(blocks, source.block_sizes)):
-            if c.shape != (n * d, n * d):
-                raise DimensionMismatchError(
-                    f"Choi block shape {c.shape} does not match {(n * d, n * d)}"
-                )
-            if not np.all(np.isfinite(c.real)) or not np.all(np.isfinite(c.imag)):
-                raise DimensionMismatchError("Choi block contains non-finite entries")
-            # the rows of T for this block; images phi(e_ij) must lie in the embedded direct sum
-            t = c.reshape(n, d, n, d).transpose(0, 2, 1, 3).reshape(n * n, d * d)
+        # images phi(e_ij) must lie in the embedded direct sum, up to each block's scale
+        for bi, t in enumerate(_block_runs(source, transfer)):
             leak = float(np.max(np.abs(t[:, off]), initial=0.0))
-            scale = max(1.0, float(np.max(np.abs(c))))
+            scale = max(1.0, float(np.max(np.abs(t))))
             if leak > LEAK_TOL * scale:
                 raise DimensionMismatchError(
                     f"Choi block {bi} leaks outside the embedded target blocks "
                     f"(max off-diagonal entry {leak:.3e})"
                 )
-            rows.append(t)
-        transfer = np.concatenate(rows)  # a copy, also where 1 x 1 blocks' rows are views
         transfer[:, off] = 0.0
         transfer.setflags(write=False)
         self.source = source
         self.target = target
-        self.choi_blocks = tuple(_freeze(c) for c in blocks)
         self._transfer = transfer
 
     # -- construction ------------------------------------------------------
@@ -97,28 +79,28 @@ class PMap:
             raise CountMismatchError(
                 f"expected {source.dim} matrix-unit images, got {len(images)}"
             )
-        return cls._from_unit_images(source, target, embed_stack(target, images))
-
-    @classmethod
-    def _from_unit_images(
-        cls, source: FiniteCStar, target: FiniteCStar, stack: np.ndarray
-    ) -> "PMap":
-        """Build a map from the (dim, D, D) stack of embedded matrix-unit images."""
-        d, sizes = target.embed_dim, source.block_sizes
-        parts = np.split(stack, np.cumsum([n * n for n in sizes])[:-1])
-        blocks = [
-            t.reshape(n, n, d, d).transpose(0, 2, 1, 3).reshape(n * d, n * d)
-            for t, n in zip(parts, sizes)
-        ]
-        return cls(source, target, blocks)
+        return cls(source, target, embed_stack(target, images))
 
     @classmethod
     def from_choi(cls, source: FiniteCStar, target: FiniteCStar, choi_blocks) -> "PMap":
-        return cls(source, target, choi_blocks)
+        """Build a map from one (n*D) x (n*D) Choi matrix per source block of size n."""
+        blocks = [as_complex(c) for c in choi_blocks]
+        if len(blocks) != source.n_blocks:
+            raise DimensionMismatchError(
+                f"expected {source.n_blocks} Choi blocks, got {len(blocks)}"
+            )
+        d, images = target.embed_dim, []
+        for c, n in zip(blocks, source.block_sizes):
+            if c.shape != (n * d, n * d):
+                raise DimensionMismatchError(
+                    f"Choi block shape {c.shape} does not match {(n * d, n * d)}"
+                )
+            images.append(c.reshape(n, d, n, d).transpose(0, 2, 1, 3).reshape(n * n, d, d))
+        return cls(source, target, np.concatenate(images))
 
     @classmethod
     def identity(cls, algebra: FiniteCStar) -> "PMap":
-        return cls._from_unit_images(algebra, algebra, unit_stack(algebra))
+        return cls(algebra, algebra, unit_stack(algebra))
 
     # -- action ------------------------------------------------------------
 
@@ -126,6 +108,17 @@ class PMap:
     def transfer(self) -> np.ndarray:
         """T, the read-only (dim, D*D) stack of matrix-unit images: row u is vec(phi(e_u))."""
         return self._transfer
+
+    @property
+    def choi_blocks(self) -> tuple[np.ndarray, ...]:
+        """The read-only Choi matrix of each source block, re-laid from T on every read."""
+        d = self.target.embed_dim
+        out = []
+        for t, n in zip(_block_runs(self.source, self._transfer), self.source.block_sizes):
+            c = t.reshape(n, n, d, d).transpose(0, 2, 1, 3).reshape(n * d, n * d)
+            c.setflags(write=False)  # a copy, or for n = 1 a view of T
+            out.append(c)
+        return tuple(out)
 
     def act(self, xs: np.ndarray) -> np.ndarray:
         """phi on a (..., Ds, Ds) stack of embedded elements: an in-block gather, then one GEMM."""
@@ -150,11 +143,12 @@ class PMap:
     def __add__(self, other: "PMap") -> "PMap":
         if self.source != other.source or self.target != other.target:
             raise AlgebraMismatchError("maps act between different algebras")
-        blocks = [a + b for a, b in zip(self.choi_blocks, other.choi_blocks)]
-        return PMap(self.source, self.target, blocks)
+        d = self.target.embed_dim
+        return PMap(self.source, self.target, (self.transfer + other.transfer).reshape(-1, d, d))
 
     def scale(self, c: complex) -> "PMap":
-        return PMap(self.source, self.target, [complex(c) * blk for blk in self.choi_blocks])
+        d = self.target.embed_dim
+        return PMap(self.source, self.target, (complex(c) * self.transfer).reshape(-1, d, d))
 
     __mul__ = __rmul__ = scale
 

@@ -49,16 +49,8 @@ from .errors import (
     NumericalFailureError,
     PreconditionFailedError,
 )
-from .linalg import (
-    check_seed,
-    hermitian_kernel,
-    hermitian_part,
-    op_norm,
-    pinv_psd,
-    pinv_sqrt,
-    polar_unitary,
-    support_projection,
-)
+from .linalg import check_seed, hermitian_kernel, hermitian_part, op_norm, pinv_psd, pinv_sqrt
+from .linalg import polar_unitary, support_projection
 from .maps import PMap
 
 
@@ -328,7 +320,7 @@ def oz_construct(source: FiniteCStar, pi_images: list[Element], h: Element) -> P
     # units of distinct blocks multiply to zero; their images must too
     if (mult[~same] > tol).any():
         raise NotHomomorphismError("cross-block images do not annihilate")
-    return PMap._from_unit_images(source, target, hm @ pis)
+    return PMap(source, target, hm @ pis)
 
 
 # -- repair and lifting --------------------------------------------------------

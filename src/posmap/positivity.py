@@ -36,6 +36,12 @@ _MAX_ITERS = 500
 _FTOL = 1e-12
 
 
+def check_restarts(restarts: int) -> None:
+    """Raise BadRangeError unless 1 <= restarts <= MAX_RESTARTS."""
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise BadRangeError(f"need 1 <= restarts <= {MAX_RESTARTS}, got {restarts}")
+
+
 def is_cp(phi: PMap, tol: float = DEFAULT_TOL) -> bool:
     """Choi criterion: completely positive iff every Choi block is PSD within tol."""
     return all(is_psd(c, tol) for c in phi.choi_blocks)
@@ -64,7 +70,7 @@ def tomiyama_map(n: int, lam: float) -> PMap:
     stack = unit_stack(alg)
     stack[stack != 0] = 1.0 - lam  # assigned, not scaled: 1 - lam < 0 would sign the zeros
     stack[:: n + 1] += (lam / n) * np.eye(n)  # the diagonal units e_ii
-    return PMap._from_unit_images(alg, alg, stack)
+    return PMap(alg, alg, stack)
 
 
 @dataclass(frozen=True)
@@ -260,15 +266,15 @@ def k_positivity_falsify(
     """
     if k < 1:
         raise BadRangeError(f"need k >= 1, got {k}")
-    if not 1 <= restarts <= MAX_RESTARTS:
-        raise BadRangeError(f"need 1 <= restarts <= {MAX_RESTARTS}, got {restarts}")
+    check_restarts(restarts)
     check_tol(tol)
     check_seed(seed)
     d = phi.target.embed_dim
     best_value = np.inf
     best = None  # (block, factors)
     used = capped = 0
-    for bi, (c, n) in enumerate(zip(phi.choi_blocks, phi.source.block_sizes)):
+    choi = phi.choi_blocks
+    for bi, (c, n) in enumerate(zip(choi, phi.source.block_sizes)):
         value, factors, block_used, block_capped = _falsify_block(c, n, d, k, restarts, seed)
         used += block_used
         capped += block_capped
@@ -276,7 +282,7 @@ def k_positivity_falsify(
             best_value = value
             best = (bi, factors)
 
-    kernels = [hermitian_kernel(c) for c in phi.choi_blocks]
+    kernels = [hermitian_kernel(c) for c in choi]
     scale = max(kern.scale for kern in kernels)
     if best is not None and best_value < -tol * scale:
         bi, (left, right) = best

@@ -66,6 +66,12 @@ class TestIdentityCertificate:
         assert leg.commute_defect <= 1e-12
         assert leg.reconstruct_defect <= 1e-12
 
+    @pytest.mark.parametrize("restarts", [0, 100000])
+    def test_restarts_outside_range_rejected(self, restarts):
+        # a CP certificate never reached the falsifier, so any count was accepted
+        with pytest.raises(BadRangeError, match="restarts"):
+            verify_certificate(identity_certificate(M2), restarts=restarts)
+
     def test_direct_sum_passes(self):
         rep = verify_certificate(identity_certificate(M23), tol=1e-10)
         assert rep.overall

@@ -252,6 +252,38 @@ class TestErrorPaths:
         assert main(["check-kpos", psi14_file, "--k", "2", "--restarts", "1025"]) == 2
         assert "restarts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # no falsifier runs at m = 20, so only m = 120 refused restarts = 0
+            ["example4", "--n", "3", "--m", "20", "--k", "1", "--lambda", "1.4", "--eps", "0.05",
+             "--samples", "1"],
+            ["tomiyama", "--n", "3", "--k", "2"],
+            ["verify-cert", "CERT"],
+        ],
+    )
+    @pytest.mark.parametrize("restarts", ["0", "100000"])
+    def test_restarts_outside_range_exit_2(self, capsys, tmp_path, argv, restarts):
+        # the certificate is CP, so the falsifier never saw --restarts
+        cert = tmp_path / "cert.json"
+        save_certificate(orderzero_certificate(M2, [0.5, 0.5]), cert)
+        argv = [str(cert) if a == "CERT" else a for a in argv]
+        assert main(argv + ["--restarts", restarts, "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --restarts: need 1 <= restarts <= 1024, got ")
+
+    @pytest.mark.parametrize("tol", ["0", "1e-300"])
+    def test_tol_below_floor_exit_2(self, capsys, tmp_path, tol):
+        # on the identity's rank-one Choi matrix, tol = 0 made the verdict a rounding error's sign
+        path = tmp_path / "id3.json"
+        save_map(PMap.identity(M3), path)
+        assert main(["check-cp", str(path), "--tol", tol, "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --tol: need a finite tolerance >= 1e-12, got {float(tol)!r}\n"
+        assert main(["check-cp", str(path), "--tol", "1e-12"]) == 0
+
     def test_zero_samples_exit_2(self, capsys, psi14_file):
         argv = ["example4", "--n", "3", "--m", "1", "--k", "1", "--lambda", "1.4", "--eps", "0.05"]
         assert main(argv + ["--samples", "0"]) == 2

@@ -23,6 +23,7 @@ from posmap.linalg import op_norm
 from posmap.maps import PMap
 from posmap.positivity import (
     CERTIFIED_POSITIVE,
+    MAX_RESTARTS,
     UNFALSIFIED,
     VIOLATED,
     _threshold,
@@ -105,7 +106,7 @@ class TestCornerMixtureMap:
 
 def _as_pmap(apply, source, target):
     """The map that apply computes on dense matrices, built from its matrix-unit images."""
-    return PMap._from_unit_images(source, target, apply(unit_stack(source)))
+    return PMap(source, target, apply(unit_stack(source)))
 
 
 class TestPartialTraceFirst:
@@ -211,6 +212,12 @@ class TestVerifyCornerFamily:
         assert 683 * 3 == MAX_SIZE + 1
         with pytest.raises(BadRangeError, match="m \\* n"):
             verify_corner_family(3, 683, 1, 1.4, 0.05, samples=1)
+
+    @pytest.mark.parametrize("restarts", [0, MAX_RESTARTS + 1])
+    def test_restarts_outside_range_rejected(self, restarts):
+        # at m = 20 no falsifier runs, so the falsifier's own check never saw restarts = 0
+        with pytest.raises(BadRangeError, match="restarts"):
+            verify_corner_family(3, 20, 1, 1.4, 0.05, samples=1, restarts=restarts)
 
     def test_zero_samples_rejected(self):
         # a check run on no samples is not a pass: samples=0 reported all_ok=True

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -298,6 +300,37 @@ def test_bad_tolerance_or_cutoff_rejected(bad):
     for call in calls:
         with pytest.raises(BadRangeError):
             call()
+
+
+def test_tolerance_floor():
+    linalg.check_tol(linalg.TOL_FLOOR)
+    for tol in (0.0, 1e-300, linalg.TOL_FLOOR * (1 - 1e-15)):
+        with pytest.raises(BadRangeError, match="finite tolerance >= 1e-12"):
+            linalg.check_tol(tol)
+
+
+def _tol_defaults():
+    """Every default of a parameter named tol on the library surface, and the named defaults."""
+    fns = [getattr(posmap, name) for name in posmap.__all__]
+    fns += [m for m in vars(posmap.PMap).values() if inspect.isfunction(m)]
+    fns += [f for f in vars(linalg).values() if inspect.isfunction(f)]
+    out = {
+        f"{fn.__qualname__}(tol=)": p.default
+        for fn in fns if callable(fn) and not isinstance(fn, type)
+        for name, p in inspect.signature(fn).parameters.items()
+        if name == "tol" and isinstance(p.default, float)  # tol=None means no check
+    }
+    for name in ("HERM_TOL", "PSD_TOL"):
+        out[name] = getattr(linalg, name)
+    out["DEFAULT_TOL"] = posmap.positivity.DEFAULT_TOL
+    return out
+
+
+def test_every_default_tolerance_is_above_the_floor():
+    defaults = _tol_defaults()
+    assert len(defaults) >= 8
+    for where, tol in defaults.items():
+        assert tol > linalg.TOL_FLOOR, where
 
 
 NEGATIVE_SEED_CALLS = {

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,23 @@ from posmap.errors import (
     CountMismatchError,
     DimensionMismatchError,
 )
+from posmap.certificates import _partition_certificate
+from posmap.family import (
+    corner_embed_apply,
+    corner_mixture_apply,
+    corner_mixture_map,
+    partial_trace_first_apply,
+    verify_corner_family,
+)
 from posmap.maps import LEAK_TOL, PMap, lstsq_preimage, pmap_norm
+from posmap.orderzero import cp_repair, oz_construct
+from posmap.positivity import tomiyama_map
 
 from conftest import ginibre, random_map
 
 M2 = FiniteCStar((2,))
 M3 = FiniteCStar((3,))
+M4 = FiniteCStar((4,))
 
 
 def transpose_map(n):
@@ -129,7 +142,7 @@ class TestChoi:
         stack = algebra.unit_stack(alg)
         stack[0, 0, 1] = 1.0
         with pytest.raises(DimensionMismatchError, match="leaks"):
-            PMap._from_unit_images(alg, alg, stack)
+            PMap(alg, alg, stack)
 
 
 class TestConstructorBoundary:
@@ -145,8 +158,20 @@ class TestConstructorBoundary:
     )
     def test_rejected_with_exact_type(self, blocks, field):
         with pytest.raises(DimensionMismatchError, match=field) as info:
-            PMap(M2, M2, blocks)
+            PMap.from_choi(M2, M2, blocks)
         assert type(info.value) is DimensionMismatchError
+
+    @pytest.mark.parametrize(
+        "images, field",
+        [
+            (np.zeros((3, 2, 2)), r"stack shape \(3, 2, 2\) does not match \(4, 2, 2\)"),
+            (np.zeros((4, 4)), r"stack shape \(4, 4\) does not match"),
+            (np.full((4, 2, 2), np.nan), "non-finite"),
+        ],
+    )
+    def test_unit_image_stack_rejected(self, images, field):
+        with pytest.raises(DimensionMismatchError, match=field):
+            PMap(M2, M2, images)
 
 
 class TestTransferLayout:
@@ -197,21 +222,25 @@ class TestTransferBuiltAtConstruction:
     )
     def test_does_not_alias_the_input(self, source, target):
         ref = random_map(np.random.default_rng(5), source, target)
-        blocks = [c.astype(np.complex128) for c in ref.choi_blocks]  # writable copies
-        phi = PMap(source, target, blocks)
+        d = target.embed_dim
+        stack = ref.transfer.reshape(-1, d, d).copy()  # a writable copy
+        blocks = [c.copy() for c in ref.choi_blocks]
+        maps = [PMap(source, target, stack), PMap.from_choi(source, target, blocks)]
+        stack[...] = 7.0 + 1j  # the caller reuses its arrays
         for c in blocks:
-            c[...] = 7.0 + 1j  # the caller reuses its arrays
-        np.testing.assert_array_equal(phi.transfer, ref.transfer)
-        for got, want in zip(phi.choi_blocks, ref.choi_blocks):
-            np.testing.assert_array_equal(got, want)
+            c[...] = 7.0 + 1j
+        for phi in maps:
+            np.testing.assert_array_equal(phi.transfer, ref.transfer)
+            for got, want in zip(phi.choi_blocks, ref.choi_blocks):
+                np.testing.assert_array_equal(got, want)
 
     def test_leak_below_tolerance_is_zero_in_transfer(self):
-        # accepted by the leak check, kept in the Choi block, dropped from T
+        # accepted by the leak check and dropped from T, so also from the Choi block read from T
         alg = FiniteCStar((1, 1))
         stack = algebra.unit_stack(alg)
         stack[0, 0, 1] = 0.5 * LEAK_TOL
-        phi = PMap._from_unit_images(alg, alg, stack)
-        assert phi.choi_blocks[0][0, 1] == 0.5 * LEAK_TOL
+        phi = PMap(alg, alg, stack)
+        assert phi.choi_blocks[0][0, 1] == 0.0
         assert phi.transfer[0, 1] == 0.0
         np.testing.assert_array_equal(phi.transfer, PMap.identity(alg).transfer)
 
@@ -222,6 +251,148 @@ class TestTransferBuiltAtConstruction:
         assert not t.flags.writeable
         with pytest.raises(ValueError):
             t[0, 0] = 1.0
+
+
+def _choi_to_transfer(source, target, blocks):
+    """The earlier two-copy path's second half: Choi blocks -> T, off-block columns zeroed."""
+    d, sizes = target.embed_dim, source.block_sizes
+    rows = [c.reshape(n, d, n, d).transpose(0, 2, 1, 3).reshape(n * n, d * d)
+            for c, n in zip(blocks, sizes)]
+    transfer = np.concatenate(rows)
+    transfer[:, ~algebra.block_mask(target).reshape(-1)] = 0.0
+    return transfer, blocks
+
+
+def _stack_to_transfer(source, target, stack):
+    """The earlier two-copy path in full: unit-image stack -> Choi blocks -> T."""
+    d, sizes = target.embed_dim, source.block_sizes
+    parts = np.split(np.asarray(stack, dtype=np.complex128), np.cumsum([n * n for n in sizes])[:-1])
+    blocks = [t.reshape(n, n, d, d).transpose(0, 2, 1, 3).reshape(n * d, n * d)
+              for t, n in zip(parts, sizes)]
+    return _choi_to_transfer(source, target, blocks)
+
+
+def _identity():
+    a21 = FiniteCStar((2, 1))
+    return PMap.identity(a21), _stack_to_transfer(a21, a21, algebra.unit_stack(a21))
+
+
+def _from_action():
+    source, target = FiniteCStar((2, 1)), FiniteCStar((1, 2))
+    images = [random_element(np.random.default_rng(u), target) for u in range(source.dim)]
+    stack = algebra.embed_stack(target, images)
+    return PMap.from_action(source, target, images), _stack_to_transfer(source, target, stack)
+
+
+def _tomiyama():
+    n, lam = 4, 1.3
+    stack = algebra.unit_stack(M4)
+    stack[stack != 0] = 1.0 - lam
+    stack[:: n + 1] += (lam / n) * np.eye(n)
+    return tomiyama_map(n, lam), _stack_to_transfer(M4, M4, stack)
+
+
+def _corner_mixture():
+    n, m, lam, eps = 2, 3, 1.4, 0.05
+    alg = FiniteCStar((m * n,))
+    stack = corner_mixture_apply(algebra.unit_stack(alg), n, m, lam, eps)
+    return corner_mixture_map(n, m, lam, eps), _stack_to_transfer(alg, alg, stack)
+
+
+def _compressed():
+    seen = []
+    n, m, lam, eps = 3, 115, 1.4, 0.05  # past the 2-threshold, so the compressed map is built
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("posmap.family.k_positivity_falsify", lambda phi, *a, **kw: seen.append(phi))
+        verify_corner_family(n, m, 1, lam, eps, samples=1)
+    units = corner_embed_apply(algebra.unit_stack(M3), m)
+    composed = partial_trace_first_apply(corner_mixture_apply(units, n, m, lam, eps), m, n)
+    return seen[0], _stack_to_transfer(M3, M3, composed)
+
+
+def _oz_construct():
+    target = FiniteCStar((2, 2))
+    pis = [Element(target, [e.blocks[0], e.blocks[0]]) for e in matrix_units(M2)]
+    h = Element(target, [0.3 * np.eye(2), 0.7 * np.eye(2)])
+    stack = h.embedded() @ algebra.embed_stack(target, pis)
+    return oz_construct(M2, pis, h), _stack_to_transfer(M2, target, stack)
+
+
+def _certificate_psi():
+    a21 = FiniteCStar((2, 1))
+    psi = _partition_certificate(a21, [0.25, 0.75], 0, 1e-6).psi
+    stack = np.kron(np.eye(2), algebra.unit_stack(a21))
+    return psi, _stack_to_transfer(a21, psi.target, stack)
+
+
+def _certificate_leg():
+    # w * identity: the earlier path scaled the Choi blocks, this one scales T
+    a21 = FiniteCStar((2, 1))
+    leg = _partition_certificate(a21, [0.25, 0.75], 0, 1e-6).phis[1]
+    _, blocks = _stack_to_transfer(a21, a21, algebra.unit_stack(a21))
+    return leg, _choi_to_transfer(a21, a21, [complex(0.75) * c for c in blocks])
+
+
+def _cp_repair():
+    # phi + bump: the earlier path added the Choi blocks, this one adds T
+    phi = transpose_map(2)
+    repaired, eps = cp_repair(phi)
+    return repaired, _choi_to_transfer(M2, M2, [phi.choi_blocks[0] + 2 * eps * np.eye(4)])
+
+
+BUILDERS = {
+    "identity": _identity,
+    "from_action": _from_action,
+    "tomiyama_map": _tomiyama,
+    "corner_mixture_map": _corner_mixture,
+    "verify_corner_family": _compressed,
+    "oz_construct": _oz_construct,
+    "certificate_psi": _certificate_psi,
+    "certificate_leg": _certificate_leg,
+    "cp_repair": _cp_repair,
+}
+
+
+class TestOneStoredArray:
+    def test_holds_one_transfer_matrix(self):
+        # the two-copy layout held 2.0 T.nbytes and peaked at 5.0 during the build
+        tomiyama_map(20, 1.05)  # warm the per-algebra caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            phi = tomiyama_map(20, 1.05)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        nbytes = phi.transfer.nbytes
+        assert held - base <= 1.1 * nbytes
+        assert peak - base <= 3 * nbytes
+
+    def test_only_the_transfer_matrix_is_stored(self):
+        assert PMap.__slots__ == ("source", "target", "_transfer")
+        phi = tomiyama_map(3, 1.4)
+        assert phi.choi_blocks[0] is not phi.choi_blocks[0]  # derived on each read
+
+    @pytest.mark.parametrize("label", sorted(BUILDERS))
+    def test_builders_match_the_two_copy_path_bytewise(self, label):
+        phi, (transfer, blocks) = BUILDERS[label]()
+        assert phi.transfer.tobytes() == transfer.tobytes()
+        assert len(phi.choi_blocks) == len(blocks)
+        for got, want in zip(phi.choi_blocks, blocks):
+            assert got.shape == want.shape
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("source, target", [(FiniteCStar((1, 2, 1)), FiniteCStar((2, 1))), (M3, M3)])
+    def test_choi_blocks_read_only_and_round_trip(self, source, target):
+        phi = random_map(np.random.default_rng(4), source, target)
+        for c in phi.choi_blocks:  # a view of T for 1 x 1 source blocks, a copy otherwise
+            assert not c.flags.writeable
+            with pytest.raises(ValueError):
+                c[0, 0] = 1.0
+        psi = PMap.from_choi(source, target, phi.choi_blocks)
+        assert psi.transfer.tobytes() == phi.transfer.tobytes()
+        for a, b in zip(psi.choi_blocks, phi.choi_blocks):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestComposeAndArithmetic:

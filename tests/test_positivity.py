@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from posmap import algebra
 from posmap.algebra import Element, FiniteCStar, unit
 from posmap.errors import BadRangeError, NumericalFailureError
+from posmap.linalg import TOL_FLOOR
 from posmap.maps import PMap, pmap_norm
 from posmap.positivity import (
     CERTIFIED_POSITIVE,
@@ -162,6 +163,20 @@ class TestTomiyamaMap:
         # n = 200 built a 25.6 GB stack and n = 10^6 ended in numpy's MemoryError
         with pytest.raises(BadRangeError, match="unit-image entries"):
             tomiyama_map(46, 1.0)
+
+
+class TestTolFloor:
+    def test_identity_is_cp_at_the_floor(self):
+        # the identity's rank-one Choi matrix read not CP at tol = 0 for n = 3, 4 and 8
+        assert is_cp(PMap.identity(FiniteCStar((3,))), TOL_FLOOR)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-300, TOL_FLOOR / 2])
+    def test_below_the_floor_rejected(self, tol):
+        phi = PMap.identity(FiniteCStar((3,)))
+        with pytest.raises(BadRangeError, match="tolerance"):
+            is_cp(phi, tol)
+        with pytest.raises(BadRangeError, match="tolerance"):
+            k_positivity_falsify(phi, 2, tol=tol)
 
 
 class TestFalsifier:

@@ -20,7 +20,7 @@ CALLABLES = {
     "FiniteCStar": ["block_sizes"],
     "KposVerdict": ["best_value", "restarts_capped", "restarts_used", "status", "witness"],
     "OzDecomposition": ["commute_defect", "h", "mult_defect", "pi_images", "reconstruct_defect"],
-    "PMap": ["choi_blocks", "source", "target"],
+    "PMap": ["images", "source", "target"],
     "VerifyReport": [
         "approx_errors", "approx_failures", "caveat", "epsilon", "legs", "overall",
         "psi_contraction_ok", "psi_norm", "psi_two_positive", "sum_contractive_ok", "sum_norm",
@@ -73,6 +73,7 @@ METHODS = {
         "__rmul__": ["c"],
         "act": ["xs"],
         "apply": ["x"],
+        "choi_blocks": [],
         "from_action": ["images", "source", "target"],
         "from_choi": ["choi_blocks", "source", "target"],
         "identity": ["algebra"],
