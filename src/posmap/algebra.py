@@ -205,19 +205,16 @@ def spanning_positive_contractions(algebra: FiniteCStar) -> list[Element]:
     Per block: the diagonal units e_ii and, for i < j, the rank-one
     projections onto (e_i + e_j)/sqrt(2) and (e_i + i e_j)/sqrt(2).
     """
+    zeros = [np.zeros((s, s)) for s in algebra.block_sizes]
     out = []
     for b, size in enumerate(algebra.block_sizes):
-        for i in range(size):
-            out.append(basis_element(algebra, b, i, i))
-        for i in range(size):
-            for j in range(i + 1, size):
-                for phase in (1.0, 1.0j):
-                    blk = [np.zeros((s, s)) for s in algebra.block_sizes]
-                    v = np.zeros(size, dtype=np.complex128)
-                    v[i] = 1.0
-                    v[j] = phase
-                    blk[b] = np.outer(v, v.conj()) / 2.0
-                    out.append(Element(algebra, blk))
+        e = np.eye(size)
+        iu, ju = np.triu_indices(size, 1)  # i < j, row-major
+        # rows e_i + e_j and e_i + i e_j, pair by pair
+        v = (e[iu, None] + np.array([1.0, 1.0j])[:, None] * e[ju, None]).reshape(-1, size)
+        projections = v[:, :, None] * v.conj()[:, None, :] / 2.0  # a normalised v squares to 0.4999...
+        for m in np.concatenate([e[:, :, None] * e[:, None, :], projections]):
+            out.append(Element(algebra, zeros[:b] + [m] + zeros[b + 1 :]))
     return out
 
 

@@ -35,7 +35,7 @@ from .errors import (
     SchemaVersionMismatchError,
     StructurallyInvalidError,
 )
-from .linalg import check_seed, check_tol
+from .linalg import check_samples, check_seed, check_tol
 from .maps import PMap, pmap_norm
 from .orderzero import order_zero_defect, oz_decompose
 from .positivity import (
@@ -175,6 +175,7 @@ def verify_certificate(
     check_tol(tol)
     check_seed(seed)
     check_restarts(restarts)
+    check_samples(samples)
     _check_structure(cert)
 
     psi_norm = pmap_norm(cert.psi)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .algebra import MAX_SIZE, FiniteCStar, _contraction, check_image_budget, unit_stack
 from .errors import BadRangeError
-from .linalg import as_complex, check_seed, op_norm
+from .linalg import as_complex, check_samples, check_seed, op_norm
 from .maps import PMap
 from .positivity import KposVerdict, _threshold, check_restarts, k_positivity_falsify
 
@@ -186,8 +186,7 @@ def verify_corner_family(
     check_image_budget(n * n, n)  # the compressed map's unit images, so n <= 45
     if not (1 <= k < n):
         raise BadRangeError(f"need 1 <= k < n, got k={k}, n={n}")
-    if samples < 1:  # a check run on no samples is not a pass
-        raise BadRangeError(f"need samples >= 1, got {samples}")
+    check_samples(samples)
     check_seed(seed)
     check_restarts(restarts)
     lam_f = Fraction(lam)

@@ -11,9 +11,9 @@ also min_eig >= -tol * scale. The support projection and the support
 pseudo-inverses share one eigh path with the same Hermitian test at
 HERM_TOL and drop eigenvalues <= SUPPORT_CUTOFF * ||b||. A tolerance that
 is not finite and >= TOL_FLOOR (below it a verdict is the sign of a rounding
-error), or a negative seed, raises BadRangeError. op_norm takes a matrix or
-a (..., N, N) stack. A LAPACK failure or an overflowed eigenvalue or norm
-raises NumericalFailureError. No function mutates its arguments.
+error), a seed < 0 or samples < 1 raises BadRangeError. op_norm takes a
+matrix or a (..., N, N) stack. A LAPACK failure or an overflowed eigenvalue
+or norm raises NumericalFailureError. No function mutates its arguments.
 """
 
 from __future__ import annotations
@@ -45,6 +45,12 @@ def check_seed(seed: int) -> None:
     """Raise BadRangeError unless seed >= 0 (numpy's generators take no negative seed)."""
     if seed < 0:
         raise BadRangeError(f"need a seed >= 0, got {seed!r}")
+
+
+def check_samples(samples: int) -> None:
+    """Raise BadRangeError unless samples >= 1: a check run on zero samples is not a pass."""
+    if samples < 1:
+        raise BadRangeError(f"need samples >= 1, got {samples}")
 
 
 def as_complex(m) -> np.ndarray:

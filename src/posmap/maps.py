@@ -89,14 +89,15 @@ class PMap:
             raise DimensionMismatchError(
                 f"expected {source.n_blocks} Choi blocks, got {len(blocks)}"
             )
-        d, images = target.embed_dim, []
-        for c, n in zip(blocks, source.block_sizes):
+        d = target.embed_dim
+        images = np.empty((source.dim, d, d), dtype=np.complex128)
+        for c, n, t in zip(blocks, source.block_sizes, _block_runs(source, images)):
             if c.shape != (n * d, n * d):
                 raise DimensionMismatchError(
                     f"Choi block shape {c.shape} does not match {(n * d, n * d)}"
                 )
-            images.append(c.reshape(n, d, n, d).transpose(0, 2, 1, 3).reshape(n * n, d, d))
-        return cls(source, target, np.concatenate(images))
+            t.reshape(n, n, d, d)[...] = c.reshape(n, d, n, d).transpose(0, 2, 1, 3)
+        return cls(source, target, images)
 
     @classmethod
     def identity(cls, algebra: FiniteCStar) -> "PMap":

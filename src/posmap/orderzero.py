@@ -49,8 +49,8 @@ from .errors import (
     NumericalFailureError,
     PreconditionFailedError,
 )
-from .linalg import check_seed, hermitian_kernel, hermitian_part, op_norm, pinv_psd, pinv_sqrt
-from .linalg import polar_unitary, support_projection
+from .linalg import check_samples, check_seed, hermitian_kernel, hermitian_part, op_norm, pinv_psd
+from .linalg import pinv_sqrt, polar_unitary, support_projection
 from .maps import PMap
 
 
@@ -194,8 +194,7 @@ def order_zero_defect(phi: PMap, samples: int, seed: int) -> DefectReport:
     are evaluated as stacked chunks; the suprema are maxima, so the report
     is bit-identical to evaluating one sample at a time.
     """
-    if samples < 1:  # a check run on no samples is not a pass
-        raise BadRangeError(f"need samples >= 1, got {samples}")
+    check_samples(samples)
     check_seed(seed)
     rng = np.random.default_rng(seed)
     src = phi.source

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import FiniteCStar, _ginibre, check_image_budget, unit_stack
 from .errors import BadRangeError, DimensionMismatchError, NumericalFailureError
-from .linalg import check_seed, check_tol, hermitian_kernel, hermitian_part, is_psd
+from .linalg import _spectrum, check_seed, check_tol, hermitian_kernel, hermitian_part, is_psd
 from .maps import PMap
 
 CERTIFIED_POSITIVE = "CERTIFIED_POSITIVE"
@@ -227,27 +227,6 @@ def _seesaw(
     return values, wmat, int(active.size)
 
 
-def _falsify_block(
-    c: np.ndarray, n: int, d: int, k: int, restarts: int, seed: int
-) -> tuple[float, tuple, int, int]:
-    """Best value, its Schmidt factors, and the restarts used and capped on one source block."""
-    c_herm = hermitian_part(c)
-    if not np.all(np.isfinite(c_herm)):
-        raise NumericalFailureError("Hermitian part of Choi block is not finite")
-    k_eff = min(k, n, d)
-    if k_eff >= min(n, d):
-        # Schmidt constraint is vacuous: the exact minimum is the bottom eigenvector
-        vals, vecs = np.linalg.eigh(c_herm)
-        x = vecs[:, 0]
-        factors = _schmidt_factors(x.reshape(n, d), k_eff)
-        return float(vals[0]), factors, 0, 0
-
-    frames = _start_frames(seed, restarts, d, k_eff)
-    values, wmats, capped = _seesaw(c_herm, n, d, k_eff, frames)
-    best = int(np.argmin(values))  # the lowest index wins ties
-    return float(values[best]), _schmidt_factors(wmats[best], k_eff), restarts, capped
-
-
 def k_positivity_falsify(
     phi: PMap,
     k: int,
@@ -273,16 +252,25 @@ def k_positivity_falsify(
     best_value = np.inf
     best = None  # (block, factors)
     used = capped = 0
-    choi = phi.choi_blocks
-    for bi, (c, n) in enumerate(zip(choi, phi.source.block_sizes)):
-        value, factors, block_used, block_capped = _falsify_block(c, n, d, k, restarts, seed)
-        used += block_used
-        capped += block_capped
+    kernels = []
+    for bi, (c, n) in enumerate(zip(phi.choi_blocks, phi.source.block_sizes)):
+        k_eff = min(k, n, d)
+        exact = k_eff >= min(n, d)  # a vacuous Schmidt bound: the bottom eigenvector is the minimum
+        kernel, vals, vecs = _spectrum(c, vectors=exact)  # raises before a search on overflow
+        kernels.append(kernel)
+        if exact:
+            value, wmat = float(vals[0]), vecs[:, 0].reshape(n, d)
+        else:
+            frames = _start_frames(seed, restarts, d, k_eff)
+            values, wmats, block_capped = _seesaw(hermitian_part(c), n, d, k_eff, frames)
+            r = int(np.argmin(values))  # the lowest index wins ties
+            value, wmat = float(values[r]), wmats[r]
+            used += restarts
+            capped += block_capped
         if value < best_value:
             best_value = value
-            best = (bi, factors)
+            best = (bi, _schmidt_factors(wmat, k_eff))
 
-    kernels = [hermitian_kernel(c) for c in choi]
     scale = max(kern.scale for kern in kernels)
     if best is not None and best_value < -tol * scale:
         bi, (left, right) = best

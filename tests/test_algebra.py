@@ -177,3 +177,23 @@ class TestSpanningPositiveContractions:
             [np.concatenate([b.reshape(-1) for b in e.blocks]) for e in els]
         )
         assert np.linalg.matrix_rank(vecs) == M23.dim
+
+    @pytest.mark.parametrize("sizes", [(1,), (2,), (3,), (2, 3), (1, 4, 2), (5,)])
+    def test_matches_the_unit_loop_bytewise(self, sizes):
+        # the family was built by this triple loop over matrix units
+        alg = FiniteCStar(sizes)
+        want = []
+        for b, size in enumerate(sizes):
+            want += [algebra.basis_element(alg, b, i, i) for i in range(size)]
+            for i in range(size):
+                for j in range(i + 1, size):
+                    for phase in (1.0, 1.0j):
+                        blk = [np.zeros((s, s)) for s in sizes]
+                        v = np.zeros(size, dtype=np.complex128)
+                        v[i], v[j] = 1.0, phase
+                        blk[b] = np.outer(v, v.conj()) / 2.0
+                        want.append(Element(alg, blk))
+        got = algebra.spanning_positive_contractions(alg)
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert [b.tobytes() for b in x.blocks] == [b.tobytes() for b in y.blocks]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posmap import algebra
+from posmap import algebra, positivity
 from posmap.algebra import Element, FiniteCStar, basis_element, unit
 from posmap.certificates import (
     DrCertificate,
@@ -71,6 +71,21 @@ class TestIdentityCertificate:
         # a CP certificate never reached the falsifier, so any count was accepted
         with pytest.raises(BadRangeError, match="restarts"):
             verify_certificate(identity_certificate(M2), restarts=restarts)
+
+    def test_zero_samples_rejected_before_any_work(self, monkeypatch):
+        # psi is not CP, so the 2-positivity check reached the falsifier before the defects
+        calls = []
+        falsify = positivity.k_positivity_falsify
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return falsify(*args, **kwargs)
+
+        monkeypatch.setattr("posmap.certificates.k_positivity_falsify", counted)
+        cert = dataclasses.replace(identity_certificate(M3), psi=tomiyama_map(3, 1.15))
+        with pytest.raises(BadRangeError, match="samples"):
+            verify_certificate(cert, samples=0)
+        assert calls == []
 
     def test_direct_sum_passes(self):
         rep = verify_certificate(identity_certificate(M23), tol=1e-10)

@@ -368,6 +368,20 @@ class TestOneStoredArray:
         assert held - base <= 1.1 * nbytes
         assert peak - base <= 3 * nbytes
 
+    def test_from_choi_loads_into_one_stack(self):
+        # per-block re-laid copies, then their concatenation, peaked at 3.5 T.nbytes
+        alg = FiniteCStar((30,))
+        blocks = tomiyama_map(30, 1.02).choi_blocks
+        PMap.from_choi(alg, alg, blocks)  # warm the per-algebra caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            phi = PMap.from_choi(alg, alg, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 2.6 * phi.transfer.nbytes
+
     def test_only_the_transfer_matrix_is_stored(self):
         assert PMap.__slots__ == ("source", "target", "_transfer")
         phi = tomiyama_map(3, 1.4)

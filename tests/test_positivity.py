@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posmap import algebra
+from posmap import algebra, positivity
 from posmap.algebra import Element, FiniteCStar, unit
 from posmap.errors import BadRangeError, NumericalFailureError
 from posmap.linalg import TOL_FLOOR
@@ -226,6 +226,23 @@ class TestFalsifier:
             assert (v.status == CERTIFIED_POSITIVE) == is_cp(phi)
             # the exact path runs on the blocks with n <= k; only the 3-block searches
             assert v.restarts_used == 3
+
+    def test_exact_path_reads_each_block_once(self, monkeypatch):
+        # the kernel pass gives the bottom eigenvector; the second call is witness_verify's
+        shapes = []
+        for name in ("eigh", "eigvalsh"):
+            fn = getattr(np.linalg, name)
+
+            def counted(a, *args, _fn=fn, **kwargs):
+                shapes.append(np.shape(a))
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        v = k_positivity_falsify(tomiyama_map(4, 1.1), 4)
+        assert v.status == VIOLATED
+        assert v.restarts_used == 0
+        assert shapes.count((16, 16)) == 2
+        assert not hasattr(positivity, "_falsify_block")
 
     def test_determinism(self):
         a = k_positivity_falsify(tomiyama_map(3, 1.4), k=2, restarts=8, seed=3)
