@@ -183,9 +183,12 @@ def _bottom_pairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     try:
         vals = np.linalg.eigvalsh(m)
-        e = np.frexp(np.abs(vals[:, [0, -1]]).max(axis=1))[1][:, None, None]
-        low = np.ldexp(vals[:, :1, None], -e) - 64 * np.finfo(float).eps
-        shifted = np.ldexp(m.real, -e) + 1j * np.ldexp(m.imag, -e) - low * np.eye(m.shape[-1])
+        e = np.frexp(np.abs(vals[:, [0, -1]]).max(axis=1))[1]
+        low = np.ldexp(vals[:, 0], -e) - 64 * np.finfo(float).eps
+        half = (-e // 2)[:, None, None]  # two exact factors, so subnormal stacks scale exactly
+        shifted = m * np.ldexp(1.0, half) * np.ldexp(1.0, -e[:, None, None] - half)
+        diag = np.arange(m.shape[-1])
+        shifted[:, diag, diag] -= low[:, None]
         v = np.sin(np.arange(1.0, m.shape[-1] + 1))[None, :, None]  # 3-D: a stack of matrices
         for _ in range(2):
             v = np.linalg.solve(shifted, v)
@@ -203,28 +206,30 @@ def _seesaw(
     A half-step holds one side to an orthonormal frame F and solves exactly
     for the k free factors X of the other side; QR of X is the next frame.
     Returns each restart's value, its (n, d) coefficient matrix, and how many
-    restarts were stopped by _MAX_ITERS. A restart that stops leaves the
-    active set, so its result never depends on the others.
+    restarts were stopped by _MAX_ITERS. A restart that stops is written out
+    and leaves the working arrays, so its result never depends on the others.
     """
     t = c_herm.reshape(n, d, n, d)  # t[i, s, j, t]
     # for _compress: [s, (i, j, t)] frees the left factors (side 0), [i, (s, t, j)] the right
     laid = t.transpose(1, 0, 2, 3).reshape(d, -1), t.transpose(0, 1, 3, 2).reshape(n, -1)
-    held = [frames.copy(), np.empty((len(frames), n, k), dtype=np.complex128)]
     wmat = np.empty((len(frames), n, d), dtype=np.complex128)
+    rows = np.arange(len(frames))  # the restart of each working row
     prev = np.full(len(frames), np.inf)
-    active = np.arange(len(frames))
-    for side in (0, 1) * _MAX_ITERS:
-        f = held[side][active]  # frame of the other side, (R, d or n, k)
+    f = frames  # frame of the held side, (rows, d or n, k)
+    for it in range(2 * _MAX_ITERS):
+        side = it % 2
         vals, vecs = _bottom_pairs(_compress(laid[side], f, (n, d)[side]))
         free = np.swapaxes(vecs.reshape(-1, k, (n, d)[side]), 1, 2)
-        coeff = free @ np.swapaxes(f, 1, 2)  # x[(i,s)] = sum_r A[i,r] B[s,r], transposed if side 1
-        wmat[active] = np.swapaxes(coeff, 1, 2) if side else coeff
-        held[1 - side][active] = np.linalg.qr(free)[0]
-        active = _still_moving(prev, active, vals)
-        if not active.size:
+        keep = _still_moving(prev, np.arange(len(rows)), vals)
+        done = np.ones(len(rows), dtype=bool)
+        done[keep] = it == 2 * _MAX_ITERS - 1  # at the cap every row is written out
+        coeff = free[done] @ np.swapaxes(f[done], 1, 2)  # x[(i,s)] = sum_r A[i,r] B[s,r]
+        wmat[rows[done]] = np.swapaxes(coeff, 1, 2) if side else coeff
+        if done.all():
             break
+        rows, prev, f = rows[keep], prev[keep], np.linalg.qr(free[keep])[0]
     values = np.array([_quadratic_value(c_herm, w.reshape(-1)) for w in wmat])
-    return values, wmat, int(active.size)
+    return values, wmat, int(keep.size)
 
 
 def k_positivity_falsify(
