@@ -32,8 +32,9 @@ VIOLATED = "VIOLATED"
 DEFAULT_RESTARTS = 32
 MAX_RESTARTS = 1024  # the batched see-saw holds restarts * k * n^2 * d complex entries
 DEFAULT_TOL = 1e-8
-_MAX_ITERS = 500
+_MAX_ITERS = 500  # a restart spends at most 2 * _MAX_ITERS half-step evaluations
 _FTOL = 1e-12
+_BETA_GROW, _BETA_CUT = 1.3, 0.5  # the extrapolation weight after an accepted, rejected trial
 
 
 def check_restarts(restarts: int) -> None:
@@ -102,7 +103,7 @@ class KposVerdict:
     status: str
     best_value: float
     restarts_used: int
-    restarts_capped: int  # restarts stopped by the iteration cap, not by tolerance
+    restarts_capped: int  # restarts that spent their evaluation budget still moving
     witness: Optional[Witness]  # last, so a printed report shows the summary first
 
 
@@ -168,7 +169,7 @@ def _compress(t_laid: np.ndarray, frames: np.ndarray, p: int) -> np.ndarray:
 
 
 def _still_moving(prev: np.ndarray, active: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """Stopping rule after a half-step: a restart stops once it gains less than _FTOL."""
+    """Stopping rule after an accepted half-step: a restart stops once it gains less than _FTOL."""
     moving = ~(prev[active] - value < _FTOL)
     prev[active] = value
     return active[moving]
@@ -198,6 +199,12 @@ def _bottom_pairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[:, 0], v[:, :, 0] / np.linalg.norm(v, axis=1)
 
 
+def _free_factors(laid: np.ndarray, f: np.ndarray, p: int, k: int):
+    """Exact half-step: each frame's minimum over the free factors, and those (R, p, k) factors."""
+    vals, vecs = _bottom_pairs(_compress(laid, f, p))
+    return vals, np.swapaxes(vecs.reshape(-1, k, p), 1, 2)
+
+
 def _seesaw(
     c_herm: np.ndarray, n: int, d: int, k: int, frames: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -205,9 +212,13 @@ def _seesaw(
 
     A half-step holds one side to an orthonormal frame F and solves exactly
     for the k free factors X of the other side; QR of X is the next frame.
-    Returns each restart's value, its (n, d) coefficient matrix, and how many
-    restarts were stopped by _MAX_ITERS. A restart that stops is written out
-    and leaves the working arrays, so its result never depends on the others.
+    From the third full step on, side 0 first tries the frame of the point
+    W + beta (W - e^{i theta} W_prev) extrapolated from the last two full
+    steps, and keeps it only where it lowers the value; elsewhere beta is
+    halved and side 0 is redone from the QR frame. Returns each restart's
+    value, its (n, d) coefficient matrix, and how many restarts spent their
+    2 * _MAX_ITERS half-step evaluations still moving. A restart that stops
+    is written out and leaves the working arrays, so it never depends on the others.
     """
     t = c_herm.reshape(n, d, n, d)  # t[i, s, j, t]
     # for _compress: [s, (i, j, t)] frees the left factors (side 0), [i, (s, t, j)] the right
@@ -215,21 +226,44 @@ def _seesaw(
     wmat = np.empty((len(frames), n, d), dtype=np.complex128)
     rows = np.arange(len(frames))  # the restart of each working row
     prev = np.full(len(frames), np.inf)
-    f = frames  # frame of the held side, (rows, d or n, k)
-    for it in range(2 * _MAX_ITERS):
-        side = it % 2
-        vals, vecs = _bottom_pairs(_compress(laid[side], f, (n, d)[side]))
-        free = np.swapaxes(vecs.reshape(-1, k, (n, d)[side]), 1, 2)
-        keep = _still_moving(prev, np.arange(len(rows)), vals)
-        done = np.ones(len(rows), dtype=bool)
-        done[keep] = it == 2 * _MAX_ITERS - 1  # at the cap every row is written out
-        coeff = free[done] @ np.swapaxes(f[done], 1, 2)  # x[(i,s)] = sum_r A[i,r] B[s,r]
-        wmat[rows[done]] = np.swapaxes(coeff, 1, 2) if side else coeff
-        if done.all():
+    spent = np.zeros(len(frames), dtype=int)  # half-step evaluations, rejected trials included
+    beta = np.ones(len(frames))
+    w = w_prev = np.zeros_like(wmat)  # the coefficient matrices after the last two full steps
+    f, capped = frames, 0
+    for half in range(2 * _MAX_ITERS):  # each pass spends at least one evaluation per row
+        side, p = half % 2, (n, d)[half % 2]
+        vals, free = np.empty(len(rows)), np.empty((len(rows), p, k), dtype=np.complex128)
+        ok = np.zeros(len(rows), dtype=bool)
+        if half >= 4 and not side:  # from the third full step on, the extrapolated frame first
+            phase = np.exp(1j * np.angle(np.sum(w_prev.conj() * w, axis=(1, 2))))[:, None, None]
+            w_e = w + beta[:, None, None] * (w - phase * w_prev)
+            trial = np.swapaxes(np.linalg.svd(w_e, full_matrices=False)[2][:, :k], 1, 2)
+            vals, free = _free_factors(laid[0], trial, n, k)
+            spent += 1
+            ok = vals < prev
+            beta *= np.where(ok, _BETA_GROW, _BETA_CUT)
+            f = np.where(ok[:, None, None], trial, f)
+        redo = ~ok & (spent < 2 * _MAX_ITERS)  # the QR frame: every row, or the rejected ones
+        vals[redo], free[redo] = _free_factors(laid[side], f[redo], p, k)
+        spent[redo] += 1
+        ok |= redo  # not ok now: a rejected trial with no evaluation left, so still moving
+        live = ~ok
+        live[_still_moving(prev, np.flatnonzero(ok), vals[ok])] = True
+        keep = live & (spent < 2 * _MAX_ITERS)
+        capped += int(np.count_nonzero(live & ~keep))
+        x = free @ np.swapaxes(f, 1, 2)  # x[(i,s)] = sum_r A[i,r] B[s,r], transposed on side 1
+        now = np.swapaxes(x, 1, 2) if side else np.where(ok[:, None, None], x, w)
+        wmat[rows[~keep]] = now[~keep]
+        if not keep.any():
             break
-        rows, prev, f = rows[keep], prev[keep], np.linalg.qr(free[keep])[0]
+        if side:
+            w, w_prev = now, w
+        rows, prev, spent, beta, free, w, w_prev = (
+            a[keep] for a in (rows, prev, spent, beta, free, w, w_prev)
+        )
+        f = np.linalg.qr(free)[0]
     values = np.array([_quadratic_value(c_herm, w.reshape(-1)) for w in wmat])
-    return values, wmat, int(keep.size)
+    return values, wmat, capped
 
 
 def k_positivity_falsify(
@@ -245,8 +279,8 @@ def k_positivity_falsify(
     Witness, and the CP fast path upgrades a fruitless search to
     CERTIFIED_POSITIVE. Deterministic in (seed, restarts): restart r draws
     its start frame from np.random.default_rng([seed, r]), so distinct seeds
-    run distinct searches. restarts_capped counts the restarts that stopped
-    at the iteration cap rather than on tolerance.
+    run distinct searches. restarts_capped counts the restarts that spent
+    their half-step budget still moving rather than stopping on tolerance.
     """
     if k < 1:
         raise BadRangeError(f"need k >= 1, got {k}")

@@ -24,6 +24,9 @@ from posmap.positivity import (
     witness_verify,
 )
 from posmap.positivity import (
+    _BETA_CUT,
+    _BETA_GROW,
+    _FTOL,
     _MAX_ITERS,
     _bottom_pairs,
     _compress,
@@ -281,9 +284,13 @@ class TestFalsifier:
         v = k_positivity_falsify(tomiyama_map(3, 1.4), k=2, restarts=32, seed=0)
         assert v.restarts_capped == 0
 
-    def test_near_threshold_restarts_capped(self):
+    def test_near_threshold_restarts_capped(self, monkeypatch):
         n, k, restarts = 3, 1, 4
         phi = PMap.from_choi(M3, M3, [near_threshold_choi(n, k, np.random.default_rng(0))])
+        # the extrapolated see-saw converges on this map; at the plain see-saw's pace a
+        # budget of 5 iterations stops every restart while it is still moving
+        assert k_positivity_falsify(phi, k=k, restarts=restarts, seed=0).restarts_capped == 0
+        monkeypatch.setattr(positivity, "_MAX_ITERS", 5)
         v = k_positivity_falsify(phi, k=k, restarts=restarts, seed=0)
         assert v.status == VIOLATED
         assert v.restarts_used == restarts
@@ -291,8 +298,8 @@ class TestFalsifier:
 
 
 def reference_seesaw(c_herm, n, d, k, frames):
-    """The see-saw with a full eigh per half-step and frames from the SVD of the
-    current vector: the same minimiser and stopping rule as _seesaw."""
+    """The plain see-saw, without extrapolation, with a full eigh per half-step and
+    frames from the SVD of the current vector: _seesaw's minimiser and stopping rule."""
     t = c_herm.reshape(n, d, n, d)
     t_left = t.transpose(1, 0, 2, 3).reshape(d, n * n * d)
     t_right = t.transpose(0, 1, 3, 2).reshape(n, d * d * n)
@@ -318,6 +325,52 @@ def reference_seesaw(c_herm, n, d, k, frames):
         b_frames[active] = np.swapaxes(vh[:, :k, :], 1, 2)
     values = np.array([_quadratic_value(c_herm, w.reshape(-1)) for w in wmat])
     return values, wmat, int(active.size)
+
+
+def reference_extrapolated_seesaw(c_herm, n, d, k, frames):
+    """The extrapolated see-saw one restart at a time, with a full eigh per half-step
+    and every frame from an SVD: the same rule, budget and stopping rule as _seesaw."""
+    t = c_herm.reshape(n, d, n, d)
+    t_left = t.transpose(1, 0, 2, 3).reshape(d, n * n * d)
+    t_right = t.transpose(0, 1, 3, 2).reshape(n, d * d * n)
+
+    def side0(b):  # b: (d, k) frame of the right factors
+        vals, vecs = np.linalg.eigh(_compress(t_left, b[None], n))
+        return vals[0, 0], vecs[0, :, 0].reshape(k, n).T @ b.T
+
+    def side1(a):  # a: (n, k) frame of the left factors
+        vals, vecs = np.linalg.eigh(_compress(t_right, a[None], d))
+        return vals[0, 0], a @ vecs[0, :, 0].reshape(k, d)
+
+    budget = 2 * _MAX_ITERS
+    values, wmats, capped = [], [], 0
+    for b in frames:
+        value, beta, spent = np.inf, 1.0, 0
+        w = w_full = w_prev = None  # now, after the last full step, after the one before
+        while True:
+            v = None
+            if w_prev is not None:
+                phase = np.exp(1j * np.angle(np.vdot(w_prev, w_full)))
+                v, x = side0(np.linalg.svd(w_full + beta * (w_full - phase * w_prev))[2][:k].T)
+                spent += 1
+                beta *= _BETA_GROW if v < value else _BETA_CUT
+                v = v if v < value else None
+            if v is None and spent < budget:
+                v, x = side0(b if w is None else np.linalg.svd(w)[2][:k].T)
+                spent += 1
+            if v is not None:
+                moving, value, w = not value - v < _FTOL, v, x
+            if moving and spent < budget:
+                v, w = side1(np.linalg.svd(w)[0][:, :k])
+                spent += 1
+                moving, value = not value - v < _FTOL, v
+            if not moving or spent == budget:
+                capped += moving
+                break
+            w_prev, w_full = w_full, w
+        values.append(_quadratic_value(c_herm, w.reshape(-1)))
+        wmats.append(w)
+    return np.array(values), np.array(wmats), capped
 
 
 def _unconjugated_forms():
@@ -391,10 +444,14 @@ class TestSeesawReference:
             c = (g + g.conj().T) / 2
         frames = _start_frames(seed, 8, d, k)
         values, _, capped = _seesaw(c, n, d, k, frames)
+        # the plain see-saw: every restart ends at least as low with extrapolation
         ref_values, _, ref_capped = reference_seesaw(c, n, d, k, frames)
-        np.testing.assert_allclose(values, ref_values, rtol=1e-13, atol=0)
-        assert capped == ref_capped
-        assert (capped > 0) == near  # the near-threshold blocks reach the iteration cap
+        assert np.all(values <= ref_values + 1e-12 * max(1.0, np.linalg.norm(c, 2)))
+        assert (ref_capped > 0) == near  # the near-threshold blocks reach the plain cap
+        assert capped == 0
+        ext_values, _, ext_capped = reference_extrapolated_seesaw(c, n, d, k, frames)
+        np.testing.assert_allclose(values, ext_values, rtol=1e-13, atol=0)
+        assert capped == ext_capped
 
     def test_subnormal_block_moves(self):
         # entries of size 1e-310 carry about 44 bits, so agreement is to about 1e-11
@@ -405,6 +462,78 @@ class TestSeesawReference:
         np.testing.assert_allclose(values, ref_values, rtol=1e-11, atol=0)
         assert capped == ref_capped
         assert values.min() / 1e-310 == pytest.approx(-1 / 3, rel=1e-11)
+
+
+NEAR_INPUTS = [(3, 1, 0), (3, 2, 5), (4, 2, 6)]  # (n, k, seed) of the near-threshold references
+
+
+def _near_block(n, k, seed):
+    c = near_threshold_choi(n, k, np.random.default_rng(seed))
+    return (c + c.conj().T) / 2
+
+
+def _count_rows(monkeypatch, name):
+    """Count the matrices passed in stacks (3-D arrays) to np.linalg.<name>."""
+    rows = [0]
+    fn = getattr(np.linalg, name)
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            rows[0] += len(a)
+        return fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return rows
+
+
+class TestSeesawBudget:
+    @pytest.mark.parametrize("max_iters", [5, 40, _MAX_ITERS])
+    def test_search_within_budget(self, monkeypatch, max_iters):
+        # a restart spends at most 2 * _MAX_ITERS half-step eigensolves, rejected trials
+        # included, and a capped restart has spent them all
+        monkeypatch.setattr(positivity, "_MAX_ITERS", max_iters)
+        rows = _count_rows(monkeypatch, "eigvalsh")
+        rng = np.random.default_rng(3)
+        restarts = 6
+        for n, k in ((3, 1), (3, 2), (4, 2)):
+            alg = FiniteCStar((n,))
+            g = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+            for choi in (near_threshold_choi(n, k, rng), (g + g.conj().T) / 2):
+                rows[0] = 0
+                v = k_positivity_falsify(PMap.from_choi(alg, alg, [choi]), k, restarts, seed=1)
+                assert v.restarts_capped * 2 * max_iters <= rows[0] <= restarts * 2 * max_iters
+
+    @pytest.mark.parametrize("n, k, seed", NEAR_INPUTS)
+    def test_near_inputs_halve_the_eigensolves(self, monkeypatch, n, k, seed):
+        # the plain see-saw runs (nearly) every restart of these blocks to the cap
+        c, frames = _near_block(n, k, seed), _start_frames(seed, 8, n, k)
+        plain = _count_rows(monkeypatch, "eigh")
+        reference_seesaw(c, n, n, k, frames)
+        rows = _count_rows(monkeypatch, "eigvalsh")
+        _seesaw(c, n, n, k, frames)
+        assert rows[0] <= plain[0] / 2
+
+    @pytest.mark.parametrize("n, k, seed", NEAR_INPUTS + [(5, 2, 7)])
+    def test_accepted_values_never_increase(self, monkeypatch, n, k, seed):
+        # each restart alone, so every value _still_moving sees is that restart's
+        if (n, k, seed) in NEAR_INPUTS:
+            c = _near_block(n, k, seed)
+        else:
+            c = _random_hermitian_stack(n * n, 1.0, seed)[0]
+        frames = _start_frames(seed, 8, n, k)
+        seen = []
+        still_moving = positivity._still_moving
+
+        def recording(prev, active, value):
+            seen.append(value.copy())
+            return still_moving(prev, active, value)
+
+        monkeypatch.setattr(positivity, "_still_moving", recording)
+        for r in range(len(frames)):
+            seen.clear()
+            _seesaw(c, n, n, k, frames[r : r + 1])
+            accepted = np.concatenate(seen)
+            assert len(accepted) > 2 and np.all(np.diff(accepted) <= 0), r
 
 
 class TestWitnessVerify:
