@@ -14,11 +14,14 @@ nothing; pass with caveat) or VIOLATED (with a re-verified witness).
 
 Serialization is canonical JSON: sorted keys, two-space indent, complex
 entries as [re, im] pairs row-major, floats in shortest round-trip
-decimal. save/load round-trips are byte-identical.
+decimal. encode and dumps are the one encoder and the one writer of posmap
+data as JSON, for map and certificate files and for the CLI's --json
+reports. save/load round-trips are byte-identical.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from dataclasses import dataclass
@@ -315,8 +318,26 @@ def _partition_certificate(
 # -- serialization ------------------------------------------------------------------
 
 
-def _encode_matrix(m: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+def encode(obj):
+    """posmap data as JSON data: file forms, dataclasses by field, arrays as [re, im] pairs."""
+    if isinstance(obj, FiniteCStar):  # before the dataclass case: FiniteCStar is one
+        return {"blocks": list(obj.block_sizes)}
+    if isinstance(obj, PMap):
+        return {"choi_blocks": [encode(c) for c in obj.choi_blocks]}
+    if isinstance(obj, Element):
+        return {"blocks": [encode(b) for b in obj.blocks]}
+    if dataclasses.is_dataclass(obj):
+        return {f.name: encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple):
+        return [encode(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [[float(z.real), float(z.imag)] for z in obj.reshape(-1)]
+    return obj
+
+
+def dumps(doc) -> str:
+    """Canonical JSON: sorted keys, two-space indent, no NaN or infinity."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
 
 
 def _decode_matrix(data, size: int, where: str) -> np.ndarray:
@@ -337,10 +358,6 @@ def _decode_matrix(data, size: int, where: str) -> np.ndarray:
     return out.reshape(size, size)
 
 
-def _encode_algebra(a: FiniteCStar) -> dict:
-    return {"blocks": list(a.block_sizes)}
-
-
 def _decode_algebra(data, where: str) -> FiniteCStar:
     if not isinstance(data, dict) or "blocks" not in data:
         raise ParseError(f"{where}: expected an object with a 'blocks' list")
@@ -353,10 +370,6 @@ def _decode_algebra(data, where: str) -> FiniteCStar:
         return FiniteCStar(tuple(blocks))
     except Exception as exc:
         raise ParseError(f"{where}.blocks: {exc}") from exc
-
-
-def _encode_pmap(phi: PMap) -> dict:
-    return {"choi_blocks": [_encode_matrix(c) for c in phi.choi_blocks]}
 
 
 def _decode_blocks(data, key: str, sizes, where: str) -> list[np.ndarray]:
@@ -381,10 +394,6 @@ def _decode_pmap(data, source: FiniteCStar, target: FiniteCStar, where: str) -> 
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def _encode_element(x: Element) -> dict:
-    return {"blocks": [_encode_matrix(b) for b in x.blocks]}
-
-
 def _decode_element(data, algebra: FiniteCStar, where: str) -> Element:
     return Element(algebra, _decode_blocks(data, "blocks", algebra.block_sizes, where))
 
@@ -400,16 +409,8 @@ def _check_schema(doc: dict) -> None:
 
 
 def certificate_to_document(cert: DrCertificate) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "algebra": _encode_algebra(cert.algebra),
-        "d": cert.d,
-        "summands": [_encode_algebra(s) for s in cert.summands],
-        "psi": _encode_pmap(cert.psi),
-        "phis": [_encode_pmap(p) for p in cert.phis],
-        "test_set": [_encode_element(x) for x in cert.test_set],
-        "epsilon": float(cert.epsilon),
-    }
+    # float: an int epsilon is still written as a JSON float
+    return {"schema_version": SCHEMA_VERSION, **encode(cert), "epsilon": float(cert.epsilon)}
 
 
 def certificate_from_document(doc: dict) -> DrCertificate:
@@ -457,8 +458,8 @@ def certificate_from_document(doc: dict) -> DrCertificate:
 
 
 def _write(doc: dict, path) -> None:
-    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """The canonical JSON of doc and a trailing newline."""
+    text = dumps(doc) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -485,9 +486,9 @@ def load_certificate(path) -> DrCertificate:
 def map_to_document(phi: PMap) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "source": _encode_algebra(phi.source),
-        "target": _encode_algebra(phi.target),
-        "map": _encode_pmap(phi),
+        "source": encode(phi.source),
+        "target": encode(phi.target),
+        "map": encode(phi),
     }
 
 

@@ -10,8 +10,6 @@ seeds the output is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -19,7 +17,8 @@ import numpy as np
 from . import __version__
 from .algebra import FiniteCStar
 from .certificates import (
-    _encode_matrix,
+    dumps,
+    encode,
     load_certificate,
     load_map,
     orderzero_certificate,
@@ -43,17 +42,6 @@ from .positivity import (
 )
 
 
-def _encode(report):
-    """A report as JSON data: dataclasses by field, tuples as lists, arrays as [re, im] pairs."""
-    if dataclasses.is_dataclass(report):
-        return {f.name: _encode(getattr(report, f.name)) for f in dataclasses.fields(report)}
-    if isinstance(report, tuple):
-        return [_encode(v) for v in report]
-    if isinstance(report, np.ndarray):
-        return _encode_matrix(report)
-    return report
-
-
 def _renamed(fields: dict, old: str, new: str) -> dict:
     """fields with the key old renamed to new, at the same place."""
     return {new if name == old else name: value for name, value in fields.items()}
@@ -61,7 +49,7 @@ def _renamed(fields: dict, old: str, new: str) -> dict:
 
 def _print_report(payload: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
+        print(dumps(payload))
         return
 
     def walk(obj, indent=0):
@@ -116,7 +104,7 @@ def _cmd_check_kpos(args) -> tuple[int, dict]:
         "restarts": args.restarts,
         "seed": args.seed,
         "tol": args.tol,
-        "verdict": _encode(v),
+        "verdict": encode(v),
     }
     return (1 if v.status == VIOLATED else 0), payload
 
@@ -141,7 +129,7 @@ def _cmd_tomiyama(args) -> tuple[int, dict]:
             {
                 "lambda": args.lam,
                 "k_positive_closed_form": k_positive,
-                "falsifier": _encode(v),
+                "falsifier": encode(v),
             }
         )
         code = 0 if k_positive else 1
@@ -154,7 +142,7 @@ def _cmd_tomiyama(args) -> tuple[int, dict]:
 def _cmd_defect(args) -> tuple[int, dict]:
     phi = load_map(args.mapfile)
     rep = order_zero_defect(phi, samples=args.samples, seed=args.seed)
-    return 0, {"mapfile": args.mapfile, **_encode(rep)}
+    return 0, {"mapfile": args.mapfile, **encode(rep)}
 
 
 def _cmd_decompose(args) -> tuple[int, dict]:
@@ -199,7 +187,7 @@ def _cmd_example4(args) -> tuple[int, dict]:
         samples=args.samples,
         restarts=args.restarts,
     )
-    fields = _renamed(_encode(rep), "lam", "lambda")
+    fields = _renamed(encode(rep), "lam", "lambda")
     return (0 if rep.all_ok else 1), {**fields, "all_ok": rep.all_ok}
 
 
@@ -214,7 +202,7 @@ def _cmd_verify_cert(args) -> tuple[int, dict]:
         "seed": args.seed,
         "restarts": args.restarts,
         "samples": args.samples,
-        **_encode(rep),
+        **encode(rep),
     }
     return (0 if rep.overall else 1), payload
 

@@ -218,21 +218,23 @@ def verify_corner_family(
     # compress the actual pipeline through the corner and compare to the
     # closed-form trace-mixing map
     alg_n = FiniteCStar((n,))
-    closed_form_dev = 0.0
-    composed_images = []
-    for blk in unit_stack(alg_n):
-        composed = partial_trace_first_apply(
-            corner_mixture_apply(corner_embed_apply(blk, m), n, m, lam, eps), m, n
+    units = unit_stack(alg_n)
+    # unit by unit, so that one embedded (mn)^2 unit and its image are alive at a time
+    composed = np.stack([
+        partial_trace_first_apply(
+            corner_mixture_apply(corner_embed_apply(u, m), n, m, lam, eps), m, n
         )
-        composed_images.append(composed)
-        expected = prefactor * trace_mixing_apply(blk, lam_tilde)
-        closed_form_dev = max(closed_form_dev, op_norm(composed - expected))
+        for u in units
+    ])
+    closed_form_dev = float(
+        op_norm(composed - prefactor * trace_mixing_apply(units, lam_tilde)).max()
+    )
 
     exceeds = lam_tilde_f > lo  # lo is the (k+1)-threshold
 
     falsifier = None
     if exceeds:
-        compressed = PMap(alg_n, alg_n, composed_images)
+        compressed = PMap(alg_n, alg_n, composed)
         falsifier = k_positivity_falsify(
             compressed, k + 1, restarts=restarts, seed=seed
         )

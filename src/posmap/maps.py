@@ -52,8 +52,8 @@ class PMap:
         # images phi(e_ij) must lie in the embedded direct sum, up to each block's scale
         for bi, t in enumerate(_block_runs(source, transfer)):
             leak = float(np.max(np.abs(t[:, off]), initial=0.0))
-            scale = max(1.0, float(np.max(np.abs(t))))
-            if leak > LEAK_TOL * scale:
+            # the scale is at least 1, so |t| is needed only for a leak above LEAK_TOL
+            if leak > LEAK_TOL and leak > LEAK_TOL * float(np.max(np.abs(t))):
                 raise DimensionMismatchError(
                     f"Choi block {bi} leaks outside the embedded target blocks "
                     f"(max off-diagonal entry {leak:.3e})"

@@ -46,6 +46,87 @@ from conftest import random_map
 M2 = FiniteCStar((2,))
 M3 = FiniteCStar((3,))
 M23 = FiniteCStar((2, 3))
+C1 = FiniteCStar((1,))
+
+# the files of PMap.identity(C1) and of identity_certificate(C1, test_set=(unit(C1),))
+GOLDEN_MAP = """\
+{
+  "map": {
+    "choi_blocks": [
+      [
+        [
+          1.0,
+          0.0
+        ]
+      ]
+    ]
+  },
+  "schema_version": 1,
+  "source": {
+    "blocks": [
+      1
+    ]
+  },
+  "target": {
+    "blocks": [
+      1
+    ]
+  }
+}
+"""
+GOLDEN_CERTIFICATE = """\
+{
+  "algebra": {
+    "blocks": [
+      1
+    ]
+  },
+  "d": 0,
+  "epsilon": 1e-06,
+  "phis": [
+    {
+      "choi_blocks": [
+        [
+          [
+            1.0,
+            0.0
+          ]
+        ]
+      ]
+    }
+  ],
+  "psi": {
+    "choi_blocks": [
+      [
+        [
+          1.0,
+          0.0
+        ]
+      ]
+    ]
+  },
+  "schema_version": 1,
+  "summands": [
+    {
+      "blocks": [
+        1
+      ]
+    }
+  ],
+  "test_set": [
+    {
+      "blocks": [
+        [
+          [
+            1.0,
+            0.0
+          ]
+        ]
+      ]
+    }
+  ]
+}
+"""
 
 
 class TestDirectSum:
@@ -336,6 +417,12 @@ class TestSerialization:
         save_certificate(load_certificate(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_golden_bytes(self, tmp_path):
+        # literal bytes, which a save -> load -> save round trip would not pin
+        path = tmp_path / "cert.json"
+        save_certificate(identity_certificate(C1, test_set=(unit(C1),)), path)
+        assert path.read_text() == GOLDEN_CERTIFICATE
+
     def test_mismatched_choi_dimension_names_field(self, tmp_path):
         cert = identity_certificate(M2)
         doc = certificate_to_document(cert)
@@ -483,6 +570,11 @@ class TestMapFiles:
         save_map(phi, p1)
         save_map(load_map(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "map.json"
+        save_map(PMap.identity(C1), path)
+        assert path.read_text() == GOLDEN_MAP
 
     def test_missing_field(self):
         with pytest.raises(ParseError, match="target"):

@@ -37,6 +37,13 @@ def run_json(capsys, argv):
 
 
 class TestTomiyama:
+    def test_json_golden_bytes(self, capsys):
+        # the exact stdout, so a change of the canonical writer shows here
+        assert main(["tomiyama", "--n", "2", "--k", "1", "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "command": "tomiyama",\n  "k": 1,\n  "n": 2,\n  "threshold": 2.0\n}\n'
+        )
+
     def test_threshold_output(self, capsys):
         code = main(["tomiyama", "--n", "3", "--k", "2"])
         out = capsys.readouterr().out

@@ -202,6 +202,10 @@ class TestPolarUnitary:
     def test_zero_matrix(self):
         assert np.allclose(linalg.polar_unitary(np.zeros((3, 3))), np.eye(3))
 
+    def test_empty_matrix(self):
+        u = linalg.polar_unitary(np.zeros((0, 0)))
+        assert u.shape == (0, 0) and u.dtype == np.complex128
+
     def test_diagonal_signs(self):
         u = linalg.polar_unitary(np.diag([2.0, -3.0]))
         assert np.allclose(u, np.diag([1.0, -1.0]), atol=1e-12)

@@ -244,6 +244,16 @@ class TestTransferBuiltAtConstruction:
         assert phi.transfer[0, 1] == 0.0
         np.testing.assert_array_equal(phi.transfer, PMap.identity(alg).transfer)
 
+    def test_leak_tolerance_scales_with_the_block(self):
+        # LEAK_TOL is relative to the block's largest entry once that exceeds 1
+        alg = FiniteCStar((1, 1))
+        stack = 1e6 * algebra.unit_stack(alg)
+        stack[0, 0, 1] = 1e-6
+        assert PMap(alg, alg, stack).transfer[0, 1] == 0.0
+        stack[0, 0, 1] = 1e-3
+        with pytest.raises(DimensionMismatchError, match="leaks"):
+            PMap(alg, alg, stack)
+
     def test_read_only_and_the_same_object(self):
         phi = random_map(np.random.default_rng(2), FiniteCStar((2, 1)), M3)
         t = phi.transfer
