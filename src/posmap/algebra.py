@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AlgebraMismatchError, BadRangeError
+from .errors import AlgebraMismatchError, BadRangeError, NumericalFailureError
 from .linalg import as_complex, check_seed, is_psd, op_norm
 
 
@@ -123,6 +123,8 @@ def from_embedded(algebra: FiniteCStar, m: np.ndarray) -> Element:
     d = algebra.embed_dim
     if m.shape != (d, d):
         raise AlgebraMismatchError(f"expected shape {(d, d)}, got {m.shape}")
+    if not np.all(np.isfinite(m)):  # map images come here, not caller blocks: an overflow
+        raise NumericalFailureError("computed element contains non-finite entries")
     ends = np.cumsum(algebra.block_sizes)
     return Element(algebra, [m[e - n : e, e - n : e] for e, n in zip(ends, algebra.block_sizes)])
 

@@ -38,11 +38,13 @@ from .errors import (
     SchemaVersionMismatchError,
     StructurallyInvalidError,
 )
-from .linalg import check_samples, check_seed, check_tol
+from .linalg import DEFAULT_SAMPLES, check_samples, check_seed, check_tol
 from .maps import PMap, pmap_norm
 from .orderzero import order_zero_defect, oz_decompose
 from .positivity import (
     CERTIFIED_POSITIVE,
+    DEFAULT_RESTARTS,
+    DEFAULT_TOL,
     UNFALSIFIED,
     VIOLATED,
     KposVerdict,
@@ -163,12 +165,18 @@ def _two_positive_check(
     return TwoPositiveCheck(verdict.status, verdict)
 
 
+def _sum_apply(cert: DrCertificate, ys: np.ndarray) -> np.ndarray:
+    """(sum phi_i)(y) on a (..., D, D) stack over (+)F_i: leg i reads its diagonal square."""
+    ends = np.cumsum([0] + [s.embed_dim for s in cert.summands])
+    return sum(phi.act(ys[..., a:b, a:b]) for phi, a, b in zip(cert.phis, ends, ends[1:]))
+
+
 def verify_certificate(
     cert: DrCertificate,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
     seed: int = 0,
-    restarts: int = 32,
-    samples: int = 100,
+    restarts: int = DEFAULT_RESTARTS,
+    samples: int = DEFAULT_SAMPLES,
 ) -> VerifyReport:
     """Measure every certificate condition; returns a report, never raises on failure.
 
@@ -187,8 +195,8 @@ def verify_certificate(
 
     legs = []
     for i, phi in enumerate(cert.phis):
-        nrm = pmap_norm(phi)
         dec = oz_decompose(phi)
+        nrm = dec.h.norm()  # h = phi(1)
         rep = order_zero_defect(phi, samples=samples, seed=seed + i)
         oz_ok = (
             dec.mult_defect <= tol
@@ -213,19 +221,12 @@ def verify_certificate(
             )
         )
 
-    total = sum(phi.act(unit(s).embedded()) for phi, s in zip(cert.phis, cert.summands))
+    total = _sum_apply(cert, unit(cert.psi.target).embedded())
     sum_norm = from_embedded(cert.algebra, total).norm()
     sum_ok = sum_norm <= 1 + tol
 
-    # psi on the embedded test set; leg i acts on its diagonal square of (+)F_i
     xs = embed_stack(cert.algebra, cert.test_set)
-    ys = cert.psi.act(xs)
-    out = np.zeros_like(xs)
-    off = 0
-    for phi, s in zip(cert.phis, cert.summands):
-        end = off + s.embed_dim
-        out += phi.act(ys[:, off:end, off:end])
-        off = end
+    out = _sum_apply(cert, cert.psi.act(xs))
     errors = tuple(from_embedded(cert.algebra, e).norm() for e in out - xs)
     failures = tuple(i for i, err in enumerate(errors) if not err < cert.epsilon)
 

@@ -28,7 +28,7 @@ from .certificates import (
 )
 from .errors import PosmapError
 from .family import verify_corner_family
-from .linalg import check_seed, check_tol
+from .linalg import DEFAULT_SAMPLES, check_seed, check_tol
 from .orderzero import cp_repair, order_zero_defect, oz_decompose
 from .positivity import (
     DEFAULT_RESTARTS,
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tol": dict(type=float, default=DEFAULT_TOL),
         "seed": dict(type=int, default=0),
         "restarts": dict(type=int, default=DEFAULT_RESTARTS),
-        "samples": dict(type=int, default=100),
+        "samples": dict(type=int, default=DEFAULT_SAMPLES),
     }
 
     def common(p, *names):

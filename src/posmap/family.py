@@ -16,13 +16,14 @@ an effective parameter
 which crosses the (k+1)-threshold for large m, so the big map cannot be
 (k+1)-positive even though its defect is small.
 
-The maps are formula appliers on dense matrices or stacks of them, so
-verification at large m never materializes a Choi matrix and holds at most
-three dense (mn) x (mn) matrices, about 192 MiB at mn = 2046. The compressed
-map handed to the falsifier and corner_mixture_map (small m) apply them to
-the stack of matrix units. Every entry point first checks n >= 2, m >= 1,
-mn <= MAX_SIZE, eps in (0, 1) and a finite lambda; check_image_budget adds
-mn <= 45 for corner_mixture_map and n <= 45 for verify_corner_family.
+The maps are formula appliers on dense matrices or stacks of them (psi_lambda
+is positivity.trace_mixing_apply), so verification at large m never makes a
+Choi matrix and holds at most three dense (mn) x (mn) matrices, about 192 MiB
+at mn = 2046. The compressed map handed to the falsifier and
+corner_mixture_map (small m) apply them to the stack of matrix units. Every
+entry point first checks n >= 2, m >= 1, mn <= MAX_SIZE, eps in (0, 1) and a
+finite lambda; check_image_budget adds mn <= 45 for corner_mixture_map and
+n <= 45 for verify_corner_family.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ import numpy as np
 
 from .algebra import MAX_SIZE, FiniteCStar, _contraction, check_image_budget, unit_stack
 from .errors import BadRangeError
-from .linalg import as_complex, check_samples, check_seed, op_norm
+from .linalg import DEFAULT_SAMPLES, as_complex, check_samples, check_seed, op_norm
 from .maps import PMap
-from .positivity import KposVerdict, _threshold, check_restarts, k_positivity_falsify
+from .positivity import DEFAULT_RESTARTS, KposVerdict, _threshold, check_restarts
+from .positivity import k_positivity_falsify, trace_mixing_apply
 
 CLOSED_FORM_TOL = 1e-10
 
@@ -56,14 +58,6 @@ def _check_params(n: int, m: int, lam: float, eps: float) -> None:
 
 
 # -- formula-level actions on (..., N, N) stacks of dense matrices ---------------
-
-
-def trace_mixing_apply(a: np.ndarray, lam: float) -> np.ndarray:
-    """psi_lambda(a) = lambda tr_n(a) 1 + (1 - lambda) a on one block."""
-    a = as_complex(a)
-    n = a.shape[-1]
-    tr = np.trace(a, axis1=-2, axis2=-1)[..., None, None]
-    return lam * (tr / n) * np.eye(n) + (1.0 - lam) * a
 
 
 def corner_mixture_apply(x: np.ndarray, n: int, m: int, lam: float, eps: float) -> np.ndarray:
@@ -167,8 +161,8 @@ def verify_corner_family(
     lam: float,
     eps: float,
     seed: int = 0,
-    samples: int = 100,
-    restarts: int = 32,
+    samples: int = DEFAULT_SAMPLES,
+    restarts: int = DEFAULT_RESTARTS,
 ) -> FamilyReport:
     """Check the three claims about one member of the corner-mixture family.
 

@@ -33,6 +33,7 @@ HERM_TOL = 1e-10
 PSD_TOL = 1e-9
 SUPPORT_CUTOFF = 1e-10
 TOL_FLOOR = 1e-12  # above eigvalsh's backward error p*u = 2.2e-13 at the budget's p = 2025
+DEFAULT_SAMPLES = 100
 
 
 def check_tol(tol: float) -> None:

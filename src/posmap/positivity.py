@@ -7,9 +7,9 @@ falsified here by an alternating eigenvector descent over the rank-k
 factors. A negative certificate (Witness) is always re-verified from
 scratch; absence of a witness is reported as UNFALSIFIED, not as a proof.
 
-The trace-mixing family psi_lambda(a) = lambda tr_n(a) 1 + (1 - lambda) a
-on M_n is k-positive iff lambda <= 1 + 1/(nk - 1) (Tomiyama's threshold),
-which serves as the exact oracle for the falsifier's test suite.
+The trace-mixing map psi_lambda(a) = lambda tr_n(a) 1 + (1 - lambda) a on M_n,
+written once in trace_mixing_apply, is k-positive iff lambda <= 1 + 1/(nk - 1)
+(Tomiyama's threshold): the exact oracle for the falsifier's test suite.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 
 from .algebra import FiniteCStar, _ginibre, check_image_budget, unit_stack
 from .errors import BadRangeError, DimensionMismatchError, NumericalFailureError
-from .linalg import _spectrum, check_seed, check_tol, hermitian_kernel, hermitian_part, is_psd
+from .linalg import _spectrum, as_complex, check_seed, check_tol, hermitian_kernel, hermitian_part
+from .linalg import is_psd
 from .maps import PMap
 
 CERTIFIED_POSITIVE = "CERTIFIED_POSITIVE"
@@ -60,18 +61,25 @@ def tomiyama_threshold(n: int, k: int) -> float:
     return float(_threshold(n, k))
 
 
+def trace_mixing_apply(a: np.ndarray, lam: float) -> np.ndarray:
+    """psi_lambda(a) = lambda tr_n(a) 1 + (1 - lambda) a on a matrix or a (..., n, n) stack."""
+    a = as_complex(a)
+    out = lam * a
+    np.subtract(a, out, out=out)  # a - lam a, not (1 - lam) a: 1 - lam < 0 would sign the zeros
+    d = np.arange(a.shape[-1])
+    out[..., d, d] += (lam / len(d)) * np.trace(a, axis1=-2, axis2=-1)[..., None]
+    return out
+
+
 def tomiyama_map(n: int, lam: float) -> PMap:
-    """The unital self-adjoint map a -> lambda tr_n(a) 1 + (1 - lambda) a on M_n."""
+    """The unital self-adjoint map psi_lambda on M_n, from its matrix-unit images."""
     if n < 2:
         raise BadRangeError(f"need n >= 2, got {n}")
     if not 0 <= lam < np.inf:
         raise BadRangeError(f"need a finite lambda >= 0, got {lam}")
     check_image_budget(n * n, n)  # so n <= 45
     alg = FiniteCStar((n,))
-    stack = unit_stack(alg)
-    stack[stack != 0] = 1.0 - lam  # assigned, not scaled: 1 - lam < 0 would sign the zeros
-    stack[:: n + 1] += (lam / n) * np.eye(n)  # the diagonal units e_ii
-    return PMap(alg, alg, stack)
+    return PMap(alg, alg, trace_mixing_apply(unit_stack(alg), lam))
 
 
 @dataclass(frozen=True)

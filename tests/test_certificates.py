@@ -30,6 +30,7 @@ from posmap.certificates import (
     verify_certificate,
 )
 from posmap.errors import (
+    AlgebraMismatchError,
     BadRangeError,
     BadWeightsError,
     NumericalFailureError,
@@ -39,6 +40,7 @@ from posmap.errors import (
 )
 from posmap.cli import main
 from posmap.maps import PMap
+from posmap.orderzero import kadison_gap
 from posmap.positivity import tomiyama_map
 
 from conftest import random_map
@@ -318,6 +320,21 @@ class TestVerifierFailures:
         cert = dataclasses.replace(cert, phis=(1e200 * cert.phis[0],) + cert.phis[1:])
         with pytest.raises(NumericalFailureError):
             verify_certificate(cert)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_psi_is_numerical_failure(self):
+        # psi(1) = 3e308 * 1 overflows; the computed element was reported as
+        # AlgebraMismatchError: block contains non-finite entries
+        images = np.zeros((4, 2, 2))
+        images[0] = images[3] = 1.5e308 * np.eye(2)  # the diagonal units e_11 and e_22
+        psi = PMap(M2, M2, images)
+        cert = dataclasses.replace(identity_certificate(M2), psi=psi)
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            verify_certificate(cert)
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            kadison_gap(psi, unit(M2))
+        with pytest.raises(AlgebraMismatchError):  # caller blocks keep their error
+            Element(M2, [np.full((2, 2), np.inf)])
 
     def test_non_order_zero_leg(self):
         # replace phi_0 by the trace-mixing map at lambda = 1 (CP but not order

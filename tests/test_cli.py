@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 import dataclasses
 
 from posmap.algebra import FiniteCStar
-from posmap.certificates import orderzero_certificate, save_certificate, save_map
+from posmap.certificates import identity_certificate, orderzero_certificate, save_certificate
+from posmap.certificates import save_map
 from posmap.cli import build_parser, main
 from posmap.maps import PMap
 from posmap.positivity import tomiyama_map
@@ -335,6 +337,19 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_verify_cert_overflowed_psi_is_numerical_failure(self, capsys, tmp_path):
+        # psi(1) = 3e308 * 1: the error blamed the algebra ("block contains non-finite entries")
+        images = np.zeros((4, 2, 2))
+        images[0] = images[3] = 1.5e308 * np.eye(2)  # the diagonal units e_11 and e_22
+        cert = dataclasses.replace(identity_certificate(M2), psi=PMap(M2, M2, images))
+        path = str(tmp_path / "cert.json")
+        save_certificate(cert, path)
+        assert main(["verify-cert", path, "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: computed element contains non-finite entries\n"
 
     @pytest.mark.filterwarnings("error")
     def test_decompose_overflow_exit_2(self, capsys, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posmap import algebra, positivity
+from posmap import algebra, family, positivity
 from posmap.algebra import Element, FiniteCStar, unit
 from posmap.errors import BadRangeError, NumericalFailureError
 from posmap.linalg import TOL_FLOOR
@@ -166,6 +166,36 @@ class TestTomiyamaMap:
         # n = 200 built a 25.6 GB stack and n = 10^6 ended in numpy's MemoryError
         with pytest.raises(BadRangeError, match="unit-image entries"):
             tomiyama_map(46, 1.0)
+
+
+def _reference_tomiyama_stack(n, lam):
+    """The unit-image stack of the former second psi_lambda formula, kept as the reference."""
+    stack = algebra.unit_stack(FiniteCStar((n,)))
+    stack[stack != 0] = 1.0 - lam  # assigned, not scaled: 1 - lam < 0 would sign the zeros
+    stack[:: n + 1] += (lam / n) * np.eye(n)  # the diagonal units e_ii
+    return stack
+
+
+# every threshold 1 + 1/(nk - 1), and plain points on both sides of them
+TRACE_MIXING_GRID = [
+    (n, lam)
+    for n in (2, 3, 4, 6, 12)
+    for lam in sorted({0.0, 0.5, 1.0, 1.4, 2.0} | {1 + 1 / (n * k - 1) for k in range(1, n + 1)})
+] + [(45, 1.02)]
+
+
+class TestOneTraceMixingFormula:
+    @pytest.mark.parametrize("n, lam", TRACE_MIXING_GRID)
+    def test_tomiyama_map_is_the_applier_on_the_units(self, n, lam):
+        # bytewise: the corner family's applier and the former formula differed in the last
+        # bit at some (n, lam), and (1 - lam) * a would write -0.0 where lam > 1
+        got = tomiyama_map(n, lam).transfer.tobytes()
+        assert got == _reference_tomiyama_stack(n, lam).tobytes()
+        units = algebra.unit_stack(FiniteCStar((n,)))
+        assert got == family.trace_mixing_apply(units, lam).tobytes()
+
+    def test_family_uses_the_one_applier(self):
+        assert family.trace_mixing_apply is positivity.trace_mixing_apply
 
 
 class TestTolFloor:
