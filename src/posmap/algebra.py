@@ -1,9 +1,10 @@
 """Finite-dimensional C*-algebras as direct sums of full matrix blocks.
 
-A FiniteCStar is just its ordered tuple of block sizes; an Element carries
-one square complex block per summand. Elements are immutable after
-construction (blocks are copied and marked read-only), so maps, reports
-and certificates can hold them without copying.
+A FiniteCStar is just its ordered tuple of block sizes. An Element stores
+its block-diagonal embedding as one read-only array, and its blocks are
+read-only views of it, so maps, reports and certificates hold elements
+without copying. Element checks caller blocks (AlgebraMismatchError) and
+from_embedded computed ones, once (an overflow: NumericalFailureError).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AlgebraMismatchError, BadRangeError, NumericalFailureError
-from .linalg import as_complex, check_seed, is_psd, op_norm
+from .linalg import PSD_TOL, as_complex, check_seed, is_psd, op_norm
 
 
 @dataclass(frozen=True)
@@ -50,32 +51,29 @@ class FiniteCStar:
         return f"FiniteCStar{self.block_sizes}"
 
 
-def _freeze(block: np.ndarray) -> np.ndarray:
-    out = np.array(block, dtype=np.complex128, copy=True)
-    out.setflags(write=False)
-    return out
-
-
 class Element:
-    """An element of a FiniteCStar: one square complex matrix per block."""
+    """An element of a FiniteCStar, stored as its read-only block-diagonal embedding."""
 
-    __slots__ = ("algebra", "blocks")
+    __slots__ = ("algebra", "_m")
 
     def __init__(self, algebra: FiniteCStar, blocks: Sequence[np.ndarray]):
         blocks = [as_complex(b) for b in blocks]
         if len(blocks) != algebra.n_blocks:
-            raise AlgebraMismatchError(
-                f"expected {algebra.n_blocks} blocks, got {len(blocks)}"
-            )
+            raise AlgebraMismatchError(f"expected {algebra.n_blocks} blocks, got {len(blocks)}")
         for b, size in zip(blocks, algebra.block_sizes):
             if b.shape != (size, size):
-                raise AlgebraMismatchError(
-                    f"block of shape {b.shape} does not match size {size}"
-                )
+                raise AlgebraMismatchError(f"block of shape {b.shape} does not match size {size}")
             if not np.all(np.isfinite(b.real)) or not np.all(np.isfinite(b.imag)):
                 raise AlgebraMismatchError("block contains non-finite entries")
         self.algebra = algebra
-        self.blocks = tuple(_freeze(b) for b in blocks)
+        self._m = embed_blocks(algebra, blocks)
+        self._m.setflags(write=False)
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """One read-only square view per summand, into the stored embedding."""
+        ends = np.cumsum(self.algebra.block_sizes)
+        return tuple(self._m[e - n : e, e - n : e] for e, n in zip(ends, self.algebra.block_sizes))
 
     def _check_same(self, other: "Element") -> None:
         if self.algebra != other.algebra:
@@ -85,48 +83,51 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         self._check_same(other)
-        return Element(self.algebra, [a + b for a, b in zip(self.blocks, other.blocks)])
+        return from_embedded(self.algebra, self._m + other._m)
 
     def __sub__(self, other: "Element") -> "Element":
         self._check_same(other)
-        return Element(self.algebra, [a - b for a, b in zip(self.blocks, other.blocks)])
+        return from_embedded(self.algebra, self._m - other._m)
 
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check_same(other)
-            return Element(
-                self.algebra, [a @ b for a, b in zip(self.blocks, other.blocks)]
-            )
-        return Element(self.algebra, [complex(other) * b for b in self.blocks])
+            # per block: a product of whole embeddings rounds differently in the last bit
+            products = [a @ b for a, b in zip(self.blocks, other.blocks)]
+            return from_embedded(self.algebra, embed_blocks(self.algebra, products))
+        return from_embedded(self.algebra, complex(other) * self._m)
 
     __rmul__ = __mul__  # only ever reached with a scalar on the left
 
     def adj(self) -> "Element":
         """Adjoint (conjugate transpose, blockwise)."""
-        return Element(self.algebra, [b.conj().T for b in self.blocks])
+        return from_embedded(self.algebra, self._m.conj().T)
 
     def norm(self) -> float:
         """C*-norm: max over blocks of the operator norm."""
         return max(op_norm(b) for b in self.blocks)
 
     def embedded(self) -> np.ndarray:
-        """Block-diagonal embedding into one embed_dim x embed_dim matrix."""
-        return embed_blocks(self.algebra, self.blocks)
+        """A fresh, writable copy of the embedding into one embed_dim x embed_dim matrix."""
+        return self._m.copy()
 
     def __repr__(self):
         return f"Element({self.algebra}, norm={self.norm():.4g})"
 
 
 def from_embedded(algebra: FiniteCStar, m: np.ndarray) -> Element:
-    """Split the diagonal blocks of an embed_dim square matrix into an Element."""
+    """The Element on the diagonal blocks of an embed_dim square matrix, for computed data."""
     m = as_complex(m)
     d = algebra.embed_dim
     if m.shape != (d, d):
         raise AlgebraMismatchError(f"expected shape {(d, d)}, got {m.shape}")
-    if not np.all(np.isfinite(m)):  # map images come here, not caller blocks: an overflow
+    if not np.all(np.isfinite(m)):  # computed, not caller data: an overflow
         raise NumericalFailureError("computed element contains non-finite entries")
-    ends = np.cumsum(algebra.block_sizes)
-    return Element(algebra, [m[e - n : e, e - n : e] for e, n in zip(ends, algebra.block_sizes)])
+    x = object.__new__(Element)  # checked here once, not again by Element.__init__
+    x.algebra = algebra
+    x._m = np.where(block_mask(algebra), m, 0)  # a copy, so the caller's m stays its own
+    x._m.setflags(write=False)
+    return x
 
 
 def embed_blocks(algebra: FiniteCStar, blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -143,7 +144,7 @@ def embed_stack(algebra: FiniteCStar, elements: Sequence[Element]) -> np.ndarray
     if any(x.algebra != algebra for x in elements):
         raise AlgebraMismatchError(f"an element does not belong to {algebra}")
     d = algebra.embed_dim
-    return np.array([x.embedded() for x in elements], dtype=np.complex128).reshape(-1, d, d)
+    return np.array([x._m for x in elements], dtype=np.complex128).reshape(-1, d, d)
 
 
 def unit(algebra: FiniteCStar) -> Element:
@@ -196,9 +197,9 @@ def matrix_units(algebra: FiniteCStar) -> list[Element]:
     return [from_embedded(algebra, e) for e in unit_stack(algebra)]
 
 
-def is_positive(x: Element, tol: float = 1e-9) -> bool:
+def is_positive(x: Element, tol: float = PSD_TOL) -> bool:
     """linalg.is_psd on the block-diagonal embedding: scale max(1, ||x||) over all blocks."""
-    return is_psd(x.embedded(), tol)
+    return is_psd(x._m, tol)
 
 
 def spanning_positive_contractions(algebra: FiniteCStar) -> list[Element]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import Element, FiniteCStar, block_mask, embed_stack, from_embedded, unit, unit_stack
 from .errors import AlgebraMismatchError, CountMismatchError, DimensionMismatchError
-from .linalg import as_complex, hermitian_kernel
+from .linalg import HERM_TOL, as_complex, hermitian_kernel
 
 LEAK_TOL = 1e-10
 
@@ -155,7 +155,7 @@ class PMap:
 
     # -- properties --------------------------------------------------------
 
-    def is_selfadjoint(self, tol: float = 1e-10) -> bool:
+    def is_selfadjoint(self, tol: float = HERM_TOL) -> bool:
         """phi(x*) = phi(x)* iff every Choi block is Hermitian (here: within tol)."""
         return all(hermitian_kernel(c).hermitian(tol) for c in self.choi_blocks)
 

@@ -49,8 +49,8 @@ from .errors import (
     NumericalFailureError,
     PreconditionFailedError,
 )
-from .linalg import check_samples, check_seed, hermitian_kernel, hermitian_part, op_norm, pinv_psd
-from .linalg import pinv_sqrt, polar_unitary, support_projection
+from .linalg import HERM_TOL, PSD_TOL, check_samples, check_seed, hermitian_kernel, hermitian_part
+from .linalg import op_norm, pinv_psd, pinv_sqrt, polar_unitary, support_projection
 from .maps import PMap
 
 
@@ -58,11 +58,17 @@ from .maps import PMap
 
 
 def _check_positive_contraction(m: np.ndarray, what: str) -> None:
-    """NotPositiveContractionError unless m is PSD within 1e-9 and ||m|| <= 1 + 1e-9."""
+    """NotPositiveContractionError unless m is PSD within PSD_TOL and ||m|| <= 1 + PSD_TOL."""
     kernel = hermitian_kernel(m)
-    # for a PSD m, scale = max(1, ||m||), so it exceeds 1 + 1e-9 iff ||m|| does
-    if not kernel.psd(1e-9) or kernel.scale > 1 + 1e-9:
+    # for a PSD m, scale = max(1, ||m||), so it exceeds 1 + PSD_TOL iff ||m|| does
+    if not kernel.psd(PSD_TOL) or kernel.scale > 1 + PSD_TOL:
         raise NotPositiveContractionError(f"{what} must be a positive contraction")
+
+
+def _check_unitary(m: np.ndarray, what: str) -> None:
+    """NotUnitaryError unless ||m* m - 1|| <= 1e-9."""
+    if op_norm(m.conj().T @ m - np.eye(m.shape[0])) > 1e-9:
+        raise NotUnitaryError(f"{what} is not unitary")
 
 
 def one_var_defect(phi: PMap, a: Element) -> float:
@@ -295,29 +301,28 @@ def oz_construct(source: FiniteCStar, pi_images: list[Element], h: Element) -> P
         raise NotHomomorphismError(
             f"expected {source.dim} images, got {len(pi_images)}"
         )
-    _check_positive_contraction(h.embedded(), "h")
-    tol = 1e-10
+    hm = h.embedded()
+    _check_positive_contraction(hm, "h")
     target = h.algebra
     pis = embed_stack(target, pi_images)
-    hm = h.embedded()
     mult, star, same = _relation_defects(source, pis)
     commute = op_norm(hm @ pis - pis @ hm)
     # report the first unit that fails, checking star, commutation, then products
-    bad_mult = same & (mult > tol)
-    fails = (star > tol) | (commute > tol) | bad_mult.any(axis=1)
+    bad_mult = same & (mult > HERM_TOL)
+    fails = (star > HERM_TOL) | (commute > HERM_TOL) | bad_mult.any(axis=1)
     if fails.any():
         u = int(np.argmax(fails))
         bi, i, j = _unit_label(source, u)
-        if star[u] > tol:
+        if star[u] > HERM_TOL:
             raise NotHomomorphismError(f"pi(e_{i}{j})* != pi(e_{j}{i}) in block {bi}")
-        if commute[u] > tol:
+        if commute[u] > HERM_TOL:
             raise NotCommutingError(f"[h, pi(e_{i}{j})] exceeds tolerance in block {bi}")
         _, k, l = _unit_label(source, int(np.argmax(bad_mult[u])))
         raise NotHomomorphismError(
             f"multiplicativity fails on units ({i},{j}),({k},{l}) in block {bi}"
         )
     # units of distinct blocks multiply to zero; their images must too
-    if (mult[~same] > tol).any():
+    if (mult[~same] > HERM_TOL).any():
         raise NotHomomorphismError("cross-block images do not annihilate")
     return PMap(source, target, hm @ pis)
 
@@ -354,11 +359,7 @@ def polar_lift(phi: PMap, x: Element, y: Element) -> tuple[Element, bool]:
     """
     if x.algebra != phi.target:
         raise NotUnitaryError("x must live in the target algebra")
-    dev = max(
-        op_norm(b.conj().T @ b - np.eye(b.shape[0])) for b in x.blocks
-    )
-    if dev > 1e-9:
-        raise NotUnitaryError(f"x is not unitary (||x*x - 1|| = {dev:.3e})")
+    _check_unitary(x.embedded(), "x")
     eps_in = (phi(y) - x).norm()
     u = Element(y.algebra, [polar_unitary(b) for b in y.blocks])
     err = (phi(u) - x).norm()
@@ -406,9 +407,7 @@ def lemma31_unitary_check(u: np.ndarray, d: int, eps: float) -> bool:
     ||sum_{i>=2} u_{i,1}* u_{i,1}|| < eps. True for every valid input.
     """
     u = np.asarray(u, dtype=np.complex128)
-    n = u.shape[0]
-    if op_norm(u.conj().T @ u - np.eye(n)) > 1e-9:
-        raise NotUnitaryError("input is not unitary")
+    _check_unitary(u, "input")
     col = _first_block_column(u, d, eps)
     if op_norm(col[:d].conj().T @ col[:d] - np.eye(d)) >= eps:
         raise PreconditionFailedError("||u_{1,1}* u_{1,1} - 1|| < eps does not hold")

@@ -10,7 +10,10 @@ from posmap.algebra import (
     random_positive_contraction,
     unit,
 )
-from posmap.errors import AlgebraMismatchError, BadRangeError
+from posmap.errors import AlgebraMismatchError, BadRangeError, NumericalFailureError
+
+from conftest import ginibre
+from test_maps import random_element
 
 M2 = FiniteCStar((2,))
 M23 = FiniteCStar((2, 3))
@@ -64,12 +67,92 @@ class TestElementBoundary:
             ([np.eye(2), np.eye(2)], r"block of shape \(2, 2\) does not match size 3"),
             ([np.eye(2), np.diag([1.0, np.nan, 1.0])], "non-finite"),
             ([np.eye(2), np.diag([1.0, 1j * np.inf, 1.0])], "non-finite"),
+            ([np.full((2, 2), np.inf), np.eye(3)], "non-finite"),
         ],
     )
     def test_rejected_with_exact_type(self, blocks, field):
         with pytest.raises(AlgebraMismatchError, match=field) as info:
             Element(M23, blocks)
         assert type(info.value) is AlgebraMismatchError
+
+
+class TestStoredForm:
+    def test_blocks_are_read_only_views_of_one_array(self):
+        x = algebra.random_contraction(M23, 1)
+        base = x.blocks[0].base
+        assert base is not None and base.shape == (5, 5)
+        for b in x.blocks + x.adj().blocks:
+            assert not b.flags.writeable
+            with pytest.raises(ValueError):
+                b[0, 0] = 1.0
+        assert all(b.base is base for b in x.blocks)  # one stored array, not a copy per block
+
+    def test_embedded_is_a_fresh_writable_copy(self):
+        x = algebra.random_contraction(M23, 2)
+        m = x.embedded()
+        assert m.flags.writeable and m is not x.embedded()
+        assert not np.shares_memory(m, x.blocks[0].base)
+        before = x.embedded()
+        m[0, 0] = 99.0
+        assert x.embedded().tobytes() == before.tobytes()
+
+    def test_from_embedded_zeroes_off_block_input(self):
+        m = ginibre(np.random.default_rng(3), 5)
+        kept = m.copy()
+        x = algebra.from_embedded(M23, m)
+        mask = algebra.block_mask(M23)
+        np.testing.assert_array_equal(x.embedded()[~mask], 0.0)
+        np.testing.assert_array_equal(x.embedded()[mask], m[mask])
+        assert m.tobytes() == kept.tobytes()  # the caller's array is not touched
+        m[0, 0] = 7.0
+        assert x.blocks[0][0, 0] == kept[0, 0]  # nor aliased
+
+    def test_computed_elements_skip_the_constructor(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        x, y = random_element(rng, M23), random_element(rng, M23)
+        calls = []
+        init = Element.__init__
+        monkeypatch.setattr(Element, "__init__", lambda *a: calls.append(1) or init(*a))
+        for z in (x + y, x - y, x * y, 2.0 * x, x.adj(), algebra.from_embedded(M23, x.embedded())):
+            assert type(z) is Element
+        assert calls == []
+
+    @pytest.mark.parametrize("sizes", [(2, 3), (1, 1, 2)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_arithmetic_is_bitwise_per_block_numpy(self, sizes, seed):
+        alg = FiniteCStar(sizes)
+        rng = np.random.default_rng(seed)
+        x, y = random_element(rng, alg), random_element(rng, alg)
+        c = complex(*rng.standard_normal(2))
+        cases = [
+            (x + y, [a + b for a, b in zip(x.blocks, y.blocks)]),
+            (x - y, [a - b for a, b in zip(x.blocks, y.blocks)]),
+            (c * x, [c * a for a in x.blocks]),
+            (x * c, [c * a for a in x.blocks]),
+            (x.adj(), [a.conj().T for a in x.blocks]),
+            (x * y, [a.copy() @ b.copy() for a, b in zip(x.blocks, y.blocks)]),
+        ]
+        for z, want in cases:
+            assert [b.tobytes() for b in z.blocks] == [np.asarray(w).tobytes() for w in want]
+            assert z.embedded().tobytes() == algebra.embed_blocks(alg, want).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestArithmeticOverflow:
+    # each raised AlgebraMismatchError: a computed element went through the caller check
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x: x * x,
+            lambda x: x + x,
+            lambda x: x - (-1.0 * x),
+            lambda x: 1e300 * x,
+            lambda x: x * 1e300,
+        ],
+    )
+    def test_overflow_is_numerical_failure(self, op):
+        with pytest.raises(NumericalFailureError, match="computed element contains non-finite"):
+            op(1e308 * unit(M23))
 
 
 class TestBlockMask:

@@ -216,6 +216,29 @@ class TestKadisonGap:
         assert kadison_gap(phi, e12) < -0.5
 
 
+def _psi_1e154() -> PMap:
+    """psi on M_2 with e_11, e_22 -> 1e154 * 1: psi(1) is finite, psi(1)^2 is not."""
+    images = np.zeros((4, 2, 2))
+    images[0] = images[3] = 1e154 * np.eye(2)
+    return PMap(M2, M2, images)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestGapOverflow:
+    # an overflowed Element product was reported as AlgebraMismatchError
+    def test_kadison_gap(self):
+        with pytest.raises(NumericalFailureError, match="computed element contains non-finite"):
+            kadison_gap(_psi_1e154(), unit(M2))
+
+    def test_schwartz_gap(self):
+        # with a = b = 1 no step overflows: X = psi(1)^{-1/2} psi(1) is about 1.4e77, and
+        # the gap is 0 up to rounding at psi(1)'s scale; a* a overflows for a = 1e200 * 1
+        assert abs(schwartz_gap(_psi_1e154(), unit(M2), unit(M2))) <= 1e-12 * 2e154
+        for a, b in [(1e200 * unit(M2), unit(M2)), (unit(M2), 1e200 * unit(M2))]:
+            with pytest.raises(NumericalFailureError, match="computed element contains non-finite"):
+                schwartz_gap(_psi_1e154(), a, b)
+
+
 class TestSchwartzGap:
     def test_b_unit_reduces_to_kadison(self):
         phi = tomiyama_map(3, 1.2)

@@ -88,6 +88,7 @@ METHODS = {
         "__rmul__": ["other"],
         "__sub__": ["other"],
         "adj": [],
+        "blocks": [],
         "embedded": [],
         "norm": [],
     },
