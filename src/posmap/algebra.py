@@ -3,8 +3,9 @@
 A FiniteCStar is just its ordered tuple of block sizes. An Element stores
 its block-diagonal embedding as one read-only array, and its blocks are
 read-only views of it, so maps, reports and certificates hold elements
-without copying. Element checks caller blocks (AlgebraMismatchError) and
-from_embedded computed ones, once (an overflow: NumericalFailureError).
+without copying. Element(algebra, blocks) checks caller and file blocks
+(AlgebraMismatchError); every element the library builds comes from
+from_embedded, checked once (an overflow: NumericalFailureError).
 """
 
 from __future__ import annotations
@@ -148,14 +149,17 @@ def embed_stack(algebra: FiniteCStar, elements: Sequence[Element]) -> np.ndarray
 
 
 def unit(algebra: FiniteCStar) -> Element:
-    return Element(algebra, [np.eye(s) for s in algebra.block_sizes])
+    return from_embedded(algebra, np.eye(algebra.embed_dim))
 
 
 def basis_element(algebra: FiniteCStar, block: int, i: int, j: int) -> Element:
     """The matrix unit e_ij of the given block, zero elsewhere."""
-    blocks = [np.zeros((s, s)) for s in algebra.block_sizes]
+    sizes = algebra.block_sizes
+    if not (0 <= block < len(sizes) and 0 <= i < sizes[block] and 0 <= j < sizes[block]):
+        raise BadRangeError(f"no matrix unit e_{i},{j} in block {block} of {algebra}")
+    blocks = [np.zeros((s, s)) for s in sizes]
     blocks[block][i, j] = 1.0
-    return Element(algebra, blocks)
+    return from_embedded(algebra, embed_blocks(algebra, blocks))
 
 
 @lru_cache(maxsize=64)
@@ -205,19 +209,17 @@ def is_positive(x: Element, tol: float = PSD_TOL) -> bool:
 def spanning_positive_contractions(algebra: FiniteCStar) -> list[Element]:
     """Positive contractions whose span is the whole algebra.
 
-    Per block: the diagonal units e_ii and, for i < j, the rank-one
-    projections onto (e_i + e_j)/sqrt(2) and (e_i + i e_j)/sqrt(2).
+    Per block, from its basis vectors e_i embedded in C^D: the units e_ii and,
+    for i < j, the projections onto (e_i + e_j)/sqrt(2) and (e_i + i e_j)/sqrt(2).
     """
-    zeros = [np.zeros((s, s)) for s in algebra.block_sizes]
     out = []
-    for b, size in enumerate(algebra.block_sizes):
-        e = np.eye(size)
-        iu, ju = np.triu_indices(size, 1)  # i < j, row-major
+    for e in np.split(np.eye(algebra.embed_dim), np.cumsum(algebra.block_sizes)[:-1]):
+        iu, ju = np.triu_indices(len(e), 1)  # i < j, row-major
         # rows e_i + e_j and e_i + i e_j, pair by pair
-        v = (e[iu, None] + np.array([1.0, 1.0j])[:, None] * e[ju, None]).reshape(-1, size)
+        v = (e[iu, None] + np.array([1.0, 1.0j])[:, None] * e[ju, None]).reshape(-1, e.shape[1])
         projections = v[:, :, None] * v.conj()[:, None, :] / 2.0  # a normalised v squares to 0.4999...
-        for m in np.concatenate([e[:, :, None] * e[:, None, :], projections]):
-            out.append(Element(algebra, zeros[:b] + [m] + zeros[b + 1 :]))
+        units = e[:, :, None] * e[:, None, :]
+        out += [from_embedded(algebra, m) for m in np.concatenate([units, projections])]
     return out
 
 
@@ -243,12 +245,14 @@ def random_positive_contraction(algebra: FiniteCStar, seed: int) -> Element:
     """
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    return Element(algebra, [_wishart(_ginibre(rng, (n, n))) for n in algebra.block_sizes])
+    blocks = [_wishart(_ginibre(rng, (n, n))) for n in algebra.block_sizes]
+    return from_embedded(algebra, embed_blocks(algebra, blocks))
 
 
 def random_contraction(algebra: FiniteCStar, seed: int) -> Element:
     """Ginibre matrix normalized to operator norm 1, blockwise."""
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    return Element(algebra, [_contraction(rng, n) for n in algebra.block_sizes])
+    blocks = [_contraction(rng, n) for n in algebra.block_sizes]
+    return from_embedded(algebra, embed_blocks(algebra, blocks))
 

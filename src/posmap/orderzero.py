@@ -34,6 +34,7 @@ from .algebra import (
     _ginibre,
     _wishart,
     block_mask,
+    embed_blocks,
     embed_stack,
     from_embedded,
     unit_stack,
@@ -361,7 +362,7 @@ def polar_lift(phi: PMap, x: Element, y: Element) -> tuple[Element, bool]:
         raise NotUnitaryError("x must live in the target algebra")
     _check_unitary(x.embedded(), "x")
     eps_in = (phi(y) - x).norm()
-    u = Element(y.algebra, [polar_unitary(b) for b in y.blocks])
+    u = from_embedded(y.algebra, embed_blocks(y.algebra, [polar_unitary(b) for b in y.blocks]))
     err = (phi(u) - x).norm()
     # an exact preimage measures eps_in ~ 0; floor the bound at float resolution
     bound_ok = err < max(3.0 * np.sqrt(eps_in), 1e-12)

@@ -283,12 +283,14 @@ def k_positivity_falsify(
 ) -> KposVerdict:
     """Search for a Schmidt-rank-<=k vector with negative Choi expectation.
 
-    Runs blockwise over the source; VIOLATED comes with a re-verified
-    Witness, and the CP fast path upgrades a fruitless search to
-    CERTIFIED_POSITIVE. Deterministic in (seed, restarts): restart r draws
-    its start frame from np.random.default_rng([seed, r]), so distinct seeds
-    run distinct searches. restarts_capped counts the restarts that spent
-    their half-step budget still moving rather than stopping on tolerance.
+    Runs blockwise over the source. VIOLATED carries the re-verified Witness of
+    the lowest block minimum below -tol times its own block's scale, as in is_cp
+    and witness_verify, and best_value is its value; otherwise best_value is the
+    minimum over all blocks, and the CP fast path upgrades a fruitless search to
+    CERTIFIED_POSITIVE. Deterministic in (seed, restarts): restart r draws its
+    start frame from np.random.default_rng([seed, r]), so distinct seeds run
+    distinct searches. restarts_capped counts the restarts that spent their
+    half-step budget still moving rather than stopping on tolerance.
     """
     if k < 1:
         raise BadRangeError(f"need k >= 1, got {k}")
@@ -297,7 +299,7 @@ def k_positivity_falsify(
     check_seed(seed)
     d = phi.target.embed_dim
     best_value = np.inf
-    best = None  # (block, factors)
+    best = None  # (value, block, factors): the lowest value below its block's -tol * scale
     used = capped = 0
     kernels = []
     for bi, (c, n) in enumerate(zip(phi.choi_blocks, phi.source.block_sizes)):
@@ -314,23 +316,22 @@ def k_positivity_falsify(
             value, wmat = float(values[r]), wmats[r]
             used += restarts
             capped += block_capped
-        if value < best_value:
-            best_value = value
-            best = (bi, _schmidt_factors(wmat, k_eff))
+        best_value = min(best_value, value)
+        if value < -tol * kernel.scale and (best is None or value < best[0]):
+            best = (value, bi, _schmidt_factors(wmat, k_eff))
 
-    scale = max(kern.scale for kern in kernels)
-    if best is not None and best_value < -tol * scale:
-        bi, (left, right) = best
+    if best is not None:
+        value, bi, (left, right) = best
         w = Witness(
             k=k,
             factors_left=left,
             factors_right=right,
-            value=best_value,
+            value=value,
             vector_norm=float(np.linalg.norm(_assemble(left, right))),
             block=bi,
         )
         if witness_verify(phi, w, tol):
-            return KposVerdict(VIOLATED, best_value, used, capped, w)
+            return KposVerdict(VIOLATED, value, used, capped, w)
     if all(kern.psd(tol) for kern in kernels):  # is_cp, from the kernels already in hand
         return KposVerdict(CERTIFIED_POSITIVE, float(best_value), used, capped, None)
     return KposVerdict(UNFALSIFIED, float(best_value), used, capped, None)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from posmap import algebra
+from posmap import algebra, linalg
 from posmap.algebra import (
     Element,
     FiniteCStar,
@@ -11,6 +11,8 @@ from posmap.algebra import (
     unit,
 )
 from posmap.errors import AlgebraMismatchError, BadRangeError, NumericalFailureError
+from posmap.maps import PMap
+from posmap.orderzero import polar_lift
 
 from conftest import ginibre
 from test_maps import random_element
@@ -135,6 +137,67 @@ class TestStoredForm:
         for z, want in cases:
             assert [b.tobytes() for b in z.blocks] == [np.asarray(w).tobytes() for w in want]
             assert z.embedded().tobytes() == algebra.embed_blocks(alg, want).tobytes()
+
+
+def _polar_lift(y):
+    return polar_lift(PMap.identity(y.algebra), unit(y.algebra), y)[0]
+
+
+class TestLibraryElementsFromEmbedding:
+    def test_no_caller_check(self, monkeypatch):
+        # unit, matrix units, samplers, spanning set and polar lift used to re-check their own blocks
+        y = algebra.random_contraction(M23, 1)
+        calls = []
+        init = Element.__init__
+        monkeypatch.setattr(Element, "__init__", lambda *a: calls.append(1) or init(*a))
+        built = [
+            unit(M23),
+            algebra.basis_element(M23, 1, 2, 0),
+            random_positive_contraction(M23, 0),
+            algebra.random_contraction(M23, 0),
+            *algebra.spanning_positive_contractions(M23),
+            _polar_lift(y),
+        ]
+        assert all(type(x) is Element for x in built)
+        assert calls == []
+
+    @pytest.mark.parametrize("sizes", [(1,), (2,), (3,), (2, 3), (1, 4, 2), (1, 1, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bytes_match_the_checked_constructor(self, sizes, seed):
+        # each as it was built before, through Element(algebra, blocks); signed zeros included
+        alg = FiniteCStar(sizes)
+        y = algebra.random_contraction(alg, seed + 100)
+        rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        cases = [
+            (unit(alg), [np.eye(n) for n in sizes]),
+            (
+                random_positive_contraction(alg, seed),
+                [algebra._wishart(algebra._ginibre(rng, (n, n))) for n in sizes],
+            ),
+            (algebra.random_contraction(alg, seed), [algebra._contraction(rng2, n) for n in sizes]),
+            (_polar_lift(y), [linalg.polar_unitary(b) for b in y.blocks]),
+        ]
+        for got, blocks in cases:
+            assert got.embedded().tobytes() == Element(alg, blocks).embedded().tobytes()
+            assert not any(b.flags.writeable for b in got.blocks)
+
+
+class TestBasisElement:
+    @pytest.mark.parametrize("block, i, j", [(0, 0, 1), (1, 2, 0), (1, 1, 1)])
+    def test_matrix_unit(self, block, i, j):
+        x = algebra.basis_element(M23, block, i, j)
+        want = [np.zeros((2, 2)), np.zeros((3, 3))]
+        want[block][i, j] = 1.0
+        assert x.embedded().tobytes() == Element(M23, want).embedded().tobytes()
+
+    # (-1, 0, 0) gave e_00 of block 1, (0, -1, 0) gave e_10, (0, 0, 2) an IndexError
+    @pytest.mark.parametrize(
+        "block, i, j",
+        [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, 0, 2), (0, 2, 0), (1, 3, 0), (2, 0, 0)],
+    )
+    def test_out_of_range_rejected(self, block, i, j):
+        with pytest.raises(BadRangeError):
+            algebra.basis_element(M23, block, i, j)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

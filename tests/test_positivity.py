@@ -36,6 +36,7 @@ from posmap.positivity import (
     _still_moving,
 )
 
+from conftest import ginibre
 from test_maps import trace_map, transpose_map
 
 M2 = FiniteCStar((2,))
@@ -689,3 +690,115 @@ def test_forged_witness_rejected(params, sign, size):
     assert not witness_verify(phi, padded)  # the same vector, but k + 1 factors
     if k > 1:
         assert not witness_verify(phi, dataclasses.replace(w, k=k - 1))
+
+
+# -- VIOLATED against each Choi block's own scale ------------------------------------
+
+_BELL = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)  # (e0 (x) e0 + e1 (x) e1) / sqrt(2)
+
+
+class TestBlockScale:
+    def test_small_block_violation_beside_a_large_block(self):
+        # a 1000 * 1 block beside a block just below CP: the violation was compared
+        # with the large block's scale and reported UNFALSIFIED at -1e-6
+        small = np.eye(4) - (1 + 1e-6) * np.outer(_BELL, _BELL)
+        phi = PMap.from_choi(FiniteCStar((1, 2)), M2, [1000 * np.eye(2), small])
+        assert not is_cp(phi)
+        v = k_positivity_falsify(phi, 2)
+        assert v.status == VIOLATED
+        assert v.witness.block == 1
+        assert witness_verify(phi, v.witness)
+        assert v.best_value == v.witness.value == pytest.approx(-1e-6, rel=1e-6)
+        alone = k_positivity_falsify(PMap.from_choi(M2, M2, [small]), 2)
+        assert alone.status == VIOLATED and alone.best_value == v.best_value
+
+    def test_best_value_is_the_block_minimum_when_not_violated(self):
+        # block 0's value -1e-9 is inside its own tolerance; block 1 is the identity
+        tiny = np.eye(2) - (1 + 1e-9) * np.outer([1.0, 0.0], [1.0, 0.0])
+        phi = PMap.from_choi(FiniteCStar((1, 1)), M2, [tiny, np.eye(2)])
+        v = k_positivity_falsify(phi, 1)
+        assert v.status == CERTIFIED_POSITIVE
+        assert v.best_value == pytest.approx(-1e-9, rel=1e-6)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_violated_iff_not_cp_on_multi_block_maps(self, seed):
+        # self-adjoint maps whose Choi blocks have minimum +-0.1 of their own size, at
+        # sizes 1e-4 to 1e4, so every block is far from the PSD boundary at its own scale;
+        # k >= min(n_i, D) makes every block exact
+        rng = np.random.default_rng(seed)
+        source = FiniteCStar(tuple(rng.integers(1, 4, size=rng.integers(1, 4))))
+        target = FiniteCStar(tuple(rng.integers(1, 4, size=rng.integers(1, 3))))
+        d = target.embed_dim
+        owner = np.repeat(np.arange(target.n_blocks), target.block_sizes)
+        inside = owner[:, None] == owner[None, :]
+        blocks = []
+        for n in source.block_sizes:
+            g = ginibre(rng, n * d)
+            h = (g + g.conj().T).reshape(n, d, n, d)
+            h = (h * inside[None, :, None, :]).reshape(n * d, n * d)
+            h = h / np.linalg.norm(h, 2)
+            low = np.linalg.eigvalsh(h)[0]
+            shift = rng.choice([-0.1, 0.1]) - low
+            blocks.append(rng.choice([1e-4, 1.0, 1e4]) * (h + shift * np.eye(n * d)))
+        phi = PMap.from_choi(source, target, blocks)
+        assert phi.is_selfadjoint(1e-9)
+        k = max(min(n, d) for n in source.block_sizes) + int(rng.integers(0, 2))
+        v = k_positivity_falsify(phi, k, restarts=2, seed=seed)
+        assert (v.status == VIOLATED) == (not is_cp(phi)), (source, target, v.best_value)
+        if v.status == VIOLATED:
+            assert witness_verify(phi, v.witness)
+            assert v.best_value == v.witness.value < 0
+
+
+# -- the generalized Choi maps: a second exact oracle ---------------------------------
+
+
+def generalized_choi_map(a: float, b: float, c: float) -> PMap:
+    """Phi[a,b,c](X) = D(X) - X on M_3, D(X) = diag(a x11 + b x22 + c x33,
+    c x11 + a x22 + b x33, b x11 + c x22 + a x33); Choi's map is Phi[2,0,1]."""
+    weights = np.array([[a, b, c], [c, a, b], [b, c, a]])  # D(X)_kk = sum_i weights[k, i] x_ii
+    images = -algebra.unit_stack(M3)
+    for i in range(3):
+        images[4 * i] += np.diag(weights[:, i])  # unit e_ii is row 3i + i
+    return PMap(M3, M3, images)
+
+
+def generalized_choi_positive(a: float, b: float, c: float) -> bool:
+    """The positivity region of Cho, Kye and Lee (1992) for b, c >= 0, decided exactly."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    return a >= 1 and a + b + c >= 3 and (not 1 <= a <= 2 or b * c >= (2 - a) ** 2)
+
+
+def _generalized_choi_points():
+    points = []
+    for a, b in [(1.2, 2.0), (1.5, 1.5), (1.8, 1.5), (1.0, 2.5)]:  # across bc = (2 - a)^2
+        c_star = (2 - a) ** 2 / b
+        points += [(a, b, c_star * (1 - delta)) for delta in (1e-2, 1e-3, 1e-4)]
+        points += [(a, b, c_star * (1 + delta)) for delta in (1e-4, 1e-2)]
+    for delta in (1e-2, 1e-3, 1e-4):
+        points += [(1 + delta, 2.0, 2.0), (1 - delta, 2.0, 2.0)]  # across a = 1
+        points += [(2.5, 0.25 + delta, 0.25), (2.5, 0.25 - delta, 0.25)]  # across a + b + c = 3
+    return points
+
+
+class TestGeneralizedChoiOracle:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("a, b, c", _generalized_choi_points())
+    def test_positive_iff_in_the_region(self, a, b, c, seed):
+        phi = generalized_choi_map(a, b, c)
+        assert not is_cp(phi)  # a < 3 on every point
+        v = k_positivity_falsify(phi, 1, seed=seed)
+        want = UNFALSIFIED if generalized_choi_positive(a, b, c) else VIOLATED
+        assert v.status == want, (a, b, c, v.best_value)
+
+    def test_the_oracle_region(self):
+        assert generalized_choi_positive(2, 0, 1)  # Choi's map
+        assert generalized_choi_positive(1, 1, 1)
+        assert not generalized_choi_positive(1.5, 0.5, 0.49)
+        assert generalized_choi_positive(3, 0, 0)
+
+    def test_choi_map_positive_but_not_2_positive(self):
+        phi = generalized_choi_map(2.0, 0.0, 1.0)
+        assert k_positivity_falsify(phi, 1).status == UNFALSIFIED
+        v = k_positivity_falsify(phi, 2)
+        assert v.status == VIOLATED and witness_verify(phi, v.witness)
