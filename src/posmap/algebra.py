@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AlgebraMismatchError, BadRangeError, NumericalFailureError
-from .linalg import PSD_TOL, as_complex, check_seed, is_psd, op_norm
+from .linalg import PSD_TOL, as_complex, check_seed, hermitian_kernel, op_norm
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,8 @@ def matrix_units(algebra: FiniteCStar) -> list[Element]:
 
 
 def is_positive(x: Element, tol: float = PSD_TOL) -> bool:
-    """linalg.is_psd on the block-diagonal embedding: scale max(1, ||x||) over all blocks."""
-    return is_psd(x._m, tol)
+    """HermKernel.psd on the block-diagonal embedding: scale max(1, ||x||) over all blocks."""
+    return hermitian_kernel(x._m).psd(tol)
 
 
 def spanning_positive_contractions(algebra: FiniteCStar) -> list[Element]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .positivity import (
     DEFAULT_RESTARTS,
     DEFAULT_TOL,
     VIOLATED,
+    _threshold,
     check_restarts,
     is_cp,
     k_positivity_falsify,
@@ -121,7 +123,7 @@ def _cmd_tomiyama(args) -> tuple[int, dict]:
     code = 0
     if args.lam is not None:
         phi = tomiyama_map(args.n, args.lam)
-        k_positive = args.lam <= threshold
+        k_positive = Fraction(args.lam) <= _threshold(args.n, args.k)
         v = k_positivity_falsify(
             phi, args.k, restarts=args.restarts, seed=args.seed, tol=args.tol
         )

@@ -1,15 +1,15 @@
 """Dense complex matrix substrate: the Hermitian/PSD kernel, operator norms,
-support projections and pseudo-inverses, and the polar unitary.
+spectral functions on the support, and the polar unitary.
 
 One convention decides every Hermitian and PSD question in the package.
 hermitian_kernel(h) makes one eigvalsh call on the Hermitian part
 hs = (h + h*)/2 and returns herm_dev = ||h - h*||_F (an upper bound on the
 operator-norm deviation, so tests on it err on the strict side), min_eig,
 the smallest eigenvalue of hs, and scale = max(1, ||hs||). h is Hermitian
-within tol iff herm_dev <= tol * scale, and PSD within tol (is_psd) iff
-also min_eig >= -tol * scale. The support projection and the support
-pseudo-inverses share one eigh path with the same Hermitian test at
-HERM_TOL and drop eigenvalues <= SUPPORT_CUTOFF * ||b||. A tolerance that
+within tol iff herm_dev <= tol * scale, and PSD within tol (HermKernel.psd)
+iff also min_eig >= -tol * scale. spectral_apply takes the support projection
+and pseudo-inverses from one eigh call, with the same Hermitian test at
+HERM_TOL, and drops eigenvalues <= SUPPORT_CUTOFF * ||b||. A tolerance that
 is not finite and >= TOL_FLOOR (below it a verdict is the sign of a rounding
 error), a seed < 0 or samples < 1 raises BadRangeError. op_norm takes a
 matrix or a (..., N, N) stack. A LAPACK failure or an overflowed eigenvalue
@@ -109,11 +109,6 @@ def hermitian_kernel(h: np.ndarray) -> HermKernel:
     return _spectrum(h, vectors=False)[0]
 
 
-def is_psd(h: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """Hermitian within tol and min_eig >= -tol * scale."""
-    return hermitian_kernel(h).psd(tol)
-
-
 def op_norm(m):
     """Largest singular value of a matrix, or the array of them for a (..., N, N) stack."""
     m = as_complex(m)
@@ -129,31 +124,16 @@ def op_norm(m):
 
 
 def psd_min_eig(h: np.ndarray, tol: float = HERM_TOL) -> float:
-    """Smallest eigenvalue of a matrix that is Hermitian within tol (see is_psd)."""
+    """Smallest eigenvalue of a matrix that is Hermitian within tol (see HermKernel.psd)."""
     return _spectrum(h, vectors=False, tol=tol)[0].min_eig
 
 
-def _spectral_apply(b: np.ndarray, fn) -> np.ndarray:
-    """Apply fn to eigenvalues above SUPPORT_CUTOFF * ||b||; the rest map to 0."""
+def spectral_apply(b: np.ndarray, *fns) -> list[np.ndarray]:
+    """Each fn(b) from one eigh: fn maps eigenvalues > SUPPORT_CUTOFF * ||b||; the rest map to 0."""
     _, vals, vecs = _spectrum(b, vectors=True, tol=HERM_TOL)
     keep = vals > SUPPORT_CUTOFF * np.max(np.abs(vals))
-    mapped = np.where(keep, fn(np.where(keep, vals, 1.0)), 0.0)
-    return (vecs * mapped) @ vecs.conj().T
-
-
-def support_projection(b: np.ndarray) -> np.ndarray:
-    """Spectral projection of a PSD matrix onto eigenvalues > SUPPORT_CUTOFF * ||b||."""
-    return _spectral_apply(b, np.ones_like)
-
-
-def pinv_sqrt(b: np.ndarray) -> np.ndarray:
-    """b^{-1/2} on the support of b (eigenvalues <= SUPPORT_CUTOFF * ||b|| are dropped)."""
-    return _spectral_apply(b, lambda v: 1.0 / np.sqrt(v))
-
-
-def pinv_psd(b: np.ndarray) -> np.ndarray:
-    """b^{-1} on the support of b."""
-    return _spectral_apply(b, lambda v: 1.0 / v)
+    masked = np.where(keep, vals, 1.0)
+    return [(vecs * np.where(keep, fn(masked), 0.0)) @ vecs.conj().T for fn in fns]
 
 
 def polar_unitary(y: np.ndarray) -> np.ndarray:

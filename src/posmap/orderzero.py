@@ -51,7 +51,7 @@ from .errors import (
     PreconditionFailedError,
 )
 from .linalg import HERM_TOL, PSD_TOL, check_samples, check_seed, hermitian_kernel, hermitian_part
-from .linalg import op_norm, pinv_psd, pinv_sqrt, polar_unitary, support_projection
+from .linalg import op_norm, polar_unitary, require_square, spectral_apply
 from .maps import PMap
 
 
@@ -68,6 +68,7 @@ def _check_positive_contraction(m: np.ndarray, what: str) -> None:
 
 def _check_unitary(m: np.ndarray, what: str) -> None:
     """NotUnitaryError unless ||m* m - 1|| <= 1e-9."""
+    m = require_square(m)
     if op_norm(m.conj().T @ m - np.eye(m.shape[0])) > 1e-9:
         raise NotUnitaryError(f"{what} is not unitary")
 
@@ -132,7 +133,7 @@ def schwartz_gap(phi: PMap, a: Element, b: Element) -> float:
     faa = phi(a.adj() * a)
     worst = np.inf
     for hb, gb, fb in zip(h.blocks, g.blocks, faa.blocks):
-        x = pinv_sqrt(hermitian_part(hb)) @ gb
+        x = spectral_apply(hermitian_part(hb), lambda v: 1.0 / np.sqrt(v))[0] @ gb
         worst = min(worst, hermitian_kernel(fb - x.conj().T @ x).min_eig)
     return float(worst)
 
@@ -252,7 +253,8 @@ def oz_decompose(phi: PMap) -> OzDecomposition:
     hs = hermitian_part(hm)
     if not np.all(np.isfinite(hs)):
         raise NumericalFailureError("phi(1) or its Hermitian part is not finite")
-    pis = pinv_psd(hs) @ unit_images @ support_projection(hs)
+    inverse, support = spectral_apply(hs, lambda v: 1.0 / v, np.ones_like)
+    pis = inverse @ unit_images @ support
     mult, _, same = _relation_defects(phi.source, pis)
     return OzDecomposition(
         h=h,

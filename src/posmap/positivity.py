@@ -23,7 +23,6 @@ import numpy as np
 from .algebra import FiniteCStar, _ginibre, check_image_budget, unit_stack
 from .errors import BadRangeError, DimensionMismatchError, NumericalFailureError
 from .linalg import _spectrum, as_complex, check_seed, check_tol, hermitian_kernel, hermitian_part
-from .linalg import is_psd
 from .maps import PMap
 
 CERTIFIED_POSITIVE = "CERTIFIED_POSITIVE"
@@ -46,7 +45,7 @@ def check_restarts(restarts: int) -> None:
 
 def is_cp(phi: PMap, tol: float = DEFAULT_TOL) -> bool:
     """Choi criterion: completely positive iff every Choi block is PSD within tol."""
-    return all(is_psd(c, tol) for c in phi.choi_blocks)
+    return all(hermitian_kernel(c).psd(tol) for c in phi.choi_blocks)
 
 
 def _threshold(n: int, k: int) -> Fraction:

@@ -12,6 +12,7 @@ from posmap.cli import build_parser, main
 from posmap.maps import PMap
 from posmap.positivity import tomiyama_map
 
+from conftest import random_map
 from test_maps import transpose_map
 
 M2 = FiniteCStar((2,))
@@ -66,6 +67,17 @@ class TestTomiyama:
         )
         assert code == 0
         assert payload["k_positive_closed_form"] is True
+
+    @pytest.mark.parametrize(
+        "n,lam,code",
+        # 1.1666666666666667 is the double nearest 7/6 and lies above it; 1.2 lies below 6/5
+        [(7, "1.1666666666666667", 1), (6, "1.2", 0), (2, "2.0", 0)],
+    )
+    def test_closed_form_is_exact(self, capsys, n, lam, code):
+        argv = ["tomiyama", "--n", str(n), "--k", "1", "--lambda", lam, "--restarts", "2"]
+        got, payload = run_json(capsys, argv)
+        assert got == code
+        assert payload["k_positive_closed_form"] is (code == 0)
 
     def test_writes_map_file(self, capsys, tmp_path):
         out = tmp_path / "map.json"
@@ -131,6 +143,12 @@ class TestDefectDecomposeRepair:
         assert payload["eps_meas"] == pytest.approx(1.0)
         assert payload["repaired_is_cp"] is True
         assert out.exists()
+
+    def test_repair_two_block_source_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "two-block.json"
+        save_map(random_map(np.random.default_rng(76), FiniteCStar((1, 2)), M2), path)
+        assert main(["repair", str(path)]) == 2
+        assert "error: cp_repair needs a single-block source" in capsys.readouterr().err
 
 
 class TestExample4:

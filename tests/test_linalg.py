@@ -16,6 +16,9 @@ from posmap.errors import (
 
 from conftest import ginibre, random_hermitian, random_unitary
 
+# the eigenvalue functions of the support projection, the pseudo-inverse and its square root
+ONE, INV, INV_SQRT = np.ones_like, (lambda v: 1.0 / v), (lambda v: 1.0 / np.sqrt(v))
+
 
 def _eigh(h):
     """(eigenvalues, eigenvectors) from the one eigh path, Hermitian-checked at HERM_TOL."""
@@ -24,7 +27,7 @@ def _eigh(h):
 
 
 class TestEigHermitian:
-    """The eigh path that support_projection, pinv_sqrt and pinv_psd share."""
+    """The eigh path of spectral_apply."""
 
     def test_identity(self):
         vals, _ = _eigh(np.eye(3))
@@ -129,7 +132,7 @@ class TestPsdMinEig:
 
 
 class TestSupportPinvSqrt:
-    """pinv_sqrt: b^{-1/2} on the support of b."""
+    """spectral_apply(b, INV_SQRT): b^{-1/2} on the support of b."""
 
     def test_a_equals_b(self):
         # b^{-1/2} b b^{-1/2} is the support projection
@@ -137,17 +140,17 @@ class TestSupportPinvSqrt:
         g = ginibre(rng, 4)
         b = g.conj().T @ g
         b = b / np.linalg.norm(b, 2)
-        x = linalg.pinv_sqrt(b)
-        p = linalg.support_projection(b)
+        x, p = linalg.spectral_apply(b, INV_SQRT, ONE)
         assert np.linalg.norm(x @ b @ x - p, 2) < 1e-8
 
     def test_a_zero(self):
         # the zero matrix has empty support (oz_decompose of the zero map)
-        assert np.array_equal(linalg.pinv_sqrt(np.zeros((2, 2))), np.zeros((2, 2)))
+        [x] = linalg.spectral_apply(np.zeros((2, 2)), INV_SQRT)
+        assert np.array_equal(x, np.zeros((2, 2)))
 
     def test_diagonal_case(self):
         # oracle: entrywise b^{-1/2} on the support
-        x = linalg.pinv_sqrt(np.diag([1.0, 4.0, 0.0]))
+        [x] = linalg.spectral_apply(np.diag([1.0, 4.0, 0.0]), INV_SQRT)
         assert np.allclose(x, np.diag([1.0, 0.5, 0.0]), atol=1e-10)
 
     def test_defining_properties(self):
@@ -157,8 +160,7 @@ class TestSupportPinvSqrt:
             g = ginibre(rng, n)[:, : n - 1]
             b = g @ g.conj().T  # rank n - 1
             b = b / np.linalg.norm(b, 2)
-            x = linalg.pinv_sqrt(b)
-            p = linalg.support_projection(b)
+            x, p = linalg.spectral_apply(b, INV_SQRT, ONE)
             assert np.linalg.norm(x - x.conj().T, 2) < 1e-9 * np.linalg.norm(x, 2)
             assert np.linalg.norm(x @ b @ x - p, 2) < 1e-8
             assert np.linalg.norm(p @ x - x, 2) < 1e-9 * np.linalg.norm(x, 2)
@@ -167,30 +169,31 @@ class TestSupportPinvSqrt:
     def test_basis_permutation_stability(self):
         # conjugating by a permutation and back changes x negligibly
         b = np.diag([0.5, 0.5, 2.0, 0.0])
-        x = linalg.pinv_sqrt(b)
+        [x] = linalg.spectral_apply(b, INV_SQRT)
         perm = np.eye(4)[[2, 0, 3, 1]]
-        xp = linalg.pinv_sqrt(perm @ b @ perm.T)
+        [xp] = linalg.spectral_apply(perm @ b @ perm.T, INV_SQRT)
         assert np.linalg.norm(perm @ x @ perm.T - xp, 2) <= 1e-8
 
 
 class TestSupportPinv:
-    """pinv_psd: b^{-1} on the support of b."""
+    """spectral_apply(b, INV): b^{-1} on the support of b."""
 
     def test_a_equals_b(self):
         b = np.diag([2.0, 1.0, 0.0])
-        y = linalg.pinv_psd(b) @ b
+        y = linalg.spectral_apply(b, INV)[0] @ b
         assert np.allclose(y, np.diag([1.0, 1.0, 0.0]), atol=1e-10)
 
     def test_diagonal_division(self):
         b = np.diag([2.0, 1.0, 0.0])
         a = np.diag([1.0, 1.0, 0.0])
-        y = linalg.pinv_psd(b) @ a
+        y = linalg.spectral_apply(b, INV)[0] @ a
         assert np.allclose(y, np.diag([0.5, 1.0, 0.0]), atol=1e-10)
         assert np.linalg.norm(b @ y - a, 2) < 1e-8
 
     def test_a_zero(self):
         # the zero matrix has empty support (oz_decompose of the zero map)
-        assert np.array_equal(linalg.pinv_psd(np.zeros((2, 2))), np.zeros((2, 2)))
+        [y] = linalg.spectral_apply(np.zeros((2, 2)), INV)
+        assert np.array_equal(y, np.zeros((2, 2)))
 
 
 class TestPolarUnitary:
@@ -269,9 +272,9 @@ def test_kernel_rejects_hermitian_deviation_above_tol(n, seed, tol, factor):
     h_bad = p + (factor * tol * scale) * unit_dev
     h_ok = p + (tol * scale / factor) * unit_dev
     assert not linalg.hermitian_kernel(h_bad).hermitian(tol)
-    assert not linalg.is_psd(h_bad, tol)
+    assert not linalg.hermitian_kernel(h_bad).psd(tol)
     assert linalg.hermitian_kernel(h_ok).hermitian(tol)
-    assert linalg.is_psd(h_ok, tol)
+    assert linalg.hermitian_kernel(h_ok).psd(tol)
 
 
 def test_kernel_deviation_is_frobenius():
@@ -298,7 +301,7 @@ def test_psd_min_eig_uses_kernel_scale():
 def test_bad_tolerance_or_cutoff_rejected(bad):
     b = np.diag([1.0, 0.5, 0.0])
     calls = [
-        lambda: linalg.is_psd(b, bad),
+        lambda: linalg.hermitian_kernel(b).psd(bad),
         lambda: linalg.psd_min_eig(b, bad),
     ]
     for call in calls:
@@ -363,21 +366,37 @@ def test_negative_seed_is_bad_range(entry):
         NEGATIVE_SEED_CALLS[entry]()
 
 
-@pytest.mark.parametrize(
-    "fn,apply",
-    [
-        (lambda v: 1.0 / np.sqrt(v), linalg.pinv_sqrt),
-        (lambda v: 1.0 / v, linalg.pinv_psd),
-        (lambda v: 1.0, linalg.support_projection),
-    ],
-)
-def test_spectral_apply_matches_loop_reference(fn, apply):
-    rng = np.random.default_rng(19)
+def _rank_deficient_psd(seed):
+    """20 seeded PSD matrices of rank n - 1, n in 2..8."""
+    rng = np.random.default_rng(seed)
     for _ in range(20):
         n = int(rng.integers(2, 9))
         g = ginibre(rng, n)[:, : n - 1]
-        b = linalg.hermitian_part(g @ g.conj().T)  # rank n - 1
+        yield linalg.hermitian_part(g @ g.conj().T)
+
+
+@pytest.mark.parametrize(
+    "ref,fn",
+    [(lambda v: 1.0 / np.sqrt(v), INV_SQRT), (lambda v: 1.0 / v, INV), (lambda v: 1.0, ONE)],
+    ids=["inv_sqrt", "inv", "support"],
+)
+def test_spectral_apply_matches_loop_reference(ref, fn):
+    for b in _rank_deficient_psd(19):
         vals, vecs = np.linalg.eigh(b)
         thresh = 1e-10 * np.max(np.abs(vals))
-        mapped = np.array([fn(v) if v > thresh else 0.0 for v in vals])
-        assert np.array_equal(apply(b), (vecs * mapped) @ vecs.conj().T)
+        mapped = np.array([ref(v) if v > thresh else 0.0 for v in vals])
+        assert np.array_equal(linalg.spectral_apply(b, fn)[0], (vecs * mapped) @ vecs.conj().T)
+
+
+def test_spectral_apply_many_matches_one_at_a_time():
+    # oz_decompose takes h^+ and the support of h from one call, bit for bit as from two
+    for b in _rank_deficient_psd(23):
+        inverse, support = linalg.spectral_apply(b, INV, ONE)
+        assert np.array_equal(inverse, linalg.spectral_apply(b, INV)[0])
+        assert np.array_equal(support, linalg.spectral_apply(b, ONE)[0])
+
+
+def test_spectral_apply_rejects_non_hermitian():
+    # the Hermitian test at HERM_TOL comes before any eigenvalue function
+    with pytest.raises(NotHermitianError):
+        linalg.spectral_apply(np.array([[0.0, 1.0], [0.0, 0.0]]), INV, ONE)

@@ -12,6 +12,8 @@ from posmap.algebra import (
 from posmap.certificates import identity_certificate, verify_certificate
 from posmap.errors import (
     BadRangeError,
+    MultiBlockUnsupportedError,
+    NonSquareError,
     NotHomomorphismError,
     NumericalFailureError,
     NotCommutingError,
@@ -288,6 +290,24 @@ class TestOzDecompose:
         assert dec.mult_defect == pytest.approx(0.5, abs=1e-12)
         assert dec.mult_defect > 0.1
 
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            tomiyama_map(3, 1.2),
+            random_map(
+                np.random.default_rng(75), FiniteCStar((1, 2)), FiniteCStar((2, 1)), cp=True
+            ),
+        ],
+        ids=["tomiyama", "two-block"],
+    )
+    def test_one_eigh_call(self, phi, monkeypatch):
+        # h^+ and the support projection of h = phi(1) come from one spectral decomposition
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+        oz_decompose(phi)
+        assert len(calls) == 1
+
 
 class TestOzConstruct:
     def test_half_identity(self):
@@ -369,6 +389,11 @@ class TestCpRepair:
         repaired, eps = cp_repair(tomiyama_map(3, 1.2))
         assert eps == pytest.approx(0.4, abs=1e-12)
         assert is_cp(repaired)
+
+    def test_two_block_source_rejected(self):
+        phi = random_map(np.random.default_rng(76), FiniteCStar((1, 2)), M2)
+        with pytest.raises(MultiBlockUnsupportedError, match="single-block source"):
+            cp_repair(phi)
 
 
 class TestPolarLift:
@@ -521,6 +546,13 @@ class TestLemma31:
         # d is the matrix size: the column is the whole matrix, the unitary tail is empty
         assert lemma31_positive_check(0.05 * np.eye(4), 4, 0.1)
         assert lemma31_unitary_check(random_unitary(np.random.default_rng(4), 4), 4, 0.1)
+
+    @pytest.mark.parametrize("check", [lemma31_positive_check, lemma31_unitary_check])
+    @pytest.mark.parametrize("m", [np.zeros((4, 2)), np.full((4, 4), np.nan)], ids=["4x2", "nan"])
+    def test_non_square_or_non_finite_rejected(self, check, m):
+        # the unitary check raised numpy's broadcast ValueError and an SVD NumericalFailureError
+        with pytest.raises(NonSquareError):
+            check(m, 2, 0.1)
 
     @pytest.mark.parametrize("d", [0, -2])
     def test_bad_block_size_rejected(self, d):
