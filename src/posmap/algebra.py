@@ -27,12 +27,14 @@ class FiniteCStar:
     block_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.block_sizes)
+        sizes = tuple(self.block_sizes)
+        if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in sizes):
+            raise BadRangeError(f"block sizes must be integers, got {sizes}")
         if len(sizes) == 0:
             raise BadRangeError("an algebra needs at least one block")
         if any(s < 1 for s in sizes):
-            raise BadRangeError(f"block sizes must be >= 1, got {sizes}")
-        object.__setattr__(self, "block_sizes", sizes)
+            raise BadRangeError(f"block sizes must be >= 1, got {tuple(map(int, sizes))}")
+        object.__setattr__(self, "block_sizes", tuple(map(int, sizes)))
 
     @property
     def dim(self) -> int:
@@ -187,9 +189,10 @@ def check_image_budget(source_dim: int, target_embed_dim: int) -> None:
 def unit_stack(algebra: FiniteCStar) -> np.ndarray:
     """All matrix units embedded, as a (dim, D, D) stack with D = embed_dim.
 
-    Ordered like the entries of block_mask: block by block, row-major.
+    Ordered like block_mask: block by block, row-major. Over budget, check_image_budget raises.
     """
     d = algebra.embed_dim
+    check_image_budget(algebra.dim, d)
     rows, cols = np.nonzero(block_mask(algebra))
     stack = np.zeros((algebra.dim, d, d), dtype=np.complex128)
     stack[np.arange(algebra.dim), rows, cols] = 1.0

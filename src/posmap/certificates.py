@@ -365,8 +365,6 @@ def _decode_algebra(data, where: str) -> FiniteCStar:
     blocks = data["blocks"]
     if not isinstance(blocks, list) or not blocks:
         raise ParseError(f"{where}.blocks: expected a non-empty list")
-    if not all(type(b) is int for b in blocks):
-        raise ParseError(f"{where}.blocks: block sizes must be integers")
     try:
         return FiniteCStar(tuple(blocks))
     except Exception as exc:

@@ -22,8 +22,8 @@ Choi matrix and holds at most three dense (mn) x (mn) matrices, about 192 MiB
 at mn = 2046. The compressed map handed to the falsifier and
 corner_mixture_map (small m) apply them to the stack of matrix units. Every
 entry point first checks n >= 2, m >= 1, mn <= MAX_SIZE, eps in (0, 1) and a
-finite lambda; check_image_budget adds mn <= 45 for corner_mixture_map and
-n <= 45 for verify_corner_family.
+finite lambda; the image budget of algebra.unit_stack adds mn <= 45 for
+corner_mixture_map and n <= 45 for verify_corner_family.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import MAX_SIZE, FiniteCStar, _contraction, check_image_budget, unit_stack
+from .algebra import MAX_SIZE, FiniteCStar, _contraction, unit_stack
 from .errors import BadRangeError
 from .linalg import DEFAULT_SAMPLES, as_complex, check_samples, check_seed, op_norm
 from .maps import PMap
@@ -93,7 +93,6 @@ def corner_embed_apply(a: np.ndarray, m: int) -> np.ndarray:
 def corner_mixture_map(n: int, m: int, lam: float, eps: float) -> PMap:
     """The corner-mixture map as a PMap on the single block M_{mn}."""
     _check_params(n, m, lam, eps)
-    check_image_budget((m * n) ** 2, m * n)  # so m n <= 45
     alg = FiniteCStar((m * n,))
     stack = corner_mixture_apply(unit_stack(alg), n, m, lam, eps)
     return PMap(alg, alg, stack)
@@ -177,7 +176,8 @@ def verify_corner_family(
     Requires the window 1/(n(k+1)-1) < lambda - 1 <= 1/(nk-1).
     """
     _check_params(n, m, lam, eps)
-    check_image_budget(n * n, n)  # the compressed map's unit images, so n <= 45
+    alg_n = FiniteCStar((n,))
+    units = unit_stack(alg_n)  # checks the image budget before anything is drawn, so n <= 45
     if not (1 <= k < n):
         raise BadRangeError(f"need 1 <= k < n, got k={k}, n={n}")
     check_samples(samples)
@@ -211,8 +211,6 @@ def verify_corner_family(
 
     # compress the actual pipeline through the corner and compare to the
     # closed-form trace-mixing map
-    alg_n = FiniteCStar((n,))
-    units = unit_stack(alg_n)
     # unit by unit, so that one embedded (mn)^2 unit and its image are alive at a time
     composed = np.stack([
         partial_trace_first_apply(

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import FiniteCStar, _ginibre, check_image_budget, unit_stack
+from .algebra import MAX_SIZE, FiniteCStar, _ginibre, unit_stack
 from .errors import BadRangeError, DimensionMismatchError, NumericalFailureError
 from .linalg import _spectrum, as_complex, check_seed, check_tol, hermitian_kernel, hermitian_part
 from .maps import PMap
@@ -30,7 +30,7 @@ UNFALSIFIED = "UNFALSIFIED"
 VIOLATED = "VIOLATED"
 
 DEFAULT_RESTARTS = 32
-MAX_RESTARTS = 1024  # the batched see-saw holds restarts * k * n^2 * d complex entries
+MAX_RESTARTS = 1024  # a usage bound; the see-saw runs in slices of MAX_SIZE**2 working entries
 DEFAULT_TOL = 1e-8
 _MAX_ITERS = 500  # a restart spends at most 2 * _MAX_ITERS half-step evaluations
 _FTOL = 1e-12
@@ -76,7 +76,6 @@ def tomiyama_map(n: int, lam: float) -> PMap:
         raise BadRangeError(f"need n >= 2, got {n}")
     if not 0 <= lam < np.inf:
         raise BadRangeError(f"need a finite lambda >= 0, got {lam}")
-    check_image_budget(n * n, n)  # so n <= 45
     alg = FiniteCStar((n,))
     return PMap(alg, alg, trace_mixing_apply(unit_stack(alg), lam))
 
@@ -310,11 +309,15 @@ def k_positivity_falsify(
             value, wmat = float(vals[0]), vecs[:, 0].reshape(n, d)
         else:
             frames = _start_frames(seed, restarts, d, k_eff)
-            values, wmats, block_capped = _seesaw(hermitian_part(c), n, d, k_eff, frames)
+            # a restart's _compress product holds k n d max(n, d) entries; restarts are independent
+            h, step = hermitian_part(c), max(1, MAX_SIZE**2 // (k_eff * n * d * max(n, d)))
+            runs = [_seesaw(h, n, d, k_eff, frames[i : i + step]) for i in range(0, restarts, step)]
+            values, wmats, caps = zip(*runs)
+            values, wmats = np.concatenate(values), np.concatenate(wmats)
             r = int(np.argmin(values))  # the lowest index wins ties
             value, wmat = float(values[r]), wmats[r]
             used += restarts
-            capped += block_capped
+            capped += sum(caps)
         best_value = min(best_value, value)
         if value < -tol * kernel.scale and (best is None or value < best[0]):
             best = (value, bi, _schmidt_factors(wmat, k_eff))

@@ -12,7 +12,7 @@ from posmap.algebra import (
 )
 from posmap.errors import AlgebraMismatchError, BadRangeError, NumericalFailureError
 from posmap.maps import PMap
-from posmap.orderzero import polar_lift
+from posmap.orderzero import od_defect, order_zero_defect, polar_lift
 
 from conftest import ginibre
 from test_maps import random_element
@@ -34,6 +34,17 @@ class TestFiniteCStar:
     def test_rejects_zero_block(self):
         with pytest.raises(BadRangeError):
             FiniteCStar((2, 0))
+
+    @pytest.mark.parametrize("size", [2.5, "3", True, 2.0])
+    def test_rejects_non_integer_block(self, size):
+        # each was truncated or cast: 2.5 and 2.0 became M_2, "3" M_3 and True M_1
+        with pytest.raises(BadRangeError, match="block sizes must be integers"):
+            FiniteCStar((size,))
+
+    def test_accepts_numpy_integer_block(self):
+        alg = FiniteCStar((np.int64(2),))
+        assert alg == M2
+        assert type(alg.block_sizes[0]) is int
 
 
 class TestArithmetic:
@@ -226,6 +237,26 @@ class TestBlockMask:
         np.testing.assert_array_equal(
             mask, [[True, False, False], [False, True, True], [False, True, True]]
         )
+
+
+class TestImageBudget:
+    # C^162: 162 images of size 162^2 is 4,251,528 entries, just past MAX_SIZE^2 = 2048^2
+    # (161^3 is within); the order-zero analyses allocated such stacks unchecked
+    SOURCE = FiniteCStar((1,) * 162)
+
+    def test_source_past_budget_rejected(self):
+        assert 161**3 <= algebra.MAX_SIZE**2 < 162**3
+        phi = PMap(self.SOURCE, FiniteCStar((1,)), np.ones((162, 1, 1)))
+        calls = [
+            lambda: algebra.unit_stack(self.SOURCE),
+            lambda: PMap.identity(self.SOURCE),
+            lambda: matrix_units(self.SOURCE),
+            lambda: od_defect(phi, unit(self.SOURCE)),
+            lambda: order_zero_defect(phi, samples=1, seed=0),
+        ]
+        for call in calls:
+            with pytest.raises(BadRangeError, match="unit-image entries"):
+                call()
 
 
 class TestMatrixUnits:

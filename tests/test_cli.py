@@ -387,6 +387,15 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("error: need at most MAX_SIZE^2 = 4194304 unit-image entries")
 
+    def test_defect_source_above_image_budget_exit_2(self, capsys, tmp_path):
+        # C^162 -> C: its matrix-unit stack is past the budget; C^2048 asked for 128 GiB, exit 1
+        path = str(tmp_path / "wide.json")
+        save_map(PMap(FiniteCStar((1,) * 162), FiniteCStar((1,)), np.ones((162, 1, 1))), path)
+        assert main(["defect", path, "--samples", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: need at most MAX_SIZE^2 = 4194304 unit-image entries")
+
     def test_size_above_bound_exit_2(self, capsys):
         # m n = 3 * 683 = 2049, one above family.MAX_SIZE
         argv = ["example4", "--n", "3", "--m", "683", "--k", "1", "--lambda", "1.4", "--eps", "0.05"]

@@ -567,6 +567,37 @@ class TestSeesawBudget:
             assert len(accepted) > 2 and np.all(np.diff(accepted) <= 0), r
 
 
+    @pytest.mark.parametrize("n, lam, k", [(4, 1.1, 2), (5, 1.2, 3)])
+    def test_restarts_sliced_to_the_working_budget(self, monkeypatch, n, lam, k):
+        # one call held restarts * k n d max(n, d) entries: 61.2 GiB at n = 45, k = 44 and
+        # 1024 restarts. A budget of 8^2 entries leaves one restart per call, and the
+        # restarts are independent, so the verdict is the same to the bit.
+        phi = tomiyama_map(n, lam)
+        whole = k_positivity_falsify(phi, k, restarts=8)
+        frames_per_call = []
+        seesaw = positivity._seesaw
+
+        def recording(c_herm, n, d, k, frames):
+            frames_per_call.append(len(frames))
+            return seesaw(c_herm, n, d, k, frames)
+
+        monkeypatch.setattr(positivity, "_seesaw", recording)
+        monkeypatch.setattr(positivity, "MAX_SIZE", 8, raising=False)
+        sliced = k_positivity_falsify(phi, k, restarts=8)
+        assert frames_per_call == [1] * 8
+        assert (sliced.status, sliced.best_value, sliced.restarts_used, sliced.restarts_capped) == (
+            whole.status, whole.best_value, whole.restarts_used, whole.restarts_capped
+        )
+        assert (sliced.witness is None) == (whole.witness is None)
+        if whole.witness is not None:
+            for f in dataclasses.fields(Witness):
+                a, b = getattr(sliced.witness, f.name), getattr(whole.witness, f.name)
+                if f.name.startswith("factors"):
+                    assert len(a) == len(b) and all(map(np.array_equal, a, b))
+                else:
+                    assert a == b
+
+
 class TestWitnessVerify:
     def _violated(self):
         phi = tomiyama_map(3, 1.4)
