@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AlgebraMismatchError, BadRangeError, NumericalFailureError
-from .linalg import PSD_TOL, as_complex, check_seed, hermitian_kernel, op_norm
+from .linalg import PSD_TOL, as_complex, check_count, hermitian_kernel, op_norm
 
 
 @dataclass(frozen=True)
@@ -156,10 +156,12 @@ def unit(algebra: FiniteCStar) -> Element:
 
 def basis_element(algebra: FiniteCStar, block: int, i: int, j: int) -> Element:
     """The matrix unit e_ij of the given block, zero elsewhere."""
-    sizes = algebra.block_sizes
-    if not (0 <= block < len(sizes) and 0 <= i < sizes[block] and 0 <= j < sizes[block]):
+    n = algebra.block_sizes[int(block)] if 0 <= block < algebra.n_blocks else 0
+    if not (0 <= i < n and 0 <= j < n):
         raise BadRangeError(f"no matrix unit e_{i},{j} in block {block} of {algebra}")
-    blocks = [np.zeros((s, s)) for s in sizes]
+    for name, index in (("block", block), ("i", i), ("j", j)):  # int() let a float block by
+        check_count(name, index, 0)
+    blocks = [np.zeros((s, s)) for s in algebra.block_sizes]
     blocks[block][i, j] = 1.0
     return from_embedded(algebra, embed_blocks(algebra, blocks))
 
@@ -215,6 +217,7 @@ def spanning_positive_contractions(algebra: FiniteCStar) -> list[Element]:
     Per block, from its basis vectors e_i embedded in C^D: the units e_ii and,
     for i < j, the projections onto (e_i + e_j)/sqrt(2) and (e_i + i e_j)/sqrt(2).
     """
+    check_image_budget(algebra.dim, algebra.embed_dim)
     out = []
     for e in np.split(np.eye(algebra.embed_dim), np.cumsum(algebra.block_sizes)[:-1]):
         iu, ju = np.triu_indices(len(e), 1)  # i < j, row-major
@@ -246,7 +249,7 @@ def random_positive_contraction(algebra: FiniteCStar, seed: int) -> Element:
     Blockwise g*g / ||g*g|| with g complex standard normal, so every block
     has norm exactly 1.
     """
-    check_seed(seed)
+    check_count("a seed", seed, 0)
     rng = np.random.default_rng(seed)
     blocks = [_wishart(_ginibre(rng, (n, n))) for n in algebra.block_sizes]
     return from_embedded(algebra, embed_blocks(algebra, blocks))
@@ -254,7 +257,7 @@ def random_positive_contraction(algebra: FiniteCStar, seed: int) -> Element:
 
 def random_contraction(algebra: FiniteCStar, seed: int) -> Element:
     """Ginibre matrix normalized to operator norm 1, blockwise."""
-    check_seed(seed)
+    check_count("a seed", seed, 0)
     rng = np.random.default_rng(seed)
     blocks = [_contraction(rng, n) for n in algebra.block_sizes]
     return from_embedded(algebra, embed_blocks(algebra, blocks))

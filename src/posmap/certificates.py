@@ -38,17 +38,17 @@ from .errors import (
     SchemaVersionMismatchError,
     StructurallyInvalidError,
 )
-from .linalg import DEFAULT_SAMPLES, check_samples, check_seed, check_tol
+from .linalg import DEFAULT_SAMPLES, PSD_TOL, check_count, check_tol
 from .maps import PMap, pmap_norm
 from .orderzero import order_zero_defect, oz_decompose
 from .positivity import (
     CERTIFIED_POSITIVE,
     DEFAULT_RESTARTS,
     DEFAULT_TOL,
+    MAX_RESTARTS,
     UNFALSIFIED,
     VIOLATED,
     KposVerdict,
-    check_restarts,
     is_cp,
     k_positivity_falsify,
 )
@@ -100,7 +100,7 @@ def _check_structure(cert: DrCertificate) -> None:
     for i, x in enumerate(cert.test_set):
         if x.algebra != cert.algebra:
             raise StructurallyInvalidError(f"test_set[{i}] is not an element of A")
-        if x.norm() > 1 + 1e-9:
+        if x.norm() > 1 + PSD_TOL:
             raise StructurallyInvalidError(f"test_set[{i}] is not a contraction")
 
 
@@ -184,9 +184,9 @@ def verify_certificate(
     together dimensionally.
     """
     check_tol(tol)
-    check_seed(seed)
-    check_restarts(restarts)
-    check_samples(samples)
+    check_count("a seed", seed, 0)
+    check_count("restarts", restarts, 1, MAX_RESTARTS)
+    check_count("samples", samples, 1)
     _check_structure(cert)
 
     psi_norm = pmap_norm(cert.psi)
@@ -282,7 +282,7 @@ def orderzero_certificate(
     (sum phi_i)(psi(x)) = (sum w_i) x = x exactly and each leg is a CP
     order-zero contraction.
     """
-    check_seed(seed)
+    check_count("a seed", seed, 0)
     return _partition_certificate(algebra, weights, seed, epsilon)
 
 

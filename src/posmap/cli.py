@@ -29,14 +29,14 @@ from .certificates import (
 )
 from .errors import PosmapError
 from .family import verify_corner_family
-from .linalg import DEFAULT_SAMPLES, check_seed, check_tol
+from .linalg import DEFAULT_SAMPLES, check_count, check_tol
 from .orderzero import cp_repair, order_zero_defect, oz_decompose
 from .positivity import (
     DEFAULT_RESTARTS,
     DEFAULT_TOL,
+    MAX_RESTARTS,
     VIOLATED,
     _threshold,
-    check_restarts,
     is_cp,
     k_positivity_falsify,
     tomiyama_map,
@@ -319,7 +319,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:  # the library's own range checks, before any handler runs
-        for name, check in (("tol", check_tol), ("seed", check_seed), ("restarts", check_restarts)):
+        for name, check in (
+            ("tol", check_tol),
+            ("seed", lambda seed: check_count("a seed", seed, 0)),
+            ("restarts", lambda restarts: check_count("restarts", restarts, 1, MAX_RESTARTS)),
+        ):
             if hasattr(args, name):
                 check(getattr(args, name))
     except PosmapError as exc:

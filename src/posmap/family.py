@@ -36,19 +36,17 @@ import numpy as np
 
 from .algebra import MAX_SIZE, FiniteCStar, _contraction, unit_stack
 from .errors import BadRangeError
-from .linalg import DEFAULT_SAMPLES, as_complex, check_samples, check_seed, op_norm
+from .linalg import DEFAULT_SAMPLES, as_complex, check_count, op_norm
 from .maps import PMap
-from .positivity import DEFAULT_RESTARTS, KposVerdict, _threshold, check_restarts
+from .positivity import DEFAULT_RESTARTS, MAX_RESTARTS, KposVerdict, _threshold
 from .positivity import k_positivity_falsify, trace_mixing_apply
 
 CLOSED_FORM_TOL = 1e-10
 
 
 def _check_params(n: int, m: int, lam: float, eps: float) -> None:
-    if n < 2:
-        raise BadRangeError(f"need n >= 2, got {n}")
-    if m < 1:
-        raise BadRangeError(f"need m >= 1, got {m}")
+    check_count("n", n, 2)
+    check_count("m", m, 1)
     if m * n > MAX_SIZE:
         raise BadRangeError(f"need m * n <= {MAX_SIZE}, got {m * n}")
     if not (0.0 < eps < 1.0):
@@ -110,8 +108,7 @@ def composed_mixing_parameter(m: int, eps: float, lam: float) -> float:
 
     Strictly increasing in m with limit lambda as m -> infinity.
     """
-    if m < 1:
-        raise BadRangeError(f"need m >= 1, got {m}")
+    check_count("m", m, 1)
     if not (0.0 < eps < 1.0):
         raise BadRangeError(f"need eps in (0, 1), got {eps}")
     if not 0 < lam < np.inf:
@@ -180,9 +177,10 @@ def verify_corner_family(
     units = unit_stack(alg_n)  # checks the image budget before anything is drawn, so n <= 45
     if not (1 <= k < n):
         raise BadRangeError(f"need 1 <= k < n, got k={k}, n={n}")
-    check_samples(samples)
-    check_seed(seed)
-    check_restarts(restarts)
+    check_count("k", k, 1)
+    check_count("samples", samples, 1)
+    check_count("a seed", seed, 0)
+    check_count("restarts", restarts, 1, MAX_RESTARTS)
     lam_f = Fraction(lam)
     lo, hi = _threshold(n, k + 1), _threshold(n, k)  # the window for lambda
     if not (lo < lam_f <= hi):

@@ -11,7 +11,7 @@ iff also min_eig >= -tol * scale. spectral_apply takes the support projection
 and pseudo-inverses from one eigh call, with the same Hermitian test at
 HERM_TOL, and drops eigenvalues <= SUPPORT_CUTOFF * ||b||. A tolerance that
 is not finite and >= TOL_FLOOR (below it a verdict is the sign of a rounding
-error), a seed < 0 or samples < 1 raises BadRangeError. op_norm takes a
+error), or a count check_count refuses, raises BadRangeError. op_norm takes a
 matrix or a (..., N, N) stack. A LAPACK failure or an overflowed eigenvalue
 or norm raises NumericalFailureError. No function mutates its arguments.
 """
@@ -42,16 +42,14 @@ def check_tol(tol: float) -> None:
         raise BadRangeError(f"need a finite tolerance >= {TOL_FLOOR}, got {tol!r}")
 
 
-def check_seed(seed: int) -> None:
-    """Raise BadRangeError unless seed >= 0 (numpy's generators take no negative seed)."""
-    if seed < 0:
-        raise BadRangeError(f"need a seed >= 0, got {seed!r}")
-
-
-def check_samples(samples: int) -> None:
-    """Raise BadRangeError unless samples >= 1: a check run on zero samples is not a pass."""
-    if samples < 1:
-        raise BadRangeError(f"need samples >= 1, got {samples}")
+def check_count(name: str, value, lo: int, hi: int | None = None) -> None:
+    """Raise BadRangeError unless value is a Python or numpy integer (not a bool) in [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadRangeError(f"{name} must be an integer, got {value!r}")
+    if hi is not None and not lo <= value <= hi:
+        raise BadRangeError(f"need {lo} <= {name} <= {hi}, got {value}")
+    if value < lo:
+        raise BadRangeError(f"need {name} >= {lo}, got {value}")
 
 
 def as_complex(m) -> np.ndarray:

@@ -50,7 +50,7 @@ from .errors import (
     NumericalFailureError,
     PreconditionFailedError,
 )
-from .linalg import HERM_TOL, PSD_TOL, check_samples, check_seed, hermitian_kernel, hermitian_part
+from .linalg import HERM_TOL, PSD_TOL, check_count, hermitian_kernel, hermitian_part
 from .linalg import op_norm, polar_unitary, require_square, spectral_apply
 from .maps import PMap
 
@@ -67,9 +67,9 @@ def _check_positive_contraction(m: np.ndarray, what: str) -> None:
 
 
 def _check_unitary(m: np.ndarray, what: str) -> None:
-    """NotUnitaryError unless ||m* m - 1|| <= 1e-9."""
+    """NotUnitaryError unless ||m* m - 1|| <= PSD_TOL."""
     m = require_square(m)
-    if op_norm(m.conj().T @ m - np.eye(m.shape[0])) > 1e-9:
+    if op_norm(m.conj().T @ m - np.eye(m.shape[0])) > PSD_TOL:
         raise NotUnitaryError(f"{what} is not unitary")
 
 
@@ -202,8 +202,8 @@ def order_zero_defect(phi: PMap, samples: int, seed: int) -> DefectReport:
     are evaluated as stacked chunks; the suprema are maxima, so the report
     is bit-identical to evaluating one sample at a time.
     """
-    check_samples(samples)
-    check_seed(seed)
+    check_count("samples", samples, 1)
+    check_count("a seed", seed, 0)
     rng = np.random.default_rng(seed)
     src = phi.source
     units = unit_stack(src)
@@ -244,7 +244,9 @@ def oz_decompose(phi: PMap) -> OzDecomposition:
     """Recover h = phi(1) and pi(e) = h^{-1} phi(e) on the support of h.
 
     Reports how far pi is from a *-homomorphism commuting with h and how
-    well h pi reconstructs phi; nothing is thresholded here.
+    well h pi reconstructs phi; nothing is thresholded here. mult_defect is
+    not continuous: where h has a dead summand, pi there is all perturbation,
+    so on (1 - delta) phi + delta tau it can stay put as delta -> 0.
     """
     h = phi.unit_image()
     hm = h.embedded()
@@ -342,7 +344,7 @@ def cp_repair(phi: PMap) -> tuple[PMap, float]:
     """
     if phi.source.n_blocks != 1:
         raise MultiBlockUnsupportedError("cp_repair needs a single-block source")
-    if not phi.is_selfadjoint(1e-9):
+    if not phi.is_selfadjoint(PSD_TOL):
         raise NotHermitianError("cp_repair needs a self-adjoint map")
     n = phi.source.block_sizes[0]
     d = phi.target.embed_dim
@@ -376,8 +378,7 @@ def polar_lift(phi: PMap, x: Element, y: Element) -> tuple[Element, bool]:
 
 def _first_block_column(m: np.ndarray, d: int, eps: float) -> np.ndarray:
     """m's first block column m[:, :d], once d and the bound eps are valid."""
-    if d < 1:
-        raise BadRangeError(f"need a block size d >= 1, got {d}")
+    check_count("a block size d", d, 1)
     if np.isnan(eps):
         raise BadRangeError("eps must be a number, got nan")
     big = m.shape[0]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import MAX_SIZE, FiniteCStar, _ginibre, unit_stack
 from .errors import BadRangeError, DimensionMismatchError, NumericalFailureError
-from .linalg import _spectrum, as_complex, check_seed, check_tol, hermitian_kernel, hermitian_part
+from .linalg import _spectrum, as_complex, check_count, check_tol, hermitian_kernel, hermitian_part
 from .maps import PMap
 
 CERTIFIED_POSITIVE = "CERTIFIED_POSITIVE"
@@ -35,12 +35,7 @@ DEFAULT_TOL = 1e-8
 _MAX_ITERS = 500  # a restart spends at most 2 * _MAX_ITERS half-step evaluations
 _FTOL = 1e-12
 _BETA_GROW, _BETA_CUT = 1.3, 0.5  # the extrapolation weight after an accepted, rejected trial
-
-
-def check_restarts(restarts: int) -> None:
-    """Raise BadRangeError unless 1 <= restarts <= MAX_RESTARTS."""
-    if not 1 <= restarts <= MAX_RESTARTS:
-        raise BadRangeError(f"need 1 <= restarts <= {MAX_RESTARTS}, got {restarts}")
+WITNESS_TOL = 1e-9  # a re-verified witness's slack on its norm and its recomputed value
 
 
 def is_cp(phi: PMap, tol: float = DEFAULT_TOL) -> bool:
@@ -57,6 +52,8 @@ def tomiyama_threshold(n: int, k: int) -> float:
     """Largest lambda for which the trace-mixing map on M_n is k-positive."""
     if not (1 <= k <= n) or n * k < 2:
         raise BadRangeError(f"need 1 <= k <= n and nk >= 2, got n={n}, k={k}")
+    check_count("n", n, 2)
+    check_count("k", k, 1)
     return float(_threshold(n, k))
 
 
@@ -72,8 +69,7 @@ def trace_mixing_apply(a: np.ndarray, lam: float) -> np.ndarray:
 
 def tomiyama_map(n: int, lam: float) -> PMap:
     """The unital self-adjoint map psi_lambda on M_n, from its matrix-unit images."""
-    if n < 2:
-        raise BadRangeError(f"need n >= 2, got {n}")
+    check_count("n", n, 2)
     if not 0 <= lam < np.inf:
         raise BadRangeError(f"need a finite lambda >= 0, got {lam}")
     alg = FiniteCStar((n,))
@@ -133,11 +129,11 @@ def witness_verify(phi: PMap, w: Witness, tol: float = DEFAULT_TOL) -> bool:
             raise DimensionMismatchError("witness factor dimensions do not match the map")
     x = w.assemble()
     nrm = float(np.linalg.norm(x))
-    if not (1 - 1e-9 <= nrm <= 1 + 1e-9):
+    if not (1 - WITNESS_TOL <= nrm <= 1 + WITNESS_TOL):
         return False
     c = phi.choi_blocks[w.block]
     value = _quadratic_value(hermitian_part(c), x)
-    if abs(value - w.value) > 1e-9 * max(1.0, abs(value)):
+    if abs(value - w.value) > WITNESS_TOL * max(1.0, abs(value)):
         return False
     return value < -tol * hermitian_kernel(c).scale
 
@@ -290,11 +286,10 @@ def k_positivity_falsify(
     distinct searches. restarts_capped counts the restarts that spent their
     half-step budget still moving rather than stopping on tolerance.
     """
-    if k < 1:
-        raise BadRangeError(f"need k >= 1, got {k}")
-    check_restarts(restarts)
+    check_count("k", k, 1)
+    check_count("restarts", restarts, 1, MAX_RESTARTS)
     check_tol(tol)
-    check_seed(seed)
+    check_count("a seed", seed, 0)
     d = phi.target.embed_dim
     best_value = np.inf
     best = None  # (value, block, factors): the lowest value below its block's -tol * scale

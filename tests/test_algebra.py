@@ -374,3 +374,8 @@ class TestSpanningPositiveContractions:
         assert len(got) == len(want)
         for x, y in zip(got, want):
             assert [b.tobytes() for b in x.blocks] == [b.tobytes() for b in y.blocks]
+
+    def test_over_the_image_budget_is_bad_range(self):
+        # C^162 holds 162 elements of 162^2 entries, over MAX_SIZE^2 = 2048^2
+        with pytest.raises(BadRangeError, match="unit-image entries"):
+            algebra.spanning_positive_contractions(FiniteCStar((1,) * 162))

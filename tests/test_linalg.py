@@ -1,4 +1,5 @@
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -330,6 +331,7 @@ def _tol_defaults():
     for name in ("HERM_TOL", "PSD_TOL"):
         out[name] = getattr(linalg, name)
     out["DEFAULT_TOL"] = posmap.positivity.DEFAULT_TOL
+    out["WITNESS_TOL"] = posmap.positivity.WITNESS_TOL
     return out
 
 
@@ -364,6 +366,143 @@ def test_negative_seed_is_bad_range(entry):
     # numpy's generators reject a negative seed with a bare ValueError
     with pytest.raises(BadRangeError, match="need a seed >= 0, got -"):
         NEGATIVE_SEED_CALLS[entry]()
+
+
+_PSI = posmap.tomiyama_map(3, 1.1)
+_M2, _M3 = posmap.FiniteCStar((2,)), posmap.FiniteCStar((3,))
+_ALWAYS = lambda v: True  # a site whose only range test is check_count's own
+
+# each count argument of the public API: (call with the count v, does v pass the site's
+# compound range test); a value that passes it must be refused as a non-integer
+COUNT_CALLS = {
+    "k_positivity_falsify.k": (lambda v: posmap.k_positivity_falsify(_PSI, v), _ALWAYS),
+    "k_positivity_falsify.restarts": (
+        lambda v: posmap.k_positivity_falsify(_PSI, 2, restarts=v), _ALWAYS
+    ),
+    "k_positivity_falsify.seed": (lambda v: posmap.k_positivity_falsify(_PSI, 2, seed=v), _ALWAYS),
+    "tomiyama_map.n": (lambda v: posmap.tomiyama_map(v, 1.1), _ALWAYS),
+    "tomiyama_threshold.n": (
+        lambda v: posmap.tomiyama_threshold(v, 2), lambda v: 2 <= v and 2 * v >= 2
+    ),
+    "tomiyama_threshold.k": (
+        lambda v: posmap.tomiyama_threshold(3, v), lambda v: 1 <= v <= 3 and 3 * v >= 2
+    ),
+    "random_contraction.seed": (lambda v: posmap.random_contraction(_M2, v), _ALWAYS),
+    "random_positive_contraction.seed": (
+        lambda v: posmap.random_positive_contraction(_M2, v), _ALWAYS
+    ),
+    "basis_element.block": (
+        lambda v: posmap.algebra.basis_element(posmap.FiniteCStar((2, 2, 2)), v, 0, 0),
+        lambda v: 0 <= v < 3,
+    ),
+    "basis_element.i": (lambda v: posmap.algebra.basis_element(_M3, 0, v, 0), lambda v: v < 3),
+    "basis_element.j": (lambda v: posmap.algebra.basis_element(_M3, 0, 0, v), lambda v: v < 3),
+    "order_zero_defect.samples": (lambda v: posmap.order_zero_defect(_PSI, v, 0), _ALWAYS),
+    "order_zero_defect.seed": (lambda v: posmap.order_zero_defect(_PSI, 5, v), _ALWAYS),
+    "lemma31_positive_check.d": (
+        lambda v: posmap.lemma31_positive_check(0.1 * np.eye(4), v, 0.5), _ALWAYS
+    ),
+    "lemma31_unitary_check.d": (lambda v: posmap.lemma31_unitary_check(np.eye(4), v, 0.5), _ALWAYS),
+    "corner_mixture_apply.n": (
+        lambda v: posmap.family.corner_mixture_apply(np.eye(6), v, 2, 1.4, 0.05), _ALWAYS
+    ),
+    "corner_mixture_apply.m": (
+        lambda v: posmap.family.corner_mixture_apply(np.eye(6), 3, v, 1.4, 0.05), _ALWAYS
+    ),
+    "corner_mixture_map.n": (lambda v: posmap.corner_mixture_map(v, 2, 1.4, 0.05), _ALWAYS),
+    "corner_mixture_map.m": (lambda v: posmap.corner_mixture_map(3, v, 1.4, 0.05), _ALWAYS),
+    "composed_mixing_parameter.m": (
+        lambda v: posmap.composed_mixing_parameter(v, 0.05, 1.1), _ALWAYS
+    ),
+    "verify_corner_family.n": (
+        lambda v: posmap.verify_corner_family(v, 2, 1, 1.3, 0.05), _ALWAYS
+    ),
+    "verify_corner_family.m": (
+        lambda v: posmap.verify_corner_family(3, v, 1, 1.3, 0.05), _ALWAYS
+    ),
+    "verify_corner_family.k": (
+        lambda v: posmap.verify_corner_family(3, 2, v, 1.3, 0.05), lambda v: 1 <= v < 3
+    ),
+    "verify_corner_family.samples": (
+        lambda v: posmap.verify_corner_family(3, 2, 1, 1.3, 0.05, samples=v), _ALWAYS
+    ),
+    "verify_corner_family.seed": (
+        lambda v: posmap.verify_corner_family(3, 2, 1, 1.3, 0.05, seed=v), _ALWAYS
+    ),
+    "verify_corner_family.restarts": (
+        lambda v: posmap.verify_corner_family(3, 2, 1, 1.3, 0.05, restarts=v), _ALWAYS
+    ),
+    "verify_certificate.seed": (
+        lambda v: posmap.verify_certificate(posmap.identity_certificate(_M2), seed=v), _ALWAYS
+    ),
+    "verify_certificate.restarts": (
+        lambda v: posmap.verify_certificate(posmap.identity_certificate(_M2), restarts=v), _ALWAYS
+    ),
+    "verify_certificate.samples": (
+        lambda v: posmap.verify_certificate(posmap.identity_certificate(_M2), samples=v), _ALWAYS
+    ),
+    "orderzero_certificate.seed": (
+        lambda v: posmap.orderzero_certificate(_M2, [0.5, 0.5], seed=v), _ALWAYS
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True], ids=["2.5", "2.0", "True"])
+@pytest.mark.parametrize("entry", sorted(COUNT_CALLS))
+def test_non_integer_count_is_bad_range(entry, value):
+    call, passes_range = COUNT_CALLS[entry]
+    with pytest.raises(BadRangeError) as info:
+        call(value)
+    if passes_range(value):
+        assert "must be an integer" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "value,hi,message",
+    [
+        (np.float64(2.0), None, "k must be an integer, got "),
+        (np.bool_(True), None, "k must be an integer, got "),
+        (None, None, "k must be an integer, got None"),
+        ("2", None, "k must be an integer, got '2'"),
+        (0, None, "need k >= 1, got 0"),
+        (np.int64(0), None, "need k >= 1, got 0"),
+        (0, 4, "need 1 <= k <= 4, got 0"),
+        (5, 4, "need 1 <= k <= 4, got 5"),
+    ],
+)
+def test_check_count_messages(value, hi, message):
+    with pytest.raises(BadRangeError, match=re.escape(message)):
+        linalg.check_count("k", value, 1, hi)
+
+
+def test_check_count_accepts_python_and_numpy_integers():
+    for value in (1, 4, np.int64(2), np.uint8(4), np.int32(1)):
+        linalg.check_count("k", value, 1, 4)
+
+
+def _same_fields(a, b):
+    """Dataclass reports field by field, with arrays (also in tuples) compared exactly."""
+    assert type(a) is type(b)
+    for name in a.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        if hasattr(x, "__dataclass_fields__"):
+            _same_fields(x, y)
+        elif isinstance(x, tuple):
+            assert len(x) == len(y) and all(map(np.array_equal, x, y)), name
+        else:
+            assert np.array_equal(x, y), name
+
+
+def test_numpy_integer_counts_match_int_counts():
+    phi = posmap.tomiyama_map(3, 1.3)  # above the 2-threshold 1.2: a witness to compare
+    as_int = posmap.k_positivity_falsify(phi, 2, restarts=4, seed=3)
+    as_np = posmap.k_positivity_falsify(phi, np.int64(2), restarts=np.int32(4), seed=np.int64(3))
+    assert as_int.status == posmap.VIOLATED
+    _same_fields(as_int, as_np)
+    _same_fields(
+        posmap.order_zero_defect(phi, 7, 2),
+        posmap.order_zero_defect(phi, np.int64(7), np.uint8(2)),
+    )
 
 
 def _rank_deficient_psd(seed):
