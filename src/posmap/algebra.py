@@ -156,11 +156,11 @@ def unit(algebra: FiniteCStar) -> Element:
 
 def basis_element(algebra: FiniteCStar, block: int, i: int, j: int) -> Element:
     """The matrix unit e_ij of the given block, zero elsewhere."""
-    n = algebra.block_sizes[int(block)] if 0 <= block < algebra.n_blocks else 0
+    for name, index in (("block", block), ("i", i), ("j", j)):
+        check_count(name, index)
+    n = algebra.block_sizes[block] if 0 <= block < algebra.n_blocks else 0
     if not (0 <= i < n and 0 <= j < n):
         raise BadRangeError(f"no matrix unit e_{i},{j} in block {block} of {algebra}")
-    for name, index in (("block", block), ("i", i), ("j", j)):  # int() let a float block by
-        check_count(name, index, 0)
     blocks = [np.zeros((s, s)) for s in algebra.block_sizes]
     blocks[block][i, j] = 1.0
     return from_embedded(algebra, embed_blocks(algebra, blocks))

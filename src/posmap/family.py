@@ -36,7 +36,7 @@ import numpy as np
 
 from .algebra import MAX_SIZE, FiniteCStar, _contraction, unit_stack
 from .errors import BadRangeError
-from .linalg import DEFAULT_SAMPLES, as_complex, check_count, op_norm
+from .linalg import DEFAULT_SAMPLES, as_complex, check_count, max_op_norm, op_norm
 from .maps import PMap
 from .positivity import DEFAULT_RESTARTS, MAX_RESTARTS, KposVerdict, _threshold
 from .positivity import k_positivity_falsify, trace_mixing_apply
@@ -175,9 +175,9 @@ def verify_corner_family(
     _check_params(n, m, lam, eps)
     alg_n = FiniteCStar((n,))
     units = unit_stack(alg_n)  # checks the image budget before anything is drawn, so n <= 45
+    check_count("k", k)
     if not (1 <= k < n):
         raise BadRangeError(f"need 1 <= k < n, got k={k}, n={n}")
-    check_count("k", k, 1)
     check_count("samples", samples, 1)
     check_count("a seed", seed, 0)
     check_count("restarts", restarts, 1, MAX_RESTARTS)
@@ -216,9 +216,7 @@ def verify_corner_family(
         )
         for u in units
     ])
-    closed_form_dev = float(
-        op_norm(composed - prefactor * trace_mixing_apply(units, lam_tilde)).max()
-    )
+    closed_form_dev = max_op_norm(composed - prefactor * trace_mixing_apply(units, lam_tilde))
 
     exceeds = lam_tilde_f > lo  # lo is the (k+1)-threshold
 

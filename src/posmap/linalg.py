@@ -12,8 +12,10 @@ and pseudo-inverses from one eigh call, with the same Hermitian test at
 HERM_TOL, and drops eigenvalues <= SUPPORT_CUTOFF * ||b||. A tolerance that
 is not finite and >= TOL_FLOOR (below it a verdict is the sign of a rounding
 error), or a count check_count refuses, raises BadRangeError. op_norm takes a
-matrix or a (..., N, N) stack. A LAPACK failure or an overflowed eigenvalue
-or norm raises NumericalFailureError. No function mutates its arguments.
+matrix or a (..., N, N) stack; max_op_norm gives its maximum bit for bit, skipping
+each SVD whose bound N max|M_ij| cannot reach it even with the SVD's rounding. A
+LAPACK failure or an overflowed eigenvalue or norm raises NumericalFailureError.
+No function mutates its arguments.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ PSD_TOL = 1e-9
 SUPPORT_CUTOFF = 1e-10
 TOL_FLOOR = 1e-12  # above eigvalsh's backward error p*u = 2.2e-13 at the budget's p = 2025
 DEFAULT_SAMPLES = 100
+_NORM_SLACK = 1e-8  # far above the SVD's relative error p(N) u, about 2.3e-13 at N = 2048
 
 
 def check_tol(tol: float) -> None:
@@ -42,13 +45,13 @@ def check_tol(tol: float) -> None:
         raise BadRangeError(f"need a finite tolerance >= {TOL_FLOOR}, got {tol!r}")
 
 
-def check_count(name: str, value, lo: int, hi: int | None = None) -> None:
+def check_count(name: str, value, lo: int | None = None, hi: int | None = None) -> None:
     """Raise BadRangeError unless value is a Python or numpy integer (not a bool) in [lo, hi]."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise BadRangeError(f"{name} must be an integer, got {value!r}")
     if hi is not None and not lo <= value <= hi:
         raise BadRangeError(f"need {lo} <= {name} <= {hi}, got {value}")
-    if value < lo:
+    if lo is not None and value < lo:  # no lo: integrality only, ahead of a compound test
         raise BadRangeError(f"need {name} >= {lo}, got {value}")
 
 
@@ -119,6 +122,28 @@ def op_norm(m):
     if not np.all(np.isfinite(norms)):
         raise NumericalFailureError("operator norm is not finite")
     return float(norms) if m.ndim == 2 else norms
+
+
+def max_op_norm(stack) -> float:
+    """float(op_norm(stack).max()), bit for bit, from the SVDs that can change it.
+
+    ||M|| <= N max|M_ij| for N x N M, a bound that cannot underflow or overflow before
+    the entries do. The largest bound gets the first SVD; a matrix is skipped when zero
+    or when bound (1 + _NORM_SLACK) + tiny is at most that norm. The SVD is backward
+    stable, so a computed ||M|| is within p(N) u ||M|| of the exact one (tiny covers
+    subnormals): no skipped SVD could raise the maximum. NaN and inf come first in
+    argmax and raise NumericalFailureError as in op_norm; an empty stack gives 0.0.
+    """
+    m = as_complex(stack)
+    if m.size == 0:
+        return 0.0
+    m = m.reshape((-1,) + m.shape[-2:])
+    bound = max(m.shape[-2:]) * np.abs(m).max(axis=(-2, -1))
+    top = int(np.argmax(bound))
+    best = op_norm(m[top])
+    skip = (bound == 0) | (bound * (1 + _NORM_SLACK) + np.finfo(float).tiny <= best)
+    skip[top] = True
+    return best if skip.all() else max(best, float(op_norm(m[~skip]).max()))
 
 
 def psd_min_eig(h: np.ndarray, tol: float = HERM_TOL) -> float:

@@ -29,15 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    MAX_SIZE,
     Element,
     FiniteCStar,
     _ginibre,
     _wishart,
     block_mask,
+    check_image_budget,
     embed_blocks,
     embed_stack,
     from_embedded,
-    unit_stack,
 )
 from .errors import (
     BadRangeError,
@@ -51,8 +52,8 @@ from .errors import (
     PreconditionFailedError,
 )
 from .linalg import HERM_TOL, PSD_TOL, check_count, hermitian_kernel, hermitian_part
-from .linalg import op_norm, polar_unitary, require_square, spectral_apply
-from .maps import PMap
+from .linalg import max_op_norm, op_norm, polar_unitary, require_square, spectral_apply
+from .maps import PMap, _block_runs
 
 
 # -- defect functionals ------------------------------------------------------
@@ -83,18 +84,30 @@ def one_var_defect(phi: PMap, a: Element) -> float:
 
 def _one_var(phi: PMap, probes: np.ndarray, fp: np.ndarray, f1: np.ndarray) -> float:
     """Worst ||phi(a)^2 - phi(a^2) phi(1)|| over a (p, Ds, Ds) probe stack with images fp."""
-    return float(op_norm(fp @ fp - phi.act(probes @ probes) @ f1).max())
+    return max_op_norm(fp @ fp - phi.act(probes @ probes) @ f1)
 
 
-def _od_sup(
-    phi: PMap, probes: np.ndarray, fp: np.ndarray,
-    units: np.ndarray, unit_images: np.ndarray, f1: np.ndarray,
-) -> float:
-    """Worst OD-identity deviation over a probe stack with images fp and every matrix unit."""
-    fa = fp[:, None]
-    left = fa @ unit_images - f1 @ phi.act(probes[:, None] @ units)
-    right = unit_images @ fa - phi.act(units @ probes[:, None]) @ f1
-    return float(max(op_norm(left).max(), op_norm(right).max()))
+def _od_sup(phi: PMap, probes: np.ndarray, fp: np.ndarray, f1: np.ndarray) -> float:
+    """Worst OD-identity deviation over a (p, Ds, Ds) probe stack with images fp and every unit.
+
+    In a block, phi(a e_rc) = sum_i a_ir phi(e_ic) and phi(e_rc a) = sum_j a_cj phi(e_rj),
+    the latter in (c, r) order. Each product is one GEMM per probe, of a shape free of p.
+    """
+    p, d, sizes = len(probes), len(f1), phi.source.block_sizes
+    fl, fr, mirrored = [], [], []
+    for n, at, t in zip(sizes, np.cumsum((0,) + sizes), _block_runs(phi.source, phi.transfer)):
+        a = probes[:, at : at + n, at : at + n]
+        t = t.reshape(n, n, d * d)  # [i, c] is phi(e_ic)
+        m = t.swapaxes(0, 1).reshape(n, -1)  # [j, r] is phi(e_rj)
+        fl.append((a.swapaxes(1, 2) @ t.reshape(n, -1)).reshape(p, -1, d, d))
+        fr.append((a @ m).reshape(p, -1, d))
+        mirrored.append(m.reshape(-1, d))
+    fl = np.concatenate(fl, axis=1).swapaxes(1, 2).reshape(p, d, -1)  # [p, z, (u, y)]
+    left = fp @ phi.transfer.reshape(-1, d, d).swapaxes(0, 1).reshape(d, -1) - f1 @ fl
+    od = max_op_norm(left.reshape(p, d, -1, d).swapaxes(1, 2))
+    del fl, left  # freed before the mirrored side is built
+    right = np.concatenate(mirrored) @ fp - np.concatenate(fr, axis=1) @ f1  # [p, (u, x), y]
+    return max(od, max_op_norm(right.reshape(p, -1, d, d)))
 
 
 def od_defect(phi: PMap, a: Element) -> float:
@@ -104,11 +117,10 @@ def od_defect(phi: PMap, a: Element) -> float:
     ||phi(b)phi(a) - phi(ba)phi(1)||; zero iff both identities hold for
     every b by linearity.
     """
-    units = unit_stack(phi.source)
+    check_image_budget(phi.source.dim, phi.source.embed_dim)  # as order_zero_defect's sources
     f1 = phi.act(np.eye(phi.source.embed_dim))
-    unit_images = phi.transfer.reshape(-1, *f1.shape)  # row u of T is phi(e_u)
     probes = embed_stack(phi.source, [a])
-    return _od_sup(phi, probes, phi.act(probes), units, unit_images, f1)
+    return _od_sup(phi, probes, phi.act(probes), f1)
 
 
 def kadison_gap(phi: PMap, a: Element) -> float:
@@ -204,12 +216,11 @@ def order_zero_defect(phi: PMap, samples: int, seed: int) -> DefectReport:
     """
     check_count("samples", samples, 1)
     check_count("a seed", seed, 0)
-    rng = np.random.default_rng(seed)
     src = phi.source
-    units = unit_stack(src)
+    check_image_budget(src.dim, src.embed_dim)  # a batch draws dim samples of Ds^2 entries
+    rng = np.random.default_rng(seed)
     f1 = phi.act(np.eye(src.embed_dim))
-    unit_images = phi.transfer.reshape(-1, *f1.shape)  # row u of T is phi(e_u)
-    chunk = max(1, _CHUNK_ENTRIES // (2 * max(units.size, unit_images.size)))
+    chunk = max(1, _CHUNK_ENTRIES // (2 * src.dim * max(src.embed_dim, len(f1)) ** 2))
     one_var = orth = od = 0.0
     for start in range(0, samples, chunk * src.dim):
         batch = _sample_stacks(rng, src, min(chunk * src.dim, samples - start))
@@ -218,9 +229,9 @@ def order_zero_defect(phi: PMap, samples: int, seed: int) -> DefectReport:
             probes = np.concatenate([w, p])
             fp = phi.act(probes)
             one_var = max(one_var, _one_var(phi, probes, fp, f1))
-            od = max(od, _od_sup(phi, probes, fp, units, unit_images, f1))
+            od = max(od, _od_sup(phi, probes, fp, f1))
             fa, fb = phi.act(np.stack([a, b]))
-            orth = max(orth, float(op_norm(fa @ fb).max()))
+            orth = max(orth, max_op_norm(fa @ fb))
     return DefectReport(
         one_var_sup=one_var, orth_pair_sup=orth, od_sup=od, samples=samples, seed=seed
     )
@@ -257,13 +268,12 @@ def oz_decompose(phi: PMap) -> OzDecomposition:
         raise NumericalFailureError("phi(1) or its Hermitian part is not finite")
     inverse, support = spectral_apply(hs, lambda v: 1.0 / v, np.ones_like)
     pis = inverse @ unit_images @ support
-    mult, _, same = _relation_defects(phi.source, pis)
     return OzDecomposition(
         h=h,
         pi_images=tuple(from_embedded(phi.target, m) for m in pis),
-        mult_defect=float(mult[same].max()),
-        commute_defect=float(op_norm(hm @ pis - pis @ hm).max()),
-        reconstruct_defect=float(op_norm(hm @ pis - unit_images).max()),
+        mult_defect=max(max_op_norm(p[same]) for same, p in _product_defects(phi.source, pis)),
+        commute_defect=max_op_norm(hm @ pis - pis @ hm),
+        reconstruct_defect=max_op_norm(hm @ pis - unit_images),
     )
 
 
@@ -274,25 +284,28 @@ def _unit_label(algebra: FiniteCStar, u: int) -> tuple[int, int, int]:
     return (bi,) + divmod(u - int(np.sum(sizes[:bi] ** 2)), int(sizes[bi]))
 
 
-def _relation_defects(algebra: FiniteCStar, pis: np.ndarray):
-    """How far a (dim, D, D) stack of unit images is from a *-homomorphism.
-
-    Returns the (dim, dim) defects ||pi(e_u) pi(e_v) - pi(e_u e_v)||, the
-    (dim,) defects ||pi(e_u)* - pi(e_u*)|| and the (dim, dim) mask of unit
-    pairs from one block. In embedded coordinates e_u e_v is the unit at
-    (row of u, column of v) when the column of u is the row of v, and zero
-    otherwise.
-    """
+def _unit_index(algebra: FiniteCStar):
+    """(rows, cols, index, block): each unit's embedded position and block; the unit at index."""
     rows, cols = np.nonzero(block_mask(algebra))
-    block = np.repeat(np.arange(algebra.n_blocks), algebra.block_sizes)[rows]
     index = np.zeros((algebra.embed_dim,) * 2, dtype=np.intp)
     index[rows, cols] = np.arange(algebra.dim)
-    mult = np.empty((algebra.dim, algebra.dim))
-    for u in range(algebra.dim):
-        meets = (rows == cols[u])[:, None, None]
-        mult[u] = op_norm(pis[u] @ pis - np.where(meets, pis[index[rows[u], cols]], 0.0))
-    star = op_norm(np.swapaxes(pis, -2, -1).conj() - pis[index[cols, rows]])
-    return mult, star, block[:, None] == block[None, :]
+    return rows, cols, index, np.repeat(np.arange(algebra.n_blocks), algebra.block_sizes)[rows]
+
+
+def _product_defects(algebra: FiniteCStar, pis: np.ndarray):
+    """Yield (same, pi(e_u) pi(e_v) - pi(e_u e_v)) for a chunk of units u and every unit v.
+
+    same masks the pairs from one block. Each (chunk, dim, D, D) stack holds at most
+    MAX_SIZE**2 entries unless one unit's row does. Embedded, e_u e_v is the unit at
+    (row of u, column of v) when the column of u is the row of v, and zero otherwise.
+    """
+    rows, cols, index, block = _unit_index(algebra)
+    step = max(1, MAX_SIZE**2 // pis[0].size // len(pis))
+    for us in (np.s_[at : at + step] for at in range(0, len(pis), step)):
+        prod = pis[us, None] @ pis
+        meets = cols[us, None] == rows
+        prod[meets] -= pis[index[rows[us, None], cols][meets]]
+        yield block[us, None] == block, prod
 
 
 def oz_construct(source: FiniteCStar, pi_images: list[Element], h: Element) -> PMap:
@@ -310,7 +323,10 @@ def oz_construct(source: FiniteCStar, pi_images: list[Element], h: Element) -> P
     _check_positive_contraction(hm, "h")
     target = h.algebra
     pis = embed_stack(target, pi_images)
-    mult, star, same = _relation_defects(source, pis)
+    rows, cols, index, block = _unit_index(source)
+    mult = np.concatenate([op_norm(prod) for _, prod in _product_defects(source, pis)])
+    star = op_norm(np.swapaxes(pis, -2, -1).conj() - pis[index[cols, rows]])
+    same = block[:, None] == block
     commute = op_norm(hm @ pis - pis @ hm)
     # report the first unit that fails, checking star, commutation, then products
     bad_mult = same & (mult > HERM_TOL)
@@ -349,7 +365,7 @@ def cp_repair(phi: PMap) -> tuple[PMap, float]:
     n = phi.source.block_sizes[0]
     d = phi.target.embed_dim
     img = phi.transfer.reshape(n, n, d, d)
-    eps = float(op_norm(img[:, :1] @ img[:1, :] - img).max())
+    eps = max_op_norm(img[:, :1] @ img[:1, :] - img)
     # the bump a -> n eps Tr(a) 1 has Choi matrix n eps 1
     bump = PMap.from_choi(phi.source, phi.target, [n * eps * np.eye(n * d)])
     return phi + bump, eps

@@ -50,10 +50,10 @@ def _threshold(n: int, k: int) -> Fraction:
 
 def tomiyama_threshold(n: int, k: int) -> float:
     """Largest lambda for which the trace-mixing map on M_n is k-positive."""
-    if not (1 <= k <= n) or n * k < 2:
+    check_count("n", n)
+    check_count("k", k)
+    if not (1 <= k <= n) or n * k < 2:  # so n >= 2 and k >= 1
         raise BadRangeError(f"need 1 <= k <= n and nk >= 2, got n={n}, k={k}")
-    check_count("n", n, 2)
-    check_count("k", k, 1)
     return float(_threshold(n, k))
 
 

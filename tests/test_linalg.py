@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posmap
-from posmap import linalg
+from posmap import linalg, orderzero
 from posmap.errors import (
     BadRangeError,
     NonSquareError,
@@ -114,6 +114,101 @@ class TestOpNorm:
             linalg.op_norm(huge @ huge)  # inf entries
         with pytest.raises(NumericalFailureError):
             linalg.op_norm(np.array([[1.5e308, 1.5e308], [0.0, 0.0]]))  # finite, norm overflows
+
+
+def _count_svd_rows(monkeypatch) -> list:
+    """Record the matrices of every numpy SVD call (np.linalg.norm calls the module's svd)."""
+    module = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # numpy 2 / numpy 1
+    rows, svd = [], module.svd
+
+    def counted(a, *args, **kwargs):
+        rows.append(int(np.prod(np.shape(a)[:-2])))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(module, "svd", counted)
+    return rows
+
+
+def _op_norm_max(stack) -> float:
+    return float(linalg.op_norm(stack).max())
+
+
+class TestMaxOpNorm:
+    """max_op_norm is float(op_norm(stack).max()), bit for bit, from fewer SVDs."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e150, 1e300])
+    @pytest.mark.parametrize("shape", [(40, 5, 5), (3, 7, 4, 4), (9, 1, 1), (6, 2, 2)])
+    def test_random_stacks_bit_for_bit(self, scale, shape):
+        rng = np.random.default_rng(len(shape) + shape[-1])
+        for _ in range(5):
+            spread = 10.0 ** rng.uniform(-3, 0, size=shape[:-2] + (1, 1))
+            stack = scale * spread * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            assert linalg.max_op_norm(stack).hex() == _op_norm_max(stack).hex()
+
+    def test_one_dominant_matrix_takes_one_svd(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        stack = 1e-6 * np.array([ginibre(rng, 5) for _ in range(50)])
+        stack[17] = 1e6 * stack[17]
+        want = _op_norm_max(stack)
+        rows = _count_svd_rows(monkeypatch)
+        assert linalg.max_op_norm(stack) == want
+        assert rows == [1]
+
+    def test_all_zero_takes_one_svd(self, monkeypatch):
+        rows = _count_svd_rows(monkeypatch)
+        assert linalg.max_op_norm(np.zeros((30, 4, 4))) == 0.0
+        assert rows == [1]
+
+    def test_rank_one_norm_is_frobenius(self):
+        # sigma_max = ||u v*|| = ||u|| ||v|| = ||u v*||_F, the case farthest from N max|M_ij|
+        rng = np.random.default_rng(4)
+        u, v = ginibre(rng, 6)[:, :6], ginibre(rng, 6)[:, :6]
+        stack = u[:, :, None] * v.conj()[:, None, :]
+        got = linalg.max_op_norm(stack)
+        assert got.hex() == _op_norm_max(stack).hex()
+        frob = np.linalg.norm(stack, axis=(-2, -1)).max()
+        assert got == pytest.approx(frob, rel=1e-14)
+
+    def test_bound_tying_the_running_maximum(self):
+        # [[4, 0], [0, 0]] has the largest bound (8) and norm 4; the all-2 matrix has
+        # bound 2 * 2 = 4 and norm 4: it ties and must still be measured
+        stack = np.array([[[4.0, 0.0], [0.0, 0.0]], [[2.0, 2.0], [2.0, 2.0]], [[3.0, 0], [0, 1]]])
+        assert linalg.max_op_norm(stack).hex() == _op_norm_max(stack).hex()
+        ones = np.full((4, 1, 1), -3.0 + 0j)  # 1 x 1: every bound is the norm itself
+        assert linalg.max_op_norm(ones) == 3.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), complex(-np.inf, 0)])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_anywhere_is_numerical_failure(self, bad):
+        rng = np.random.default_rng(2)
+        stack = np.array([ginibre(rng, 3) for _ in range(8)])
+        stack[:4] *= 1e-9  # the bad entry sits in a matrix a finite bound would skip
+        for at in (0, 3, 7):
+            s = stack.copy()
+            s[at, 1, 2] = bad
+            with pytest.raises(NumericalFailureError):
+                linalg.max_op_norm(s)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 0), (0, 0)])
+    def test_empty_stack_is_zero(self, shape):
+        assert linalg.max_op_norm(np.zeros(shape)) == 0.0
+
+    def test_exact_order_zero_leg_takes_few_svd_rows(self, monkeypatch):
+        # 0.3 id, a leg of orderzero_certificate: its OD stacks are exactly zero
+        algebra = posmap.FiniteCStar((2, 3))
+        phi = 0.3 * posmap.PMap.identity(algebra)
+        w, _, _, p = orderzero._sample_stacks(np.random.default_rng(1), algebra, 10)
+        probes = np.concatenate([w, p])
+        f1 = phi.act(np.eye(5))
+        rows = _count_svd_rows(monkeypatch)
+        assert orderzero._od_sup(phi, probes, phi.act(probes), f1) == 0.0
+        assert rows == [1, 1]  # of two stacks of 20 * dim = 260 matrices each
+        rows.clear()
+        posmap.order_zero_defect(phi, samples=30, seed=1)
+        # per sample: w and p in the one-variable stack, 2 * 2 * dim OD matrices, one
+        # pair; 30 more rows per block normalise the Wishart draws
+        stacked = 30 * (2 + 4 * algebra.dim + 1) + 30 * 2
+        assert sum(rows) * 10 < stacked
 
 
 class TestPsdMinEig:
@@ -447,13 +542,16 @@ COUNT_CALLS = {
 }
 
 
-@pytest.mark.parametrize("value", [2.5, 2.0, True], ids=["2.5", "2.0", "True"])
+@pytest.mark.parametrize(
+    "value", [2.5, 2.0, True, None, "1"], ids=["2.5", "2.0", "True", "None", "'1'"]
+)
 @pytest.mark.parametrize("entry", sorted(COUNT_CALLS))
 def test_non_integer_count_is_bad_range(entry, value):
+    # a non-number reaches no range test: the compound ones raised TypeError on it
     call, passes_range = COUNT_CALLS[entry]
     with pytest.raises(BadRangeError) as info:
         call(value)
-    if passes_range(value):
+    if not isinstance(value, (int, float)) or passes_range(value):
         assert "must be an integer" in str(info.value)
 
 
@@ -478,6 +576,10 @@ def test_check_count_messages(value, hi, message):
 def test_check_count_accepts_python_and_numpy_integers():
     for value in (1, 4, np.int64(2), np.uint8(4), np.int32(1)):
         linalg.check_count("k", value, 1, 4)
+    for value in (-5, 0, np.int64(10**6)):  # no lo: integrality only
+        linalg.check_count("k", value)
+    with pytest.raises(BadRangeError, match=re.escape("k must be an integer, got None")):
+        linalg.check_count("k", None)
 
 
 def _same_fields(a, b):

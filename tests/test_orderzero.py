@@ -150,17 +150,17 @@ class TestOrderZeroDefectReport:
             order_zero_defect(c * PMap.identity(M2), samples=1, seed=0)
 
     def test_probe_images_computed_once(self, monkeypatch):
-        # the unit images are read from the transfer matrix, not acted out, and the
-        # samples are acted on as stacked chunks: 51 calls when it acted per sample
+        # the unit images are read from the transfer matrix and the OD products are
+        # contractions of it, not acted out; the samples are acted on as stacked chunks
         calls = []
         act = PMap.act
         monkeypatch.setattr(PMap, "act", lambda self, xs: calls.append(1) or act(self, xs))
         phi = tomiyama_map(3, 1.2)
         assert chunk_size(phi) == 50
         order_zero_defect(phi, samples=10, seed=0)
-        assert len(calls) == 6  # phi(1) once, then five per chunk
+        assert len(calls) == 4  # phi(1) once, then three per chunk
         order_zero_defect(phi, samples=51, seed=0)
-        assert len(calls) == 6 + 11
+        assert len(calls) == 4 + 7
 
 
 class TestOdDefect:
@@ -307,6 +307,36 @@ class TestOzDecompose:
         monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
         oz_decompose(phi)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("budget,rows", [(13, 2), (8, 1)])
+    def test_mult_defect_chunks_within_the_budget(self, budget, rows, monkeypatch):
+        # dim = 5 units of size D = 4: one unit's row of products is 5 * 16 = 80 entries,
+        # so MAX_SIZE = 13 (169 entries) gives chunks of two units, and 8 (64) of one
+        source, target = FiniteCStar((2, 1)), FiniteCStar((2, 2))
+        phi = random_map(np.random.default_rng(76), source, target, cp=True)
+        want = oz_decompose(phi)
+        pis = np.array([p.embedded() for p in want.pi_images])
+        per_pair = lambda: [op_norm(p) for _, p in orderzero._product_defects(phi.source, pis)]
+        full = np.concatenate(per_pair())
+        sizes = []
+        chunks = orderzero._product_defects
+
+        def recorded(algebra_, pis_):
+            for same, prod in chunks(algebra_, pis_):
+                sizes.append((len(same), prod.size))
+                yield same, prod
+
+        monkeypatch.setattr(orderzero, "MAX_SIZE", budget)
+        monkeypatch.setattr(orderzero, "_product_defects", recorded)
+        got = oz_decompose(phi)
+        for field in ("mult_defect", "commute_defect", "reconstruct_defect"):
+            assert getattr(got, field).hex() == getattr(want, field).hex()
+        assert all(size <= max(budget**2, 80) for _, size in sizes)  # one row is never split
+        assert all(n == rows for n, _ in sizes[:-1])
+        assert sum(n for n, _ in sizes) == 5
+        sizes.clear()
+        assert np.array_equal(np.concatenate(per_pair()), full)  # oz_construct's per-pair values
+        assert len(sizes) == -(-5 // rows)
 
 
 class TestOzConstruct:
@@ -738,9 +768,7 @@ def reference_order_zero_defect(phi, samples, seed):
     """order_zero_defect one sample at a time: draw, act and take norms per sample."""
     rng = np.random.default_rng(seed)
     src = phi.source
-    units = algebra.unit_stack(src)
     f1 = phi.act(np.eye(src.embed_dim))
-    unit_images = phi.transfer.reshape(-1, *f1.shape)
     one_var = orth = od = 0.0
     for _ in range(samples):
         w = embed_blocks(src, wishart_blocks(rng, src.block_sizes))
@@ -748,10 +776,51 @@ def reference_order_zero_defect(phi, samples, seed):
         probes = np.stack([w, p])
         fp = phi.act(probes)
         one_var = max(one_var, _one_var(phi, probes, fp, f1))
-        od = max(od, _od_sup(phi, probes, fp, units, unit_images, f1))
+        od = max(od, _od_sup(phi, probes, fp, f1))
         fa, fb = phi.act(np.stack([a, b]))
         orth = max(orth, op_norm(fa @ fb))
     return one_var, orth, od
+
+
+def reference_od_sup(phi, probes, fp, f1):
+    """_od_sup on the dense (dim, Ds, Ds) unit stack: every a e_u and e_u a acted out."""
+    units = algebra.unit_stack(phi.source)
+    unit_images = phi.transfer.reshape(-1, *f1.shape)
+    fa = fp[:, None]
+    left = fa @ unit_images - f1 @ phi.act(probes[:, None] @ units)
+    right = unit_images @ fa - phi.act(units @ probes[:, None]) @ f1
+    return float(max(op_norm(left).max(), op_norm(right).max()))
+
+
+OD_SOURCES = [
+    FiniteCStar((2, 1, 2)), FiniteCStar((3,)), FiniteCStar((1, 3)), FiniteCStar((1, 1, 1))
+]
+OD_TARGETS = [FiniteCStar((1, 1, 2)), FiniteCStar((2, 3)), FiniteCStar((4,))]
+
+
+@pytest.mark.parametrize("cp", [False, True])
+@pytest.mark.parametrize("source", OD_SOURCES)
+def test_od_sup_matches_the_dense_unit_stack(source, cp):
+    # the contractions of T add the same products as the dense stack, less its zeros,
+    # so they agree to rounding; exact order-zero maps stay exactly zero
+    rng = np.random.default_rng(91)
+    for target in OD_TARGETS:
+        phi = random_map(rng, source, target, cp=cp)
+        w, a, b, p = _sample_stacks(rng, source, 3)
+        probes = np.concatenate([w, p, a, b])
+        f1 = phi.act(np.eye(source.embed_dim))
+        fp = phi.act(probes)
+        want = reference_od_sup(phi, probes, fp, f1)
+        assert _od_sup(phi, probes, fp, f1) == pytest.approx(want, rel=1e-15, abs=0)
+        for at in np.s_[0:1], np.s_[5:6]:  # one probe, as od_defect evaluates it
+            want = reference_od_sup(phi, probes[at], fp[at], f1)
+            assert _od_sup(phi, probes[at], fp[at], f1) == pytest.approx(want, rel=1e-15, abs=0)
+    # w id, as every leg of orderzero_certificate: each entry is one product on both paths
+    hom = 0.37 * PMap.identity(source)
+    probes = np.concatenate(_sample_stacks(rng, source, 2))
+    f1 = hom.act(np.eye(source.embed_dim))
+    assert _od_sup(hom, probes, hom.act(probes), f1) == 0.0
+    assert reference_od_sup(hom, probes, hom.act(probes), f1) == 0.0
 
 
 def chunk_size(phi):
@@ -795,8 +864,9 @@ def test_batched_report_is_bit_identical_to_per_sample(source, target, cp, monke
     for samples in (1, 2, chunk - 1, chunk + 1, 3 * chunk + 1, chunk * source.dim + 1):
         acted.clear()
         rep = order_zero_defect(phi, samples=samples, seed=samples)
-        # every sample once: phi(1), then w and p, their squares, both OD stacks, a and b
-        assert sum(acted) == 1 + samples * (6 + 4 * source.dim)
+        # every sample once: phi(1), then w and p, their squares, a and b; the OD
+        # products are contractions of T, not acted out
+        assert sum(acted) == 1 + samples * 6
         got = (rep.one_var_sup, rep.orth_pair_sup, rep.od_sup)
         want = reference_order_zero_defect(phi, samples, samples)
         assert [x.hex() for x in got] == [float(x).hex() for x in want], samples
