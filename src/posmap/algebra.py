@@ -223,7 +223,7 @@ def spanning_positive_contractions(algebra: FiniteCStar) -> list[Element]:
         iu, ju = np.triu_indices(len(e), 1)  # i < j, row-major
         # rows e_i + e_j and e_i + i e_j, pair by pair
         v = (e[iu, None] + np.array([1.0, 1.0j])[:, None] * e[ju, None]).reshape(-1, e.shape[1])
-        projections = v[:, :, None] * v.conj()[:, None, :] / 2.0  # a normalised v squares to 0.4999...
+        projections = v[:, :, None] * v.conj()[:, None, :] / 2.0  # v/|v| gives 0.4999..., not 0.5
         units = e[:, :, None] * e[:, None, :]
         out += [from_embedded(algebra, m) for m in np.concatenate([units, projections])]
     return out

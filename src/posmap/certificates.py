@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,7 +37,7 @@ from .errors import (
     SchemaVersionMismatchError,
     StructurallyInvalidError,
 )
-from .linalg import DEFAULT_SAMPLES, PSD_TOL, check_count, check_tol
+from .linalg import DEFAULT_SAMPLES, PSD_TOL, _is_real, check_count, check_tol
 from .maps import PMap, pmap_norm
 from .orderzero import order_zero_defect, oz_decompose
 from .positivity import (
@@ -72,15 +71,12 @@ class DrCertificate:
 
 def direct_sum(summands) -> FiniteCStar:
     """The direct sum of FiniteCStar algebras: concatenated block sizes."""
-    blocks: list[int] = []
-    for s in summands:
-        blocks.extend(s.block_sizes)
-    return FiniteCStar(tuple(blocks))
+    return FiniteCStar(tuple(n for s in summands for n in s.block_sizes))
 
 
 def _epsilon_ok(epsilon) -> bool:
-    """The one rule for a certificate's epsilon: a finite float > 0 (NaN and huge ints fail)."""
-    return 0 < epsilon <= sys.float_info.max
+    """The one rule for a certificate's epsilon: a real number (not a bool), finite and > 0."""
+    return _is_real(epsilon) and 0 < epsilon < np.inf
 
 
 def _check_structure(cert: DrCertificate) -> None:
@@ -156,9 +152,7 @@ class VerifyReport:
     overall: bool
 
 
-def _two_positive_check(
-    phi: PMap, tol: float, seed: int, restarts: int
-) -> TwoPositiveCheck:
+def _two_positive_check(phi: PMap, tol: float, seed: int, restarts: int) -> TwoPositiveCheck:
     if is_cp(phi, tol):
         return TwoPositiveCheck(CERTIFIED_POSITIVE, None)
     verdict = k_positivity_falsify(phi, 2, restarts=restarts, seed=seed, tol=tol)
@@ -198,26 +192,21 @@ def verify_certificate(
         dec = oz_decompose(phi)
         nrm = dec.h.norm()  # h = phi(1)
         rep = order_zero_defect(phi, samples=samples, seed=seed + i)
-        oz_ok = (
-            dec.mult_defect <= tol
-            and dec.commute_defect <= tol
-            and dec.reconstruct_defect <= tol
-            and rep.one_var_sup <= tol
-            and rep.orth_pair_sup <= tol
-            and rep.od_sup <= tol
-        )
+        defects = {
+            "mult_defect": dec.mult_defect,
+            "commute_defect": dec.commute_defect,
+            "reconstruct_defect": dec.reconstruct_defect,
+            "one_var_sup": rep.one_var_sup,
+            "orth_pair_sup": rep.orth_pair_sup,
+            "od_sup": rep.od_sup,
+        }
         legs.append(
             LegReport(
                 contraction_norm=nrm,
                 contraction_ok=nrm <= 1 + tol,
                 two_positive=_two_positive_check(phi, tol, seed + i, restarts),
-                mult_defect=dec.mult_defect,
-                commute_defect=dec.commute_defect,
-                reconstruct_defect=dec.reconstruct_defect,
-                one_var_sup=rep.one_var_sup,
-                orth_pair_sup=rep.orth_pair_sup,
-                od_sup=rep.od_sup,
-                order_zero_ok=oz_ok,
+                order_zero_ok=all(v <= tol for v in defects.values()),  # a NaN fails
+                **defects,
             )
         )
 
@@ -292,6 +281,8 @@ def _partition_certificate(
     """The certificate of orderzero_certificate; the default test set is drawn after every check."""
     if not _epsilon_ok(epsilon):
         raise BadRangeError(f"epsilon must be finite and > 0, got {epsilon!r}")
+    if not isinstance(weights, (list, tuple, np.ndarray)) or not all(map(_is_real, weights)):
+        raise BadWeightsError(f"weights must be a list of real numbers, got {weights!r}")
     weights = [float(w) for w in weights]
     # written so that a NaN fails each rule
     if not weights or not all(w > 0 for w in weights):
@@ -371,17 +362,22 @@ def _decode_algebra(data, where: str) -> FiniteCStar:
         raise ParseError(f"{where}.blocks: {exc}") from exc
 
 
-def _decode_blocks(data, key: str, sizes, where: str) -> list[np.ndarray]:
+def _decode_list(data, where: str, decode, count: Optional[int] = None) -> tuple:
+    """The list data, of count entries if given; entry i is decode(i, data[i], f"{where}[{i}]")."""
+    if not isinstance(data, list):
+        raise ParseError(f"{where}: expected a list")
+    if count is not None and len(data) != count:
+        raise ParseError(f"{where}: expected {count} entries, got {len(data)}")
+    return tuple(decode(i, entry, f"{where}[{i}]") for i, entry in enumerate(data))
+
+
+def _decode_blocks(data, key: str, sizes, where: str) -> tuple[np.ndarray, ...]:
     """The square matrices listed under data[key], one per entry of sizes."""
     if not isinstance(data, dict) or key not in data:
         raise ParseError(f"{where}: expected an object with '{key}'")
-    raw = data[key]
-    if not isinstance(raw, list) or len(raw) != len(sizes):
-        raise ParseError(f"{where}.{key}: expected {len(sizes)} blocks")
-    return [
-        _decode_matrix(rb, n, f"{where}.{key}[{bi}]")
-        for bi, (rb, n) in enumerate(zip(raw, sizes))
-    ]
+    return _decode_list(
+        data[key], f"{where}.{key}", lambda i, m, at: _decode_matrix(m, sizes[i], at), len(sizes)
+    )
 
 
 def _decode_pmap(data, source: FiniteCStar, target: FiniteCStar, where: str) -> PMap:
@@ -397,7 +393,7 @@ def _decode_element(data, algebra: FiniteCStar, where: str) -> Element:
     return Element(algebra, _decode_blocks(data, "blocks", algebra.block_sizes, where))
 
 
-def _check_schema(doc: dict) -> None:
+def _check_schema(doc: dict, fields) -> None:
     if not isinstance(doc, dict):
         raise ParseError("top level: expected an object")
     version = doc.get("schema_version")
@@ -405,6 +401,9 @@ def _check_schema(doc: dict) -> None:
         raise SchemaVersionMismatchError(
             f"schema_version: expected {SCHEMA_VERSION}, got {version}"
         )
+    for key in fields:
+        if key not in doc:
+            raise ParseError(f"{key}: missing field")
 
 
 def certificate_to_document(cert: DrCertificate) -> dict:
@@ -413,37 +412,23 @@ def certificate_to_document(cert: DrCertificate) -> dict:
 
 
 def certificate_from_document(doc: dict) -> DrCertificate:
-    _check_schema(doc)
-    for key in ("algebra", "d", "summands", "psi", "phis", "test_set", "epsilon"):
-        if key not in doc:
-            raise ParseError(f"{key}: missing field")
+    _check_schema(doc, ("algebra", "d", "summands", "psi", "phis", "test_set", "epsilon"))
     algebra = _decode_algebra(doc["algebra"], "algebra")
     d = doc["d"]
     if type(d) is not int or d < 0:
         raise ParseError("d: expected a nonnegative integer")
-    if not isinstance(doc["summands"], list):
-        raise ParseError("summands: expected a list")
-    summands = tuple(
-        _decode_algebra(s, f"summands[{i}]") for i, s in enumerate(doc["summands"])
+    summands = _decode_list(
+        doc["summands"], "summands", lambda i, s, at: _decode_algebra(s, at), d + 1
     )
-    if len(summands) != d + 1:
-        raise ParseError(f"summands: expected {d + 1} entries, got {len(summands)}")
-    total = direct_sum(summands)
-    psi = _decode_pmap(doc["psi"], algebra, total, "psi")
-    if not isinstance(doc["phis"], list) or len(doc["phis"]) != d + 1:
-        raise ParseError(f"phis: expected {d + 1} entries")
-    phis = tuple(
-        _decode_pmap(p, s, algebra, f"phis[{i}]")
-        for i, (p, s) in enumerate(zip(doc["phis"], summands))
+    psi = _decode_pmap(doc["psi"], algebra, direct_sum(summands), "psi")
+    phis = _decode_list(
+        doc["phis"], "phis", lambda i, p, at: _decode_pmap(p, summands[i], algebra, at), d + 1
     )
-    if not isinstance(doc["test_set"], list):
-        raise ParseError("test_set: expected a list")
-    test_set = tuple(
-        _decode_element(x, algebra, f"test_set[{i}]")
-        for i, x in enumerate(doc["test_set"])
+    test_set = _decode_list(
+        doc["test_set"], "test_set", lambda i, x, at: _decode_element(x, algebra, at)
     )
     epsilon = doc["epsilon"]
-    if type(epsilon) not in (int, float) or not _epsilon_ok(epsilon):
+    if not _epsilon_ok(epsilon):
         raise ParseError("epsilon: expected a finite positive number")
     return DrCertificate(
         algebra=algebra,
@@ -492,10 +477,7 @@ def map_to_document(phi: PMap) -> dict:
 
 
 def map_from_document(doc: dict) -> PMap:
-    _check_schema(doc)
-    for key in ("source", "target", "map"):
-        if key not in doc:
-            raise ParseError(f"{key}: missing field")
+    _check_schema(doc, ("source", "target", "map"))
     source = _decode_algebra(doc["source"], "source")
     target = _decode_algebra(doc["target"], "target")
     return _decode_pmap(doc["map"], source, target, "map")

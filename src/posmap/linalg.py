@@ -10,8 +10,8 @@ within tol iff herm_dev <= tol * scale, and PSD within tol (HermKernel.psd)
 iff also min_eig >= -tol * scale. spectral_apply takes the support projection
 and pseudo-inverses from one eigh call, with the same Hermitian test at
 HERM_TOL, and drops eigenvalues <= SUPPORT_CUTOFF * ||b||. A tolerance that
-is not finite and >= TOL_FLOOR (below it a verdict is the sign of a rounding
-error), or a count check_count refuses, raises BadRangeError. op_norm takes a
+is not a finite non-bool real >= TOL_FLOOR (below it a verdict is the sign of a
+rounding error), or a count check_count refuses, raises BadRangeError. op_norm takes a
 matrix or a (..., N, N) stack; max_op_norm gives its maximum bit for bit, skipping
 each SVD whose bound N max|M_ij| cannot reach it even with the SVD's rounding. A
 LAPACK failure or an overflowed eigenvalue or norm raises NumericalFailureError.
@@ -20,6 +20,7 @@ No function mutates its arguments.
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -39,9 +40,16 @@ DEFAULT_SAMPLES = 100
 _NORM_SLACK = 1e-8  # far above the SVD's relative error p(N) u, about 2.3e-13 at N = 2048
 
 
+def _is_real(value) -> bool:
+    """True for a Python or numpy float, or an integer a float can hold; never for a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    return not isinstance(value, int) or abs(value) <= sys.float_info.max  # exact for an int
+
+
 def check_tol(tol: float) -> None:
-    """Raise BadRangeError unless tol is a finite number >= TOL_FLOOR."""
-    if not (np.isfinite(tol) and tol >= TOL_FLOOR):
+    """Raise BadRangeError unless tol is a real number (not a bool), finite and >= TOL_FLOOR."""
+    if not (_is_real(tol) and TOL_FLOOR <= tol < np.inf):
         raise BadRangeError(f"need a finite tolerance >= {TOL_FLOOR}, got {tol!r}")
 
 

@@ -120,9 +120,7 @@ def witness_verify(phi: PMap, w: Witness, tol: float = DEFAULT_TOL) -> bool:
         raise DimensionMismatchError(f"witness block {w.block} out of range")
     n = phi.source.block_sizes[w.block]
     d = phi.target.embed_dim
-    if len(w.factors_left) != len(w.factors_right):
-        return False
-    if len(w.factors_left) > w.k or len(w.factors_left) == 0:
+    if not 0 < len(w.factors_left) == len(w.factors_right) <= w.k:
         return False
     for a, b in zip(w.factors_left, w.factors_right):
         if a.shape != (n,) or b.shape != (d,):
@@ -280,8 +278,8 @@ def k_positivity_falsify(
     Runs blockwise over the source. VIOLATED carries the re-verified Witness of
     the lowest block minimum below -tol times its own block's scale, as in is_cp
     and witness_verify, and best_value is its value; otherwise best_value is the
-    minimum over all blocks, and the CP fast path upgrades a fruitless search to
-    CERTIFIED_POSITIVE. Deterministic in (seed, restarts): restart r draws its
+    minimum over all blocks, and a fruitless search is CERTIFIED_POSITIVE exactly
+    when is_cp(phi, tol) holds. Deterministic in (seed, restarts): restart r draws its
     start frame from np.random.default_rng([seed, r]), so distinct seeds run
     distinct searches. restarts_capped counts the restarts that spent their
     half-step budget still moving rather than stopping on tolerance.
@@ -294,12 +292,10 @@ def k_positivity_falsify(
     best_value = np.inf
     best = None  # (value, block, factors): the lowest value below its block's -tol * scale
     used = capped = 0
-    kernels = []
     for bi, (c, n) in enumerate(zip(phi.choi_blocks, phi.source.block_sizes)):
         k_eff = min(k, n, d)
         exact = k_eff >= min(n, d)  # a vacuous Schmidt bound: the bottom eigenvector is the minimum
         kernel, vals, vecs = _spectrum(c, vectors=exact)  # raises before a search on overflow
-        kernels.append(kernel)
         if exact:
             value, wmat = float(vals[0]), vecs[:, 0].reshape(n, d)
         else:
@@ -329,6 +325,5 @@ def k_positivity_falsify(
         )
         if witness_verify(phi, w, tol):
             return KposVerdict(VIOLATED, value, used, capped, w)
-    if all(kern.psd(tol) for kern in kernels):  # is_cp, from the kernels already in hand
-        return KposVerdict(CERTIFIED_POSITIVE, float(best_value), used, capped, None)
-    return KposVerdict(UNFALSIFIED, float(best_value), used, capped, None)
+    status = CERTIFIED_POSITIVE if is_cp(phi, tol) else UNFALSIFIED  # the one CP verdict
+    return KposVerdict(status, float(best_value), used, capped, None)

@@ -293,9 +293,9 @@ class TestIsPositive:
             x = algebra.random_contraction(M23, seed)
             assert is_positive(x.adj() * x, 1e-9)
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9, True, None, "1e-9"])
     def test_bad_tolerance_rejected(self, tol):
-        # a NaN tolerance called e_01 and e_01 + e_10 (eigenvalues +-1) positive
+        # a NaN tolerance called e_01 and e_01 + e_10 (eigenvalues +-1) positive, and so did True
         e01 = algebra.basis_element(M2, 0, 0, 1)
         for x in (e01, e01 + e01.adj()):
             with pytest.raises(BadRangeError):

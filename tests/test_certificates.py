@@ -571,6 +571,77 @@ class TestLoaderChecks:
             assert "[re, im] pair" in str(info.value)
 
 
+class TestListReader:
+    """Every list in a certificate file: a list, of the stated length, entry i read as K[i]."""
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("phis",), lambda v: v[:1], "phis: expected 2 entries, got 1"),
+            (("phis",), lambda v: {}, "phis: expected a list"),
+            # the count comes before a malformed entry
+            (("summands",), lambda v: [{"size": 2}], "summands: expected 2 entries, got 1"),
+            (("psi", "choi_blocks"), lambda v: {}, "psi.choi_blocks: expected a list"),
+            (("psi", "choi_blocks"), lambda v: [], "psi.choi_blocks: expected 1 entries, got 0"),
+            (
+                ("phis", 1, "choi_blocks"),
+                lambda v: v * 2,
+                "phis[1].choi_blocks: expected 1 entries, got 2",
+            ),
+            (
+                ("test_set", 0, "blocks"),
+                lambda v: v * 2,
+                "test_set[0].blocks: expected 1 entries, got 2",
+            ),
+            (("test_set", 2), lambda v: [], "test_set[2]: expected an object with 'blocks'"),
+        ],
+    )
+    def test_message(self, path, value, message):
+        with pytest.raises(ParseError) as info:
+            certificate_from_document(_broken_document(path, value))
+        assert type(info.value) is ParseError
+        assert str(info.value) == message
+
+
+class TestNumbersOnly:
+    """A tolerance, an epsilon and a weight are real numbers: not a bool, None or a string."""
+
+    @pytest.mark.parametrize("tol", [True, None, "1e-8"])
+    def test_tolerance_not_a_number_rejected(self, tol):
+        with pytest.raises(BadRangeError, match="tolerance"):
+            verify_certificate(identity_certificate(M2), tol=tol)
+
+    @pytest.mark.parametrize("epsilon", [True, None, "1e-6"])
+    def test_epsilon_not_a_number_rejected(self, epsilon):
+        # True was stored and verified as 1.0; None and a string raised a raw TypeError
+        with pytest.raises(BadRangeError, match="epsilon"):
+            identity_certificate(M2, epsilon=epsilon)
+        with pytest.raises(BadRangeError, match="epsilon"):
+            orderzero_certificate(M2, [0.5, 0.5], epsilon=epsilon)
+        cert = dataclasses.replace(identity_certificate(M2), epsilon=epsilon)
+        with pytest.raises(StructurallyInvalidError, match="epsilon") as info:
+            verify_certificate(cert)
+        assert type(info.value) is StructurallyInvalidError
+        doc = certificate_to_document(identity_certificate(M2))
+        with pytest.raises(ParseError, match="epsilon"):
+            certificate_from_document(dict(doc, epsilon=epsilon))
+
+    @pytest.mark.parametrize(
+        "weights", [[True], [np.True_], ["1"], [None], [10**400], "ab", None, 1.0]
+    )
+    def test_weight_not_a_number_rejected(self, weights):
+        # [True] and ["1"] were read as the weight 1.0; the rest raised a raw Python error
+        with pytest.raises(BadWeightsError, match="weights must be a list of real numbers") as info:
+            orderzero_certificate(M2, weights)
+        assert type(info.value) is BadWeightsError
+
+    def test_numpy_reals_accepted(self):
+        cert = orderzero_certificate(M2, np.array([0.25, 0.75]), epsilon=np.float32(0.5))
+        assert cert.epsilon == np.float32(0.5)
+        assert verify_certificate(cert, tol=np.float64(1e-8)).overall
+        assert verify_certificate(identity_certificate(M2, epsilon=1), tol=1).overall
+
+
 class TestMapFiles:
     def test_round_trip(self, tmp_path):
         phi = tomiyama_map(3, 1.4)

@@ -412,6 +412,21 @@ def test_tolerance_floor():
             linalg.check_tol(tol)
 
 
+@pytest.mark.parametrize(
+    "tol", [True, np.True_, None, "1e-8", [1e-8], pytest.param(10**400, id="10**400"), 1e-8j]
+)
+def test_tolerance_must_be_a_real_number(tol):
+    # True was read as 1.0; None and a string raised a raw TypeError from np.isfinite
+    with pytest.raises(BadRangeError) as info:
+        linalg.check_tol(tol)
+    assert str(info.value) == f"need a finite tolerance >= 1e-12, got {tol!r}"
+
+
+def test_numpy_and_integer_tolerances_accepted():
+    for tol in (np.float32(1e-8), np.float64(1e-8), np.int64(1), 1):
+        linalg.check_tol(tol)
+
+
 def _tol_defaults():
     """Every default of a parameter named tol on the library surface, and the named defaults."""
     fns = [getattr(posmap, name) for name in posmap.__all__]

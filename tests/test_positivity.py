@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from posmap import algebra, family, positivity
 from posmap.algebra import Element, FiniteCStar, unit
-from posmap.errors import BadRangeError, NumericalFailureError
-from posmap.linalg import TOL_FLOOR
+from posmap.errors import BadRangeError, DimensionMismatchError, NumericalFailureError
+from posmap.linalg import TOL_FLOOR, hermitian_kernel
 from posmap.maps import PMap, pmap_norm
 from posmap.positivity import (
     CERTIFIED_POSITIVE,
@@ -76,6 +76,15 @@ def near_threshold_choi(n, k, rng):
     return w @ tomiyama_map(n, thr + delta).choi_blocks[0] @ w.conj().T + pert
 
 
+def boundary_choi_map(rng, tol):
+    """A map on M_3 with Choi matrix U diag(lambda) U*, lambda_min placed on -tol * scale."""
+    u = _haar(rng, 9)
+    lam = rng.uniform(0.1, 1.0, 9)
+    lam[0] = -tol * hermitian_kernel((u * lam) @ u.conj().T).scale
+    c = (u * lam) @ u.conj().T
+    return PMap.from_choi(M3, M3, [(c + c.conj().T) / 2])
+
+
 class TestIsCp:
     def test_transpose_not_cp(self):
         assert not is_cp(transpose_map(2))
@@ -93,10 +102,10 @@ class TestIsCp:
         assert vals[-1] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert is_cp(phi)
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-8])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-8, True, None, "1e-8"])
     def test_bad_tolerance_rejected(self, tol):
         # a NaN tolerance made is_cp pass this non-CP map, and a negative one
-        # let witness_verify accept a positive value
+        # let witness_verify accept a positive value; True was read as 1.0
         phi = tomiyama_map(3, 1.4)
         with pytest.raises(BadRangeError):
             is_cp(phi, tol)
@@ -260,6 +269,19 @@ class TestFalsifier:
             assert (v.status == CERTIFIED_POSITIVE) == is_cp(phi)
             # the exact path runs on the blocks with n <= k; only the 3-block searches
             assert v.restarts_used == 3
+
+    def test_certified_exactly_when_cp_at_the_psd_boundary(self):
+        # CERTIFIED_POSITIVE came from eigh on the exact path and is_cp from eigvalsh; with
+        # lambda_min on -tol * scale they disagreed: check-kpos certified what check-cp refused
+        rng = np.random.default_rng(1)
+        statuses = []
+        for _ in range(100):
+            phi = boundary_choi_map(rng, positivity.DEFAULT_TOL)
+            v = k_positivity_falsify(phi, k=3)
+            statuses.append(v.status)
+            if v.status != VIOLATED:
+                assert (v.status == CERTIFIED_POSITIVE) == is_cp(phi)
+        assert {CERTIFIED_POSITIVE, UNFALSIFIED} <= set(statuses)
 
     def test_exact_path_reads_each_block_once(self, monkeypatch):
         # the kernel pass gives the bottom eigenvector; the second call is witness_verify's
@@ -623,6 +645,27 @@ class TestWitnessVerify:
         # three factors against k=2 must be rejected regardless of value
         assert len(extra.factors_left) == w.k + 1
         assert not witness_verify(phi, extra)
+
+    @pytest.mark.parametrize("left, right", [(0, 0), (2, 1), (1, 2)])  # empty, unequal
+    def test_bad_factor_list_rejected(self, left, right):
+        phi, w = self._violated()
+        assert len(w.factors_left) == len(w.factors_right) == 2  # Schmidt rank k = 2 on M_3
+        bad = dataclasses.replace(
+            w, factors_left=w.factors_left[:left], factors_right=w.factors_right[:right]
+        )
+        assert not witness_verify(phi, bad)
+
+    @pytest.mark.parametrize("block", [1, -1])
+    def test_block_out_of_range_raises(self, block):
+        phi, w = self._violated()
+        with pytest.raises(DimensionMismatchError, match=f"witness block {block} out of range"):
+            witness_verify(phi, dataclasses.replace(w, block=block))
+
+    def test_factor_shape_raises(self):
+        phi, w = self._violated()
+        short = tuple(a[:2] for a in w.factors_left)
+        with pytest.raises(DimensionMismatchError, match="witness factor dimensions"):
+            witness_verify(phi, dataclasses.replace(w, factors_left=short))
 
 
 class TestHierarchyProperties:
