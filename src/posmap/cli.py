@@ -156,6 +156,7 @@ def _cmd_decompose(args) -> tuple[int, dict]:
         "mult_defect": dec.mult_defect,
         "commute_defect": dec.commute_defect,
         "reconstruct_defect": dec.reconstruct_defect,
+        "order_zero_bound": dec.order_zero_bound,
         "within_tol": max(dec.mult_defect, dec.commute_defect, dec.reconstruct_defect)
         <= args.tol,
         "tol": args.tol,

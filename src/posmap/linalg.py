@@ -13,7 +13,7 @@ HERM_TOL, and drops eigenvalues <= SUPPORT_CUTOFF * ||b||. A tolerance that
 is not a finite non-bool real >= TOL_FLOOR (below it a verdict is the sign of a
 rounding error), or a count check_count refuses, raises BadRangeError. op_norm takes a
 matrix or a (..., N, N) stack; max_op_norm gives its maximum bit for bit, skipping
-each SVD whose bound N max|M_ij| cannot reach it even with the SVD's rounding. A
+each SVD whose bound sqrt(||M||_1 ||M||_inf) cannot reach it with the SVD's rounding. A
 LAPACK failure or an overflowed eigenvalue or norm raises NumericalFailureError.
 No function mutates its arguments.
 """
@@ -132,21 +132,27 @@ def op_norm(m):
     return float(norms) if m.ndim == 2 else norms
 
 
+def norm_bounds(stack) -> np.ndarray:
+    """sqrt(||M||_1) sqrt(||M||_inf) >= ||M|| for each M of a non-empty (..., N, N) stack, flat."""
+    mag = np.abs(as_complex(stack)).reshape((-1,) + np.shape(stack)[-2:])
+    return np.sqrt(mag.sum(axis=-2).max(axis=-1)) * np.sqrt(mag.sum(axis=-1).max(axis=-1))
+
+
 def max_op_norm(stack) -> float:
     """float(op_norm(stack).max()), bit for bit, from the SVDs that can change it.
 
-    ||M|| <= N max|M_ij| for N x N M, a bound that cannot underflow or overflow before
-    the entries do. The largest bound gets the first SVD; a matrix is skipped when zero
-    or when bound (1 + _NORM_SLACK) + tiny is at most that norm. The SVD is backward
-    stable, so a computed ||M|| is within p(N) u ||M|| of the exact one (tiny covers
-    subnormals): no skipped SVD could raise the maximum. NaN and inf come first in
+    norm_bounds, never above N max|M_ij| for N x N M, cannot underflow or overflow before
+    the row and column sums do. The largest bound gets the first SVD; a matrix is skipped
+    when zero or when bound (1 + _NORM_SLACK) + tiny is at most that norm. The SVD is
+    backward stable, so a computed ||M|| is within p(N) u ||M|| of the exact one (tiny
+    covers subnormals): no skipped SVD could raise the maximum. NaN and inf come first in
     argmax and raise NumericalFailureError as in op_norm; an empty stack gives 0.0.
     """
     m = as_complex(stack)
     if m.size == 0:
         return 0.0
     m = m.reshape((-1,) + m.shape[-2:])
-    bound = max(m.shape[-2:]) * np.abs(m).max(axis=(-2, -1))
+    bound = norm_bounds(m)
     top = int(np.argmax(bound))
     best = op_norm(m[top])
     skip = (bound == 0) | (bound * (1 + _NORM_SLACK) + np.finfo(float).tiny <= best)

@@ -16,10 +16,11 @@ defects, all reported as plain numbers and never thresholded here:
   matrix-unit basis of b's.
 
 Order-zero maps factor as phi = h pi with h = phi(1) and pi a
-*-homomorphism commuting with h; oz_decompose recovers (h, pi) and reports
-how badly the factorization fails, and oz_construct builds maps from such
-data. cp_repair measures the multiplicativity defect on a matrix-unit
-column and adds the trace bump that restores complete positivity.
+*-homomorphism commuting with h; oz_decompose recovers (h, pi), reports
+how badly the factorization fails and bounds the three defects above from
+that, and oz_construct builds maps from such data. cp_repair measures the
+multiplicativity defect on a matrix-unit column and adds the trace bump
+that restores complete positivity.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .algebra import (
     MAX_SIZE,
     Element,
     FiniteCStar,
-    _ginibre,
     _wishart,
     block_mask,
     check_image_budget,
@@ -51,8 +51,8 @@ from .errors import (
     NumericalFailureError,
     PreconditionFailedError,
 )
-from .linalg import HERM_TOL, PSD_TOL, check_count, hermitian_kernel, hermitian_part
-from .linalg import max_op_norm, op_norm, polar_unitary, require_square, spectral_apply
+from .linalg import _NORM_SLACK, HERM_TOL, PSD_TOL, check_count, hermitian_kernel, hermitian_part
+from .linalg import max_op_norm, norm_bounds, op_norm, polar_unitary, require_square, spectral_apply
 from .maps import PMap, _block_runs
 
 
@@ -173,33 +173,34 @@ _CHUNK_ENTRIES = 2**13
 def _sample_stacks(rng: np.random.Generator, algebra: FiniteCStar, count: int):
     """(w, a, b, p) for count samples, as embedded (count, D, D) stacks.
 
-    Per sample: a Wishart Ginibre matrix g per block, the support masks (never
-    all equal), then per block a Ginibre matrix for the eigenbasis v and the
-    coefficients of a, b >= 0, whose supports in v are disjoint: ab = 0 up to
-    the rounding of v. w = g*g / ||g*g|| and p is the support projection of a.
+    Per sample, one call each: the Wishart Ginibre matrices g of all blocks, the support
+    masks (never all equal), then per block a Ginibre eigenbasis v and the coefficients of
+    a, b >= 0, disjoint in v: ab = 0 up to the rounding of v. One draw of n values is n
+    consecutive draws, bit for bit. w = g*g / ||g*g|| and p is the support projection of a.
     """
     sizes = algebra.block_sizes
-    draws = []
+    gs, masks, draws = [], [], []
     for _ in range(count):
-        gs = [_ginibre(rng, (n, n)) for n in sizes]
-        masks = [rng.integers(0, 2, size=n).astype(bool) for n in sizes]
-        flat = np.concatenate(masks)
-        masks[0][0] |= not flat.any()
-        masks[-1][-1] &= not flat.all()
-        draws.append([
-            (g, m, _ginibre(rng, (n, n)), rng.uniform(0.2, 1.0, n), rng.uniform(0.2, 1.0, n))
-            for g, m, n in zip(gs, masks, sizes)
-        ])
+        gs.append(rng.standard_normal(2 * algebra.dim))
+        mask = rng.integers(0, 2, size=algebra.embed_dim).astype(bool)
+        none, every = not mask.any(), mask.all()
+        mask[0] |= none
+        mask[-1] &= not every
+        masks.append(mask)
+        draws.append([(rng.standard_normal((2, n, n)), rng.uniform(0.2, 1, (2, n))) for n in sizes])
+    gs, masks = np.array(gs), np.array(masks)
     d = algebra.embed_dim
     w, a, b, p = (np.zeros((count, d, d), dtype=np.complex128) for _ in range(4))
-    for bi, (n, off) in enumerate(zip(sizes, np.cumsum((0,) + sizes))):
-        g, mask, h, u_a, u_b = map(np.array, zip(*(sample[bi] for sample in draws)))
-        at = np.s_[:, off : off + n, off : off + n]
-        w[at] = _wishart(g)
-        v = np.linalg.qr(h)[0]
+    runs = np.split(gs, 2 * np.cumsum([n * n for n in sizes])[:-1], axis=1)
+    for bi, (n, off, g) in enumerate(zip(sizes, np.cumsum((0,) + sizes), runs)):
+        g = g.reshape(count, 2, n, n)  # [:, 0] real, [:, 1] imaginary part
+        h, u = map(np.array, zip(*(s[bi] for s in draws)))
+        at, mask = np.s_[:, off : off + n, off : off + n], masks[:, off : off + n]
+        w[at] = _wishart(g[:, 0] + 1j * g[:, 1])
+        v = np.linalg.qr(h[:, 0] + 1j * h[:, 1])[0]
         vh = np.swapaxes(v.conj(), -2, -1)
-        a[at] = (v * np.where(mask, u_a, 0.0)[:, None]) @ vh
-        b[at] = (v * np.where(mask, 0.0, u_b)[:, None]) @ vh
+        a[at] = (v * np.where(mask, u[:, 0], 0.0)[:, None]) @ vh
+        b[at] = (v * np.where(mask, 0.0, u[:, 1])[:, None]) @ vh
         p[at] = (v * mask[:, None]) @ vh
     return w, a, b, p
 
@@ -242,13 +243,14 @@ def order_zero_defect(phi: PMap, samples: int, seed: int) -> DefectReport:
 
 @dataclass(frozen=True)
 class OzDecomposition:
-    """Candidate factorization phi = h pi with measured failure defects."""
+    """Candidate factorization phi = h pi with measured failure defects and a bound."""
 
     h: Element
     pi_images: tuple[Element, ...]
     mult_defect: float
     commute_defect: float
     reconstruct_defect: float
+    order_zero_bound: float | None  # None where the bound overflows
 
 
 def oz_decompose(phi: PMap) -> OzDecomposition:
@@ -258,6 +260,21 @@ def oz_decompose(phi: PMap) -> OzDecomposition:
     well h pi reconstructs phi; nothing is thresholded here. mult_defect is
     not continuous: where h has a dead summand, pi there is all perturbation,
     so on (1 - delta) phi + delta tau it can stay put as delta -> 0.
+
+    order_zero_bound B bounds the one-variable, orthogonal-pair and OD suprema of
+    order_zero_defect over all contractions. For any h and linear pi, with R = h pi - phi,
+    K = h pi - pi h and M(a, b) = pi(a)pi(b) - pi(ab),
+    phi(a)phi(b) = h^2 pi(ab) + h^2 M(a, b) - h K(a) pi(b) - R(a) h pi(b) - phi(a) R(b),
+    and sum_u |a_u| <= c ||a||, c = sum_i n_i^{3/2}. So with mu the product defect over all
+    pairs of units (across blocks too), kappa = commute_defect, r = reconstruct_defect,
+    p = max ||pi(e_u)|| and f = max ||phi(e_u)||, B = c^2 (||h||^2 mu + ||h|| p (kappa + r)
+    + f r) + c ||h|| (kappa + r), whose last term turns phi(a^2)phi(1), phi(1)phi(ab) and
+    phi(ba)phi(1) into h^2 pi(.). Rounding: ||h||, p and f are norm_bounds, the rest SVD
+    norms of one GEMM and one subtraction; each is raised by 1 + _NORM_SLACK, whose margin
+    also covers B's own rounding, and mu, kappa and r by e = eps (D (D + 1) + Ds^2 sqrt(D))
+    times the norms of their terms: a GEMM errs by gamma_{D+1} |X||Y| entrywise,
+    || |X| || <= sqrt(D) ||X||, and r also takes the error of h, a sum of Ds images. A
+    sampled pair's rounded ab adds ||h||^2 c p ||ab|| to its defect, below e's share of mu.
     """
     h = phi.unit_image()
     hm = h.embedded()
@@ -268,12 +285,25 @@ def oz_decompose(phi: PMap) -> OzDecomposition:
         raise NumericalFailureError("phi(1) or its Hermitian part is not finite")
     inverse, support = spectral_apply(hs, lambda v: 1.0 / v, np.ones_like)
     pis = inverse @ unit_images @ support
+    mult = cross = 0.0
+    for same, prod in _product_defects(phi.source, pis):
+        mult, cross = max(mult, max_op_norm(prod[same])), max(cross, max_op_norm(prod[~same]))
+    commute = max_op_norm(hm @ pis - pis @ hm)
+    reconstruct = max_op_norm(hm @ pis - unit_images)
+    d, ds, slack = len(hm), phi.source.embed_dim, 1 + _NORM_SLACK
+    e = float(np.finfo(float).eps) * (d * (d + 1) + ds * ds * d**0.5)  # floats: inf, no warning
+    hn, p, f = (slack * float(norm_bounds(x).max()) for x in (hm, pis, unit_images))
+    mu = slack * max(mult, cross) + e * p * (p + 1)
+    kappa, r = slack * commute + e * 2 * hn * p, slack * reconstruct + e * (hn * p + f)
+    c = sum(n**1.5 for n in phi.source.block_sizes)
+    bound = c * c * (hn * (hn * mu) + hn * p * (kappa + r) + f * r) + c * hn * (kappa + r)
     return OzDecomposition(
         h=h,
         pi_images=tuple(from_embedded(phi.target, m) for m in pis),
-        mult_defect=max(max_op_norm(p[same]) for same, p in _product_defects(phi.source, pis)),
-        commute_defect=max_op_norm(hm @ pis - pis @ hm),
-        reconstruct_defect=max_op_norm(hm @ pis - unit_images),
+        mult_defect=mult,
+        commute_defect=commute,
+        reconstruct_defect=reconstruct,
+        order_zero_bound=bound if bound < np.inf else None,
     )
 
 

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posmap import algebra, positivity
+from posmap import algebra, certificates as certificates_module, positivity
 from posmap.algebra import Element, FiniteCStar, basis_element, unit
 from posmap.certificates import (
     DrCertificate,
+    _decode_matrix,
     certificate_from_document,
     certificate_to_document,
     direct_sum,
@@ -640,6 +641,161 @@ class TestNumbersOnly:
         assert cert.epsilon == np.float32(0.5)
         assert verify_certificate(cert, tol=np.float64(1e-8)).overall
         assert verify_certificate(identity_certificate(M2, epsilon=1), tol=1).overall
+
+
+
+def _trace_leg(summand, algebra_, weight):
+    """a -> weight tr(a) / dim 1 from summand into algebra_: CP and contractive, not order zero."""
+    traces = np.trace(algebra.unit_stack(summand), axis1=1, axis2=2).real
+    images = weight * traces[:, None, None] / summand.embed_dim * np.eye(algebra_.embed_dim)
+    return PMap(summand, algebra_, images)
+
+
+GENERATED_ALGEBRAS = [
+    FiniteCStar(blocks) for blocks in [(2,), (3,), (4,), (2, 3), (2, 2, 2), (3, 3), (1, 2, 3)]
+]
+
+
+class TestProvenOrderZero:
+    """A leg whose order_zero_bound is <= tol is order zero by proof: nothing is sampled."""
+
+    @pytest.fixture
+    def sampled(self, monkeypatch):
+        calls = []
+        real = certificates_module.order_zero_defect
+        monkeypatch.setattr(
+            certificates_module,
+            "order_zero_defect",
+            lambda phi, **kw: calls.append(phi) or real(phi, **kw),
+        )
+        return calls
+
+    def test_generated_legs_are_proven_without_samples(self, sampled):
+        for alg in GENERATED_ALGEBRAS:
+            weightings = ([0.5, 0.5], [0.2, 0.3, 0.5])
+            certs = [orderzero_certificate(alg, w) for w in weightings]
+            for cert in certs + [identity_certificate(alg)]:
+                rep = verify_certificate(cert)
+                assert rep.overall and not rep.caveat
+                for leg in rep.legs:
+                    assert 0 < leg.order_zero_bound <= positivity.DEFAULT_TOL
+                    assert (leg.one_var_sup, leg.orth_pair_sup, leg.od_sup) == (None,) * 3
+                    assert leg.order_zero_ok
+        assert sampled == []
+
+    def test_trace_leg_is_still_sampled(self, sampled):
+        cert = orderzero_certificate(M23, [0.4, 0.6])
+        leg = _trace_leg(cert.summands[0], M23, 0.4)
+        rep = verify_certificate(dataclasses.replace(cert, phis=(leg,) + cert.phis[1:]))
+        assert sampled == [leg]
+        bad, good = rep.legs
+        assert bad.order_zero_bound > 1 and bad.one_var_sup > 0.01 and not bad.order_zero_ok
+        assert good.one_var_sup is None and good.order_zero_ok
+        assert not rep.overall
+
+    def test_non_order_zero_mutant_is_still_sampled(self, sampled):
+        # criterion 10's mutant A: the trace-mixing map at lambda = 1 as the only leg
+        bad = dataclasses.replace(
+            identity_certificate(M2, epsilon=2.5), phis=(tomiyama_map(2, 1.0),)
+        )
+        leg = verify_certificate(bad, tol=1e-8).legs[0]
+        assert sampled == [bad.phis[0]]
+        assert leg.order_zero_bound > 1e-8 and leg.orth_pair_sup > 0.1
+        assert not leg.order_zero_ok
+
+    def test_bound_above_tol_samples(self, sampled):
+        # the bound of w id is about 1e-12: a tolerance at the floor samples, and passes
+        cert = orderzero_certificate(M23, [0.5, 0.5])
+        rep = verify_certificate(cert, tol=1e-12)
+        assert len(sampled) == 2
+        assert all(leg.order_zero_bound > 1e-12 and leg.od_sup <= 1e-12 for leg in rep.legs)
+        assert rep.overall
+
+    def test_verify_cert_json_writes_null_suprema(self, capsys, tmp_path):
+        path = str(tmp_path / "cert.json")
+        save_certificate(orderzero_certificate(M23, [0.5, 0.5]), path)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["verify-cert", path, "--json"]) == 0
+        for leg in json.loads(out.getvalue())["legs"]:
+            assert leg["order_zero_bound"] <= 1e-8
+            assert [leg[k] for k in ("one_var_sup", "orth_pair_sup", "od_sup")] == [None] * 3
+
+
+def reference_decode_matrix(data, size, where):
+    """The per-entry decoder: every entry checked, converted and named in its message."""
+    if not isinstance(data, list) or len(data) != size * size:
+        raise ParseError(f"{where}: expected {size * size} [re, im] pairs")
+    out = np.empty(size * size, dtype=np.complex128)
+    for idx, pair in enumerate(data):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ParseError(f"{where}[{idx}]: expected a [re, im] pair")
+        if not all(type(v) in (int, float) for v in pair):
+            raise ParseError(f"{where}[{idx}]: entries must be JSON numbers")
+        try:
+            out[idx] = complex(*pair)
+        except OverflowError as exc:
+            raise ParseError(f"{where}[{idx}]: {exc}") from exc
+    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
+        raise ParseError(f"{where}: non-finite entry")
+    return out.reshape(size, size)
+
+
+EXACT_ENTRIES = [
+    [[-0.0, 0], [0, -0.0], [-0.0, -0.0], [1, -1]],
+    [[2**53 + 1, 2**53 + 3], [-(2**64) - 1, 3**40], [10**300, -(10**308)], [7, 0]],
+    [[1e308, -1e308], [5e-324, -5e-324], [0.1, 2.5e-310], [1.7976931348623157e308, 1]],
+]
+MALFORMED = [
+    ("a string", "not a list"),
+    ("one pair short", [[1, 0]] * 3),
+    ("a bare number", [[1, 0], 2, [0, 0], [0, 0]]),
+    ("three entries", [[1, 0], [0, 0, 0], [0, 0], [0, 0]]),
+    ("an object", [[1, 0], [0, 0], {"re": 1, "im": 0}, [0, 0]]),
+    ("a bool", [[1, 0], [0, 0], [0, True], [0, 0]]),
+    ("a string entry", [[1, 0], [0, "0"], [0, 0], [0, 0]]),
+    ("a null", [[1, 0], [0, 0], [0, 0], [None, 0]]),
+    ("nan", [[1, 0], [float("nan"), 0], [0, 0], [0, 0]]),
+    ("infinity", [[1, 0], [0, 0], [0, float("-inf")], [0, 0]]),
+    ("an int past the float range", [[1, 0], [0, 0], [10**400, 0], [0, 0]]),
+    ("a bool and a nan", [[True, 0], [float("nan"), 0], [0, 0], [0, 0]]),
+    ("a nan and a huge int", [[float("nan"), 0], [0, -(10**400)], [0, 0], [0, 0]]),
+]
+
+
+class TestDecodeMatrix:
+    @pytest.fixture
+    def converted(self, monkeypatch):
+        # a module global shadows the builtin: count the per-entry conversions
+        calls = []
+        monkeypatch.setattr(
+            certificates_module, "complex", lambda *a: calls.append(a) or complex(*a),
+            raising=False,
+        )
+        return calls
+
+    @pytest.mark.parametrize("data", EXACT_ENTRIES)
+    def test_bits_match_the_per_entry_decoder_in_one_conversion(self, data, converted):
+        got = _decode_matrix(data, 2, "m")
+        want = reference_decode_matrix(data, 2, "m")
+        assert got.dtype == np.complex128 and got.shape == (2, 2)
+        assert got.tobytes() == want.tobytes()  # -0.0 and rounded ints included
+        assert converted == []
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_doubles_round_trip(self, seed, converted):
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2**64, size=(9, 2), dtype=np.uint64).view(np.float64)
+        bits[~np.isfinite(bits)] = -0.0
+        assert _decode_matrix(bits.tolist(), 3, "m").tobytes() == bits.tobytes()
+        assert converted == []
+
+    @pytest.mark.parametrize("label,data", MALFORMED, ids=[m[0] for m in MALFORMED])
+    def test_malformed_input_keeps_its_message(self, label, data):
+        with pytest.raises(ParseError) as want:
+            reference_decode_matrix(data, 2, "phis[0].choi_blocks[1]")
+        with pytest.raises(ParseError) as got:
+            _decode_matrix(data, 2, "phis[0].choi_blocks[1]")
+        assert str(got.value) == str(want.value)
 
 
 class TestMapFiles:

@@ -463,7 +463,7 @@ JSON_SCHEMAS = {
     + _nest("verdict", VERDICT_KEYS) + _nest("verdict.witness", WITNESS_KEYS),
     "defect": ["command", "mapfile", "od_sup", "one_var_sup", "orth_pair_sup", "samples", "seed"],
     "decompose": ["command", "commute_defect", "h_norm", "mapfile", "mult_defect",
-                  "reconstruct_defect", "tol", "within_tol"],
+                  "order_zero_bound", "reconstruct_defect", "tol", "within_tol"],
     "repair": ["command", "eps_meas", "mapfile", "repaired_is_cp", "written"],
     "example4": ["all_ok", "closed_form_dev", "closed_form_ok", "command", "defect_bound",
                  "defect_max", "defect_ok", "eps", "exceeds_next_threshold", "falsifier", "k",
@@ -475,9 +475,9 @@ JSON_SCHEMAS = {
                     "psi_two_positive", "psi_two_positive.status", "psi_two_positive.verdict",
                     "restarts", "samples", "seed", "sum_contractive_ok", "sum_norm", "tol"]
     + _nest("legs[]", ["commute_defect", "contraction_norm", "contraction_ok", "mult_defect",
-                       "od_sup", "one_var_sup", "order_zero_ok", "orth_pair_sup",
-                       "reconstruct_defect", "two_positive", "two_positive.status",
-                       "two_positive.verdict"]),
+                       "od_sup", "one_var_sup", "order_zero_bound", "order_zero_ok",
+                       "orth_pair_sup", "reconstruct_defect", "two_positive",
+                       "two_positive.status", "two_positive.verdict"]),
 }
 
 

@@ -159,6 +159,25 @@ class TestMaxOpNorm:
         assert linalg.max_op_norm(np.zeros((30, 4, 4))) == 0.0
         assert rows == [1]
 
+    def test_row_and_column_sums_skip_what_the_entry_bound_cannot(self, monkeypatch):
+        # 2 I has norm 2; each permutation matrix P has norm 1 = sqrt(||P||_1 ||P||_inf),
+        # where N max|P_ij| = 5 would reach 2: only the SVD of 2 I is taken
+        perms = [np.eye(5)[np.random.default_rng(s).permutation(5)] for s in range(20)]
+        stack = np.array(perms + [2.0 * np.eye(5)])
+        rows = _count_svd_rows(monkeypatch)
+        assert linalg.max_op_norm(stack) == 2.0
+        assert rows == [1]
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_norm_bounds_lie_between_the_norm_and_the_entry_bound(self, scale):
+        rng = np.random.default_rng(7)
+        stack = scale * np.array([ginibre(rng, 6) for _ in range(30)])
+        stack[:10] = scale * np.array([np.outer(*rng.standard_normal((2, 6))) for _ in range(10)])
+        bounds = linalg.norm_bounds(stack)
+        assert bounds.shape == (30,)
+        assert np.all(linalg.op_norm(stack) <= bounds * (1 + 1e-12))
+        assert np.all(bounds <= 6 * np.abs(stack).max(axis=(-2, -1)) * (1 + 1e-12))
+
     def test_rank_one_norm_is_frobenius(self):
         # sigma_max = ||u v*|| = ||u|| ||v|| = ||u v*||_F, the case farthest from N max|M_ij|
         rng = np.random.default_rng(4)

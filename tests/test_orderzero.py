@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posmap import algebra
 from posmap.algebra import (
@@ -36,7 +38,7 @@ from posmap.orderzero import (
     polar_lift,
     schwartz_gap,
 )
-from posmap.positivity import is_cp, tomiyama_map
+from posmap.positivity import DEFAULT_TOL, is_cp, tomiyama_map
 
 from posmap import orderzero
 from posmap.algebra import embed_blocks
@@ -870,3 +872,93 @@ def test_batched_report_is_bit_identical_to_per_sample(source, target, cp, monke
         got = (rep.one_var_sup, rep.orth_pair_sup, rep.od_sup)
         want = reference_order_zero_defect(phi, samples, samples)
         assert [x.hex() for x in got] == [float(x).hex() for x in want], samples
+
+
+# -- the decomposition's bound on the sampled suprema -------------------------------
+
+
+def normalized_trace(source, target):
+    """x -> tr(x) / Ds 1: CP and unital, not order zero."""
+    traces = np.trace(algebra.unit_stack(source), axis1=1, axis2=2).real
+    return PMap(source, target, traces[:, None, None] / source.embed_dim * np.eye(target.embed_dim))
+
+
+def sampled_sup(phi, samples, seed):
+    rep = order_zero_defect(phi, samples=samples, seed=seed)
+    return max(rep.one_var_sup, rep.orth_pair_sup, rep.od_sup)
+
+
+bound_cases = settings(max_examples=30, deadline=None)
+bound_algebras = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+    lambda sizes: FiniteCStar(tuple(sizes))
+)
+
+
+@bound_cases
+@given(bound_algebras, bound_algebras, st.integers(0, 2**32 - 1), st.booleans())
+def test_bound_dominates_the_samples_of_random_maps(source, target, seed, cp):
+    phi = random_map(np.random.default_rng(seed), source, target, cp=cp)
+    assert sampled_sup(phi, 5, seed) <= oz_decompose(phi).order_zero_bound
+
+
+@bound_cases
+@given(bound_algebras, st.sampled_from([1e-1, 1e-3, 1e-6, 1e-9]), st.integers(0, 2**32 - 1))
+def test_bound_dominates_the_samples_near_order_zero(source, delta, seed):
+    # across blocks too: (1 - delta) w id + delta random, where pi(e_u) pi(e_v) ~ 0
+    noise = random_map(np.random.default_rng(seed), source, source, cp=True)
+    phi = (1 - delta) * 0.7 * PMap.identity(source) + delta * noise
+    bound = oz_decompose(phi).order_zero_bound
+    assert sampled_sup(phi, 5, seed) <= bound <= 1e4 * delta  # continuous in delta
+
+
+@bound_cases
+@given(st.integers(0, 11), st.sampled_from([1e-1, 1e-3, 1e-6]), st.integers(0, 2**32 - 1))
+def test_bound_dominates_the_samples_of_perturbed_seeded_maps(trial, delta, seed):
+    phi, source, target, _ = seeded_oz_map(trial)
+    phi = (1 - delta) * phi + delta * normalized_trace(source, target)
+    assert sampled_sup(phi, 10, seed) <= oz_decompose(phi).order_zero_bound
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_seeded_order_zero_maps_are_proven(trial):
+    phi = seeded_oz_map(trial)[0]
+    bound = oz_decompose(phi).order_zero_bound
+    assert 0 < bound <= DEFAULT_TOL
+    assert sampled_sup(phi, 10, trial) <= bound
+
+
+def test_trace_map_bound_is_far_from_proof():
+    # pi(e_ij) = delta_ij I/2 on M_2: mu = 1/2, and the samples refute order zero
+    phi = tomiyama_map(2, 1.0)
+    bound = oz_decompose(phi).order_zero_bound
+    assert 0.25 <= sampled_sup(phi, 10, 0) <= bound
+
+
+def test_overflowed_bound_is_none():
+    # 1e200 h: ||h||^2 mu is past the float range, so there is no bound to report
+    dec = oz_decompose(1e200 * PMap.identity(M2))
+    assert dec.mult_defect == 0.0 and dec.order_zero_bound is None
+
+
+class _CountingRng:
+    """A Generator stand-in that records each draw call."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+        return lambda *args, **kw: self.calls.append(name) or draw(*args, **kw)
+
+
+@pytest.mark.parametrize("sizes", [(1,), (3,), (1, 2, 3)])
+def test_sampler_fuses_consecutive_draws(sizes):
+    # per sample: one normal draw for every Wishart block, one for the masks, then per
+    # block one normal and one uniform draw; the stacks are those of a plain Generator
+    source = FiniteCStar(sizes)
+    counted = _CountingRng(3)
+    got = _sample_stacks(counted, source, 4)
+    per_block = ["standard_normal", "uniform"] * len(sizes)
+    assert counted.calls == (["standard_normal", "integers"] + per_block) * 4
+    want = _sample_stacks(np.random.default_rng(3), source, 4)
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))

@@ -19,7 +19,10 @@ CALLABLES = {
     ],
     "FiniteCStar": ["block_sizes"],
     "KposVerdict": ["best_value", "restarts_capped", "restarts_used", "status", "witness"],
-    "OzDecomposition": ["commute_defect", "h", "mult_defect", "pi_images", "reconstruct_defect"],
+    "OzDecomposition": [
+        "commute_defect", "h", "mult_defect", "order_zero_bound", "pi_images",
+        "reconstruct_defect",
+    ],
     "PMap": ["images", "source", "target"],
     "VerifyReport": [
         "approx_errors", "approx_failures", "caveat", "epsilon", "legs", "overall",
