@@ -191,9 +191,10 @@ def verify_certificate(
     psi_ok = psi_norm <= 1 + tol
     psi_two = _two_positive_check(cert.psi, tol, seed, restarts)
 
-    legs = []
+    legs, units = [], []
     for i, phi in enumerate(cert.phis):
         dec = oz_decompose(phi)
+        units.append(dec.h.embedded())
         nrm = dec.h.norm()  # h = phi(1)
         proven = dec.order_zero_bound is not None and dec.order_zero_bound <= tol
         # sample only what the bound does not prove: a proven leg's suprema are <= tol
@@ -216,8 +217,7 @@ def verify_certificate(
             )
         )
 
-    total = _sum_apply(cert, unit(cert.psi.target).embedded())
-    sum_norm = from_embedded(cert.algebra, total).norm()
+    sum_norm = from_embedded(cert.algebra, sum(units)).norm()  # (sum phi_i)(1)
     sum_ok = sum_norm <= 1 + tol
 
     xs = embed_stack(cert.algebra, cert.test_set)
@@ -339,7 +339,7 @@ def dumps(doc) -> str:
 
 
 def _decode_matrix(data, size: int, where: str) -> np.ndarray:
-    """The size x size matrix of [re, im] pairs; a bad entry is named by the per-entry loop."""
+    """The size x size matrix of [re, im] pairs; the loop only names the first bad entry."""
     if not isinstance(data, list) or len(data) != size * size:
         raise ParseError(f"{where}: expected {size * size} [re, im] pairs")
     pairs = set(map(type, data)) == {list} and set(map(len, data)) == {2}
@@ -348,19 +348,16 @@ def _decode_matrix(data, size: int, where: str) -> np.ndarray:
             out = np.array(data, dtype=np.float64).view(np.complex128).reshape(size, size)
             if np.all(np.isfinite(out)):  # float64 rounds an int as complex() does; -0.0 stays
                 return out
-    out = np.empty(size * size, dtype=np.complex128)
-    for idx, pair in enumerate(data):
+    for idx, pair in enumerate(data):  # malformed: each check raises, in this order
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ParseError(f"{where}[{idx}]: expected a [re, im] pair")
         if not all(type(v) in (int, float) for v in pair):
             raise ParseError(f"{where}[{idx}]: entries must be JSON numbers")
         try:
-            out[idx] = complex(*pair)
+            complex(*pair)
         except OverflowError as exc:
             raise ParseError(f"{where}[{idx}]: {exc}") from exc
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-        raise ParseError(f"{where}: non-finite entry")
-    return out.reshape(size, size)
+    raise ParseError(f"{where}: non-finite entry")
 
 
 def _decode_algebra(data, where: str) -> FiniteCStar:

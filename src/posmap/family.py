@@ -36,9 +36,9 @@ import numpy as np
 
 from .algebra import MAX_SIZE, FiniteCStar, _contraction, unit_stack
 from .errors import BadRangeError
-from .linalg import DEFAULT_SAMPLES, as_complex, check_count, max_op_norm, op_norm
+from .linalg import DEFAULT_SAMPLES, _is_real, as_complex, check_count, max_op_norm, op_norm
 from .maps import PMap
-from .positivity import DEFAULT_RESTARTS, MAX_RESTARTS, KposVerdict, _threshold
+from .positivity import DEFAULT_RESTARTS, MAX_RESTARTS, VIOLATED, KposVerdict, _threshold
 from .positivity import k_positivity_falsify, trace_mixing_apply
 
 CLOSED_FORM_TOL = 1e-10
@@ -49,10 +49,10 @@ def _check_params(n: int, m: int, lam: float, eps: float) -> None:
     check_count("m", m, 1)
     if m * n > MAX_SIZE:
         raise BadRangeError(f"need m * n <= {MAX_SIZE}, got {m * n}")
-    if not (0.0 < eps < 1.0):
-        raise BadRangeError(f"need eps in (0, 1), got {eps}")
-    if not np.isfinite(lam):
-        raise BadRangeError(f"need a finite lambda, got {lam}")
+    if not (_is_real(eps) and 0.0 < eps < 1.0):
+        raise BadRangeError(f"need eps in (0, 1), got {eps!r}")
+    if not (_is_real(lam) and np.isfinite(lam)):
+        raise BadRangeError(f"need a finite lambda, got {lam!r}")
 
 
 # -- formula-level actions on (..., N, N) stacks of dense matrices ---------------
@@ -109,10 +109,10 @@ def composed_mixing_parameter(m: int, eps: float, lam: float) -> float:
     Strictly increasing in m with limit lambda as m -> infinity.
     """
     check_count("m", m, 1)
-    if not (0.0 < eps < 1.0):
-        raise BadRangeError(f"need eps in (0, 1), got {eps}")
-    if not 0 < lam < np.inf:
-        raise BadRangeError(f"need a finite lambda > 0, got {lam}")
+    if not (_is_real(eps) and 0.0 < eps < 1.0):
+        raise BadRangeError(f"need eps in (0, 1), got {eps!r}")
+    if not (_is_real(lam) and 0 < lam < np.inf):
+        raise BadRangeError(f"need a finite lambda > 0, got {lam!r}")
     return float(
         _mixing_parameter_fraction(m, Fraction(eps), Fraction(lam))
     )
@@ -144,9 +144,7 @@ class FamilyReport:
 
     @property
     def all_ok(self) -> bool:
-        confirmed = (
-            self.falsifier is None or self.falsifier.status == "VIOLATED"
-        )
+        confirmed = self.falsifier is None or self.falsifier.status == VIOLATED
         return self.defect_ok and self.closed_form_ok and confirmed
 
 

@@ -51,8 +51,9 @@ from .errors import (
     NumericalFailureError,
     PreconditionFailedError,
 )
-from .linalg import _NORM_SLACK, HERM_TOL, PSD_TOL, check_count, hermitian_kernel, hermitian_part
-from .linalg import max_op_norm, norm_bounds, op_norm, polar_unitary, require_square, spectral_apply
+from .linalg import _NORM_SLACK, HERM_TOL, PSD_TOL, _is_real, check_count, hermitian_kernel
+from .linalg import hermitian_part, max_op_norm, norm_bounds, op_norm, polar_unitary
+from .linalg import require_square, spectral_apply
 from .maps import PMap, _block_runs
 
 
@@ -288,8 +289,8 @@ def oz_decompose(phi: PMap) -> OzDecomposition:
     mult = cross = 0.0
     for same, prod in _product_defects(phi.source, pis):
         mult, cross = max(mult, max_op_norm(prod[same])), max(cross, max_op_norm(prod[~same]))
-    commute = max_op_norm(hm @ pis - pis @ hm)
-    reconstruct = max_op_norm(hm @ pis - unit_images)
+    hp = hm @ pis  # h pi(e_u)
+    commute, reconstruct = max_op_norm(hp - pis @ hm), max_op_norm(hp - unit_images)
     d, ds, slack = len(hm), phi.source.embed_dim, 1 + _NORM_SLACK
     e = float(np.finfo(float).eps) * (d * (d + 1) + ds * ds * d**0.5)  # floats: inf, no warning
     hn, p, f = (slack * float(norm_bounds(x).max()) for x in (hm, pis, unit_images))
@@ -305,13 +306,6 @@ def oz_decompose(phi: PMap) -> OzDecomposition:
         reconstruct_defect=reconstruct,
         order_zero_bound=bound if bound < np.inf else None,
     )
-
-
-def _unit_label(algebra: FiniteCStar, u: int) -> tuple[int, int, int]:
-    """(block, i, j) of the u-th matrix unit."""
-    sizes = np.array(algebra.block_sizes)
-    bi = int(np.searchsorted(np.cumsum(sizes**2), u, side="right"))
-    return (bi,) + divmod(u - int(np.sum(sizes[:bi] ** 2)), int(sizes[bi]))
 
 
 def _unit_index(algebra: FiniteCStar):
@@ -357,25 +351,28 @@ def oz_construct(source: FiniteCStar, pi_images: list[Element], h: Element) -> P
     mult = np.concatenate([op_norm(prod) for _, prod in _product_defects(source, pis)])
     star = op_norm(np.swapaxes(pis, -2, -1).conj() - pis[index[cols, rows]])
     same = block[:, None] == block
-    commute = op_norm(hm @ pis - pis @ hm)
+    images = hm @ pis
+    commute = op_norm(images - pis @ hm)
     # report the first unit that fails, checking star, commutation, then products
     bad_mult = same & (mult > HERM_TOL)
     fails = (star > HERM_TOL) | (commute > HERM_TOL) | bad_mult.any(axis=1)
     if fails.any():
         u = int(np.argmax(fails))
-        bi, i, j = _unit_label(source, u)
+        # (i, j) within the block: the unit's embedded row and column less the block's first row
+        ij = np.stack([rows, cols]) - np.cumsum((0,) + source.block_sizes)[block]
+        bi, (i, j) = block[u], ij[:, u]
         if star[u] > HERM_TOL:
             raise NotHomomorphismError(f"pi(e_{i}{j})* != pi(e_{j}{i}) in block {bi}")
         if commute[u] > HERM_TOL:
             raise NotCommutingError(f"[h, pi(e_{i}{j})] exceeds tolerance in block {bi}")
-        _, k, l = _unit_label(source, int(np.argmax(bad_mult[u])))
+        k, l = ij[:, np.argmax(bad_mult[u])]
         raise NotHomomorphismError(
             f"multiplicativity fails on units ({i},{j}),({k},{l}) in block {bi}"
         )
     # units of distinct blocks multiply to zero; their images must too
     if (mult[~same] > HERM_TOL).any():
         raise NotHomomorphismError("cross-block images do not annihilate")
-    return PMap(source, target, hm @ pis)
+    return PMap(source, target, images)
 
 
 # -- repair and lifting --------------------------------------------------------
@@ -425,8 +422,8 @@ def polar_lift(phi: PMap, x: Element, y: Element) -> tuple[Element, bool]:
 def _first_block_column(m: np.ndarray, d: int, eps: float) -> np.ndarray:
     """m's first block column m[:, :d], once d and the bound eps are valid."""
     check_count("a block size d", d, 1)
-    if np.isnan(eps):
-        raise BadRangeError("eps must be a number, got nan")
+    if not _is_real(eps) or np.isnan(eps):
+        raise BadRangeError(f"eps must be a number, got {eps!r}")
     big = m.shape[0]
     if big % d != 0:
         raise PreconditionFailedError(

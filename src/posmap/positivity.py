@@ -22,7 +22,8 @@ import numpy as np
 
 from .algebra import MAX_SIZE, FiniteCStar, _ginibre, unit_stack
 from .errors import BadRangeError, DimensionMismatchError, NumericalFailureError
-from .linalg import _spectrum, as_complex, check_count, check_tol, hermitian_kernel, hermitian_part
+from .linalg import _is_real, _spectrum, as_complex, check_count, check_tol, hermitian_kernel
+from .linalg import hermitian_part
 from .maps import PMap
 
 CERTIFIED_POSITIVE = "CERTIFIED_POSITIVE"
@@ -70,8 +71,8 @@ def trace_mixing_apply(a: np.ndarray, lam: float) -> np.ndarray:
 def tomiyama_map(n: int, lam: float) -> PMap:
     """The unital self-adjoint map psi_lambda on M_n, from its matrix-unit images."""
     check_count("n", n, 2)
-    if not 0 <= lam < np.inf:
-        raise BadRangeError(f"need a finite lambda >= 0, got {lam}")
+    if not (_is_real(lam) and 0 <= lam < np.inf):
+        raise BadRangeError(f"need a finite lambda >= 0, got {lam!r}")
     alg = FiniteCStar((n,))
     return PMap(alg, alg, trace_mixing_apply(unit_stack(alg), lam))
 
@@ -288,14 +289,16 @@ def k_positivity_falsify(
     check_count("restarts", restarts, 1, MAX_RESTARTS)
     check_tol(tol)
     check_count("a seed", seed, 0)
-    d = phi.target.embed_dim
+    d, blocks = phi.target.embed_dim, phi.choi_blocks
     best_value = np.inf
     best = None  # (value, block, factors): the lowest value below its block's -tol * scale
     used = capped = 0
-    for bi, (c, n) in enumerate(zip(phi.choi_blocks, phi.source.block_sizes)):
+    kernels = []  # each searched block's hermitian_kernel; None for an exact block's eigh one
+    for bi, (c, n) in enumerate(zip(blocks, phi.source.block_sizes)):
         k_eff = min(k, n, d)
         exact = k_eff >= min(n, d)  # a vacuous Schmidt bound: the bottom eigenvector is the minimum
         kernel, vals, vecs = _spectrum(c, vectors=exact)  # raises before a search on overflow
+        kernels.append(None if exact else kernel)
         if exact:
             value, wmat = float(vals[0]), vecs[:, 0].reshape(n, d)
         else:
@@ -325,5 +328,7 @@ def k_positivity_falsify(
         )
         if witness_verify(phi, w, tol):
             return KposVerdict(VIOLATED, value, used, capped, w)
-    status = CERTIFIED_POSITIVE if is_cp(phi, tol) else UNFALSIFIED  # the one CP verdict
+    # is_cp(phi, tol) bit for bit, in block order: eigh's min_eig may differ from eigvalsh's
+    cp = all((kn or hermitian_kernel(c)).psd(tol) for c, kn in zip(blocks, kernels))
+    status = CERTIFIED_POSITIVE if cp else UNFALSIFIED
     return KposVerdict(status, float(best_value), used, capped, None)

@@ -40,9 +40,10 @@ from posmap.errors import (
     StructurallyInvalidError,
 )
 from posmap.cli import main
+from posmap.linalg import hermitian_part
 from posmap.maps import PMap
 from posmap.orderzero import kadison_gap
-from posmap.positivity import tomiyama_map
+from posmap.positivity import UNFALSIFIED, tomiyama_map
 
 from conftest import random_map
 
@@ -562,6 +563,8 @@ class TestLoaderChecks:
             (("phis",), lambda v: v[:1], "phis: expected 2 entries"),
             (("phis",), lambda v: v + v, "phis: expected 2 entries"),
             (("test_set",), lambda v: {"blocks": []}, "test_set: expected a list"),
+            (("summands", 1, "blocks"), lambda v: [], "summands[1].blocks: expected a non-empty"),
+            (("algebra", "blocks"), lambda v: "2,3", "algebra.blocks: expected a non-empty list"),
         ],
     )
     def test_rejected_with_exact_type(self, path, value, field):
@@ -762,6 +765,24 @@ MALFORMED = [
 ]
 
 
+class TestTwoPositiveReads:
+    def test_non_cp_psi_reads_its_choi_block_twice(self, monkeypatch):
+        # is_cp's pass, then the falsifier's search, whose kernel also decides the status
+        psi = tomiyama_map(3, 1.15)  # 2-positive, not CP: UNFALSIFIED
+        cert = dataclasses.replace(identity_certificate(M3), psi=psi)
+        reads, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            reads.append(np.array(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert verify_certificate(cert).psi_two_positive.status == UNFALSIFIED
+        block = hermitian_part(psi.choi_blocks[0])
+        assert sum(np.array_equal(a, block) for a in reads) == 2  # 3 with is_cp after the search
+        assert sum(a.shape == (9, 9) for a in reads) == 3  # with phi_0 = id's one is_cp pass
+
+
 class TestDecodeMatrix:
     @pytest.fixture
     def converted(self, monkeypatch):
@@ -788,6 +809,16 @@ class TestDecodeMatrix:
         bits[~np.isfinite(bits)] = -0.0
         assert _decode_matrix(bits.tolist(), 3, "m").tobytes() == bits.tobytes()
         assert converted == []
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_pair_lists_match_complex_bit_for_bit(self, seed):
+        # signed zeros, ints (rounded as complex() rounds them) and doubles near the range end
+        rng = np.random.default_rng(seed)
+        pool = [-0.0, 0.0, 0, -3, 2**53 + 1, -(2**53) - 3, 10**300, 1e308, -1e308, 5e-324, 0.1]
+        for size in (1, 2, 4):
+            data = [[pool[i] for i in rng.integers(0, len(pool), 2)] for _ in range(size * size)]
+            want = np.array([complex(*pair) for pair in data]).reshape(size, size)
+            assert _decode_matrix(data, size, "m").tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("label,data", MALFORMED, ids=[m[0] for m in MALFORMED])
     def test_malformed_input_keeps_its_message(self, label, data):

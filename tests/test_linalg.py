@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import re
 
@@ -10,9 +11,11 @@ import posmap
 from posmap import linalg, orderzero
 from posmap.errors import (
     BadRangeError,
+    BadWeightsError,
     NonSquareError,
     NotHermitianError,
     NumericalFailureError,
+    StructurallyInvalidError,
 )
 
 from conftest import ginibre, random_hermitian, random_unitary
@@ -106,6 +109,14 @@ class TestOpNorm:
         norms = linalg.op_norm(stack)
         assert norms.shape == (5,)
         assert list(norms) == [linalg.op_norm(m) for m in stack]  # bit for bit
+
+    def test_empty_matrix_and_stacks(self):
+        # no singular values: 0.0 for a matrix, zeros of the stack's shape for a stack
+        assert linalg.op_norm(np.zeros((0, 0))) == 0.0
+        assert type(linalg.op_norm(np.zeros((0, 0)))) is float
+        for shape in ((0, 3, 3), (2, 4, 0, 0)):
+            norms = linalg.op_norm(np.zeros(shape))
+            assert norms.shape == shape[:-2] and not norms.any()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_is_numerical_failure(self):
@@ -614,6 +625,88 @@ def test_check_count_accepts_python_and_numpy_integers():
         linalg.check_count("k", value)
     with pytest.raises(BadRangeError, match=re.escape("k must be an integer, got None")):
         linalg.check_count("k", None)
+
+
+_CERT = posmap.identity_certificate(_M2)
+_WITNESS = posmap.Witness(1, (np.eye(3)[0],), (np.eye(3)[0],), 0.0, 1.0)
+
+# each real argument of the public API: (call with the value v, the error type it refuses
+# a non-real v with); a tolerance, an epsilon, a weight, lambda, eps, the Lemma 3.1 eps.
+# psd_min_eig is left out: there tol=None is _spectrum's "no Hermitian check".
+REAL_CALLS = {
+    "check_tol.tol": (linalg.check_tol, BadRangeError),
+    "HermKernel.psd.tol": (lambda v: linalg.hermitian_kernel(np.eye(2)).psd(v), BadRangeError),
+    "is_positive.tol": (lambda v: posmap.is_positive(posmap.unit(_M2), v), BadRangeError),
+    "PMap.is_selfadjoint.tol": (lambda v: _PSI.is_selfadjoint(v), BadRangeError),
+    "is_cp.tol": (lambda v: posmap.is_cp(_PSI, v), BadRangeError),
+    "witness_verify.tol": (lambda v: posmap.witness_verify(_PSI, _WITNESS, v), BadRangeError),
+    "k_positivity_falsify.tol": (
+        lambda v: posmap.k_positivity_falsify(_PSI, 2, tol=v), BadRangeError
+    ),
+    "verify_certificate.tol": (lambda v: posmap.verify_certificate(_CERT, tol=v), BadRangeError),
+    "DrCertificate.epsilon": (
+        lambda v: posmap.verify_certificate(dataclasses.replace(_CERT, epsilon=v)),
+        StructurallyInvalidError,
+    ),
+    "identity_certificate.epsilon": (
+        lambda v: posmap.identity_certificate(_M2, epsilon=v), BadRangeError
+    ),
+    "orderzero_certificate.epsilon": (
+        lambda v: posmap.orderzero_certificate(_M2, [0.5, 0.5], epsilon=v), BadRangeError
+    ),
+    "orderzero_certificate.weights": (
+        lambda v: posmap.orderzero_certificate(_M2, [v, 0.5]), BadWeightsError
+    ),
+    "tomiyama_map.lam": (lambda v: posmap.tomiyama_map(3, v), BadRangeError),
+    "corner_mixture_apply.lam": (
+        lambda v: posmap.family.corner_mixture_apply(np.eye(6), 3, 2, v, 0.05), BadRangeError
+    ),
+    "corner_mixture_apply.eps": (
+        lambda v: posmap.family.corner_mixture_apply(np.eye(6), 3, 2, 1.4, v), BadRangeError
+    ),
+    "corner_mixture_map.lam": (lambda v: posmap.corner_mixture_map(3, 2, v, 0.05), BadRangeError),
+    "corner_mixture_map.eps": (lambda v: posmap.corner_mixture_map(3, 2, 1.4, v), BadRangeError),
+    "composed_mixing_parameter.eps": (
+        lambda v: posmap.composed_mixing_parameter(3, v, 1.4), BadRangeError
+    ),
+    "composed_mixing_parameter.lam": (
+        lambda v: posmap.composed_mixing_parameter(3, 0.1, v), BadRangeError
+    ),
+    "verify_corner_family.lam": (
+        lambda v: posmap.verify_corner_family(3, 1, 1, v, 0.05), BadRangeError
+    ),
+    "verify_corner_family.eps": (
+        lambda v: posmap.verify_corner_family(3, 1, 1, 1.4, v), BadRangeError
+    ),
+    "lemma31_positive_check.eps": (
+        lambda v: posmap.lemma31_positive_check(0.05 * np.eye(4), 2, v), BadRangeError
+    ),
+    "lemma31_unitary_check.eps": (
+        lambda v: posmap.lemma31_unitary_check(np.eye(4), 2, v), BadRangeError
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [True, np.True_, None, "1e-8"], ids=["True", "np.True_", "None", "'1e-8'"]
+)
+@pytest.mark.parametrize("entry", sorted(REAL_CALLS))
+def test_non_real_argument_is_refused(entry, value):
+    # True was read as 1.0 and None or a string raised a raw TypeError at the lambda and eps sites
+    call, error = REAL_CALLS[entry]
+    with pytest.raises(error) as info:
+        call(value)
+    assert repr(value) in str(info.value)  # each site's own message, with got {value!r}
+
+
+def test_real_arguments_accept_their_valid_values():
+    # the rows above are refused for being non-real, not for a bad value of the rest of the call
+    assert posmap.tomiyama_map(3, np.float64(1.2)).source == _M3
+    assert posmap.corner_mixture_map(3, 2, 1, np.float32(0.25)).source.block_sizes == (6,)
+    assert posmap.composed_mixing_parameter(3, 0.1, np.int64(1)) == 0.25
+    assert posmap.verify_corner_family(3, 1, 1, 1.4, 0.05, samples=1).all_ok
+    assert posmap.lemma31_positive_check(0.05 * np.eye(4), 2, np.float64(0.1))
+    assert posmap.lemma31_unitary_check(np.eye(4), 2, 0.5)
 
 
 def _same_fields(a, b):

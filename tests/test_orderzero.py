@@ -399,6 +399,35 @@ class TestOzConstruct:
             oz_construct(M2, pis, 0.5 * unit(M2))
 
 
+class TestOzConstructLabels:
+    """The first failing unit of a (1, 2, 3) source, in block 2: labels are block-relative."""
+
+    S123 = FiniteCStar((1, 2, 3))
+
+    def _units(self):
+        return list(matrix_units(self.S123))
+
+    def test_star_message(self):
+        pis = self._units()
+        pis[1 + 4 + 1] = 2.0 * pis[1 + 4 + 1]  # e_01 of block 2
+        with pytest.raises(NotHomomorphismError) as info:
+            oz_construct(self.S123, pis, 0.5 * unit(self.S123))
+        assert str(info.value) == "pi(e_01)* != pi(e_10) in block 2"
+
+    def test_commute_message(self):
+        h = Element(self.S123, [0.5 * np.eye(1), 0.5 * np.eye(2), np.diag([0.5, 0.5, 0.3])])
+        with pytest.raises(NotCommutingError) as info:
+            oz_construct(self.S123, self._units(), h)
+        assert str(info.value) == "[h, pi(e_02)] exceeds tolerance in block 2"
+
+    def test_multiplicativity_message(self):
+        pis = self._units()
+        pis[1 + 4 + 4] = 0.0 * pis[1 + 4 + 4]  # e_11 of block 2: pi(e_01) pi(e_11) != pi(e_01)
+        with pytest.raises(NotHomomorphismError) as info:
+            oz_construct(self.S123, pis, 0.5 * unit(self.S123))
+        assert str(info.value) == "multiplicativity fails on units (0,1),(1,1) in block 2"
+
+
 class TestCpRepair:
     def test_homomorphism_untouched(self):
         phi = hom_map(3, 15)

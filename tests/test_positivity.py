@@ -283,6 +283,31 @@ class TestFalsifier:
                 assert (v.status == CERTIFIED_POSITIVE) == is_cp(phi)
         assert {CERTIFIED_POSITIVE, UNFALSIFIED} <= set(statuses)
 
+    def test_search_path_certified_exactly_when_cp_at_the_psd_boundary(self):
+        # a searched block decides CERTIFIED_POSITIVE from its own eigvalsh kernel, as is_cp does
+        rng = np.random.default_rng(2)
+        statuses = []
+        for _ in range(30):
+            phi = boundary_choi_map(rng, positivity.DEFAULT_TOL)
+            v = k_positivity_falsify(phi, k=2, restarts=2)
+            statuses.append(v.status)
+            if v.status != VIOLATED:
+                assert (v.status == CERTIFIED_POSITIVE) == is_cp(phi)
+        assert {CERTIFIED_POSITIVE, UNFALSIFIED} <= set(statuses)
+
+    def test_search_path_reads_each_block_once(self, monkeypatch):
+        # the search's own kernel decides CERTIFIED_POSITIVE: no is_cp pass after it
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        v = k_positivity_falsify(tomiyama_map(3, 1.15), 2)  # 2-positive, not CP
+        assert v.status == UNFALSIFIED
+        assert shapes.count((9, 9)) == 1  # 2 when the falsifier ended in is_cp
+
     def test_exact_path_reads_each_block_once(self, monkeypatch):
         # the kernel pass gives the bottom eigenvector; the second call is witness_verify's
         shapes = []
